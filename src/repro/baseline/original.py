@@ -46,8 +46,6 @@ from ..core.forest import (
     ForestNode,
     ForestPair,
     ForestRef,
-    first_tree,
-    iter_trees,
 )
 from ..core.languages import (
     EMPTY,
@@ -65,7 +63,7 @@ from ..core.languages import (
     token_value,
 )
 from ..core.metrics import Metrics
-from ..core.parse import validate_grammar
+from ..core.parse import forest_answer, validate_grammar
 
 __all__ = ["OriginalParser", "NaiveNullability"]
 
@@ -188,11 +186,7 @@ class OriginalParser:
 
     def parse(self, tokens: Sequence[Any]) -> Any:
         """Parse and return one tree."""
-        forest = self.parse_forest(tokens)
-        try:
-            return first_tree(forest)
-        except ValueError:
-            raise ParseError("no finite parse tree", position=len(tokens)) from None
+        return forest_answer(self.parse_forest(tokens), tokens)
 
     def parse_trees(
         self,
@@ -201,23 +195,13 @@ class OriginalParser:
         ranking: Optional[Any] = None,
     ) -> List[Any]:
         """Parse and return up to ``limit`` trees (best-first with ``ranking``)."""
-        forest = self.parse_forest(tokens)
-        if ranking is None:
-            return list(iter_trees(forest, limit=limit))
-        from ..core.forest_query import iter_trees_ranked
-
-        return list(iter_trees_ranked(forest, ranking, limit))
+        return forest_answer(
+            self.parse_forest(tokens), tokens, "trees", limit=limit, ranking=ranking
+        )
 
     def sample_parses(self, tokens: Sequence[Any], rng: Any, n: int = 1) -> List[Any]:
         """Draw ``n`` uniform samples over the forest's derivations."""
-        from ..core.errors import EmptyForestError
-        from ..core.forest_query import sample_trees
-
-        forest = self.parse_forest(tokens)
-        try:
-            return sample_trees(forest, rng, n)
-        except EmptyForestError:
-            raise ParseError("no finite parse tree", position=len(tokens)) from None
+        return forest_answer(self.parse_forest(tokens), tokens, "sample", rng=rng, n=n)
 
     def derive_all(self, tokens: Iterable[Any]) -> Language:
         """Derive the grammar by every token (exposed for the benchmarks)."""

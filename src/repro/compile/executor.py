@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from ..core.forest import ForestNode
 from ..core.languages import Language, token_kind
-from ..core.parse import DerivativeParser
+from ..core.parse import DerivativeParser, forest_answer
 from ..obs.trace import current_trace
 from .automaton import (
     DENSE_DEAD,
@@ -572,10 +572,8 @@ class CompiledParser:
 
     def parse(self, tokens: Sequence[Any]) -> Any:
         """Parse and return a single parse tree (fallback derivation)."""
-        if not isinstance(tokens, (list, tuple)):
-            tokens = list(tokens)
-        with self.table.lock:
-            return self.fallback().parse(tokens)
+        tokens = list(tokens)
+        return forest_answer(self.parse_forest(tokens), tokens)
 
     def parse_trees(
         self,
@@ -588,17 +586,15 @@ class CompiledParser:
         ``ranking`` (a ``Ranking`` or registered name) switches to lazy
         best-first top-k extraction, same as the interpreted engine.
         """
-        if not isinstance(tokens, (list, tuple)):
-            tokens = list(tokens)
-        with self.table.lock:
-            return self.fallback().parse_trees(tokens, limit=limit, ranking=ranking)
+        tokens = list(tokens)
+        return forest_answer(
+            self.parse_forest(tokens), tokens, "trees", limit=limit, ranking=ranking
+        )
 
     def sample_parses(self, tokens: Sequence[Any], rng: Any, n: int = 1) -> List[Any]:
         """Draw ``n`` uniform samples over the parse forest (fallback derivation)."""
-        if not isinstance(tokens, (list, tuple)):
-            tokens = list(tokens)
-        with self.table.lock:
-            return self.fallback().sample_parses(tokens, rng, n=n)
+        tokens = list(tokens)
+        return forest_answer(self.parse_forest(tokens), tokens, "sample", rng=rng, n=n)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return "CompiledParser({!r})".format(self.table)

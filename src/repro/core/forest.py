@@ -403,83 +403,71 @@ def _attach_child(parent: _Frame, child: _Frame) -> None:
         parent.child = child
 
 
-def _enumerate(root: ForestNode, max_depth: Optional[int]) -> Iterator[Any]:
+def _enumerate(root: ForestNode) -> Iterator[Any]:
     """Drive the frame machine, yielding every finite tree of ``root``."""
     on_path: set = set()
-    depth = 0
 
     current: Optional[_Frame] = _make_frame(root, None)
     on_path.add(id(root))
-    depth += 1
     msg, arg = _START, None
 
     while current is not None:
         action, value = current.resume(msg, arg)
 
         if action == _PUSH:
-            # Skip children already being expanded on this path (cycles) and
-            # children beyond the depth cap: both "contain no finite trees".
-            if id(value) in on_path or (max_depth is not None and depth >= max_depth):
+            # Skip children already being expanded on this path (cycles):
+            # they "contain no finite trees".
+            if id(value) in on_path:
                 msg, arg = _CHILD_DONE, None
                 continue
             child = _make_frame(value, current)
             _attach_child(current, child)
             on_path.add(id(value))
-            depth += 1
             current = child
             msg, arg = _START, None
         elif action == _PULL:
             # Re-descend into a suspended child enumeration.
             child = value
             on_path.add(id(child.forest))
-            depth += 1
             current = child
             msg, arg = _MORE, None
         elif action == _EMIT:
             # Hand the tree to the parent (or the consumer); the emitting
             # frame suspends and leaves the active path.
             on_path.discard(id(current.forest))
-            depth -= 1
             if current.parent is None:
                 yield value
                 # The consumer asked for another tree: re-enter the root.
                 on_path.add(id(current.forest))
-                depth += 1
                 msg, arg = _MORE, None
             else:
                 current = current.parent
                 msg, arg = _TREE, value
         else:  # _DONE
             on_path.discard(id(current.forest))
-            depth -= 1
             current = current.parent
             msg, arg = _CHILD_DONE, None
 
 
-def iter_trees(
-    forest: ForestNode,
-    limit: Optional[int] = None,
-    max_depth: Optional[int] = None,
-) -> Iterator[Any]:
+def iter_trees(forest: ForestNode, limit: Optional[int] = None) -> Iterator[Any]:
     """Enumerate concrete parse trees from a forest, without recursion.
 
     ``limit`` bounds the number of trees yielded (ambiguous grammars can have
-    exponentially or infinitely many).  Cycles terminate on their own: an
-    alternative that would revisit a forest node already on the current
-    enumeration path is skipped, which yields exactly the finite trees of the
-    forest.  ``max_depth`` optionally bounds the enumeration path length as
-    well (``None`` — the default — means unbounded; deep forests from long
-    inputs are handled iteratively, so no interpreter limit applies).
+    exponentially or infinitely many); ``limit=0`` yields none.  Cycles
+    terminate on their own: an alternative that would revisit a forest node
+    already on the current enumeration path is skipped, which yields exactly
+    the finite trees of the forest.  Deep forests from long inputs are
+    handled iteratively, so no interpreter limit applies.
     """
-    emitted = 0
-    for tree in _enumerate(forest, max_depth):
+    if limit is not None and limit <= 0:
+        return
+    for emitted, tree in enumerate(_enumerate(forest), 1):
         yield tree
-        emitted += 1
-        if limit is not None and emitted >= limit:
+        if emitted == limit:
             return
 
 
-def first_tree(forest: ForestNode, max_depth: Optional[int] = None) -> Any:
+def first_tree(forest: ForestNode) -> Any:
     """Return one parse tree from the forest.
 
     Raises :class:`~repro.core.errors.EmptyForestError` (a ``ParseError``
@@ -487,7 +475,7 @@ def first_tree(forest: ForestNode, max_depth: Optional[int] = None) -> Any:
     no finite trees — either because the parse failed outright or because
     every alternative was cut by the cycle guard.
     """
-    for tree in iter_trees(forest, limit=1, max_depth=max_depth):
+    for tree in _enumerate(forest):
         return tree
     raise EmptyForestError(
         "the parse forest contains no finite trees; input recognized "

@@ -84,6 +84,7 @@ __all__ = [
     "parse",
     "recognize",
     "validate_grammar",
+    "forest_answer",
     "DEFAULT_RECURSION_LIMIT",
 ]
 
@@ -582,15 +583,7 @@ class DerivativeParser:
         member of the forest; use :meth:`parse_forest` /
         :func:`repro.core.forest.iter_trees` to inspect every parse.
         """
-        forest = self.parse_forest(tokens)
-        try:
-            return first_tree(forest)
-        except ValueError:
-            raise ParseError(
-                "input recognized but no finite parse tree could be extracted",
-                position=len(tokens),
-                tokens=tokens,
-            ) from None
+        return forest_answer(self.parse_forest(tokens), tokens)
 
     def parse_trees(
         self,
@@ -606,12 +599,9 @@ class DerivativeParser:
         ``limit`` even when the forest holds astronomically many parses.
         Without a ranking, trees come in plain enumeration order.
         """
-        forest = self.parse_forest(tokens)
-        if ranking is None:
-            return list(iter_trees(forest, limit=limit))
-        from .forest_query import iter_trees_ranked
-
-        return list(iter_trees_ranked(forest, ranking, limit))
+        return forest_answer(
+            self.parse_forest(tokens), tokens, "trees", limit=limit, ranking=ranking
+        )
 
     def sample_parses(self, tokens: Sequence[Any], rng: Any, n: int = 1) -> List[Any]:
         """Parse and draw ``n`` uniform samples over the forest's derivations.
@@ -621,17 +611,7 @@ class DerivativeParser:
         shared forest with exact count-proportional choices — no
         enumeration, so it is cheap even at 10^21 parses.
         """
-        forest = self.parse_forest(tokens)
-        from .forest_query import sample_trees
-
-        try:
-            return sample_trees(forest, rng, n)
-        except EmptyForestError:
-            raise ParseError(
-                "input recognized but no finite parse tree could be extracted",
-                position=len(tokens),
-                tokens=tokens,
-            ) from None
+        return forest_answer(self.parse_forest(tokens), tokens, "sample", rng=rng, n=n)
 
     # ----------------------------------------------------------- parse-null
     def parse_null(self, node: Language) -> ForestNode:
@@ -721,6 +701,46 @@ class DerivativeParser:
                 skeleton.target = node.target.null_parse_result
 
         return root.null_parse_result
+
+
+def forest_answer(
+    forest: ForestNode,
+    tokens: Sequence[Any],
+    want: str = "tree",
+    limit: Optional[int] = None,
+    ranking: Optional[Any] = None,
+    rng: Any = None,
+    n: int = 1,
+) -> Any:
+    """What a parse of ``tokens`` answers from its ``forest``.
+
+    ``want`` picks the answer: ``"tree"`` — one tree; ``"trees"`` — up to
+    ``limit`` trees, best-first under ``ranking`` when one is given; or
+    ``"sample"`` — ``n`` uniform samples drawn with ``rng``.  A forest
+    without a finite tree raises :class:`ParseError` at ``len(tokens)``:
+    the input was recognized, so the failure lies past its last token.
+    Every engine's ``parse``/``parse_trees``/``sample_parses`` ends here.
+    """
+    try:
+        if want == "tree":
+            return first_tree(forest)
+        if want == "trees":
+            if ranking is None:
+                return list(iter_trees(forest, limit=limit))
+            from .forest_query import iter_trees_ranked
+
+            return list(iter_trees_ranked(forest, ranking, limit))
+        if want == "sample":
+            from .forest_query import sample_trees
+
+            return sample_trees(forest, rng, n)
+    except EmptyForestError:
+        raise ParseError(
+            "input recognized but no finite parse tree could be extracted",
+            position=len(tokens),
+            tokens=tokens,
+        ) from None
+    raise ValueError("unknown forest answer {!r}".format(want))
 
 
 def recognize(

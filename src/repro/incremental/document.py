@@ -51,9 +51,9 @@ from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from ..compile.executor import CompiledParser, CompiledSnapshot
 from ..core.errors import ParseError
-from ..core.forest import ForestNode, first_tree, iter_trees
+from ..core.forest import ForestNode
 from ..core.metrics import Metrics
-from ..core.parse import DerivativeParser, ParserSnapshot
+from ..core.parse import DerivativeParser, ParserSnapshot, forest_answer
 from ..obs.trace import stage
 from .trail import CheckpointTrail
 
@@ -509,17 +509,7 @@ class IncrementalDocument:
 
     def tree(self) -> Any:
         """One parse tree of the current buffer (raises exactly like batch parse)."""
-        if self._compiled:
-            return self._parser.parse(list(self._tokens))
-        forest = self.forest()
-        try:
-            return first_tree(forest)
-        except ValueError:
-            raise ParseError(
-                "input recognized but no finite parse tree could be extracted",
-                position=len(self._tokens),
-                tokens=list(self._tokens),
-            ) from None
+        return forest_answer(self.forest(), list(self._tokens))
 
     def parse_trees(
         self, limit: Optional[int] = None, ranking: Optional[Any] = None
@@ -530,16 +520,9 @@ class IncrementalDocument:
         trees come back best-first via the shared forest-query layer —
         bounded memory even when the buffer is astronomically ambiguous.
         """
-        if self._compiled:
-            return self._parser.parse_trees(
-                list(self._tokens), limit=limit, ranking=ranking
-            )
-        forest = self.forest()
-        if ranking is None:
-            return list(iter_trees(forest, limit=limit))
-        from ..core.forest_query import iter_trees_ranked
-
-        return list(iter_trees_ranked(forest, ranking, limit))
+        return forest_answer(
+            self.forest(), list(self._tokens), "trees", limit=limit, ranking=ranking
+        )
 
     def sample_parses(self, rng: Any, n: int = 1) -> List[Any]:
         """``n`` uniform samples over the current buffer's parse forest.
@@ -547,20 +530,7 @@ class IncrementalDocument:
         ``rng`` is an explicit ``random.Random`` or ``int`` seed (no global
         RNG); same-seed replays return identical samples.
         """
-        if self._compiled:
-            return self._parser.sample_parses(list(self._tokens), rng, n=n)
-        from ..core.errors import EmptyForestError
-        from ..core.forest_query import sample_trees
-
-        forest = self.forest()
-        try:
-            return sample_trees(forest, rng, n)
-        except EmptyForestError:
-            raise ParseError(
-                "input recognized but no finite parse tree could be extracted",
-                position=len(self._tokens),
-                tokens=list(self._tokens),
-            ) from None
+        return forest_answer(self.forest(), list(self._tokens), "sample", rng=rng, n=n)
 
     def diagnose(self) -> Optional[ParseError]:
         """The exact :class:`ParseError` for the current buffer, or None.

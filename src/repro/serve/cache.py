@@ -35,7 +35,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..compile.automaton import GrammarTable, as_root
 from ..compile.serialize import restore_table
@@ -44,7 +44,37 @@ from ..core.metrics import Metrics
 from ..obs.logging import NULL_LOGGER, StructuredLogger
 from .metrics import ServiceMetrics
 
-__all__ = ["CacheEntry", "TableCache"]
+__all__ = ["CacheEntry", "FingerprintMemo", "TableCache"]
+
+
+class FingerprintMemo:
+    """Structural fingerprints memoized per grammar root object.
+
+    A warm lookup costs two dictionary probes instead of an O(graph) hash
+    walk.  Entries hold their root strongly, so an ``id`` is never reused
+    while it is a key; at most 64 roots are kept, LRU-evicted.  Safe to
+    share across threads.
+    """
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[int, Tuple[Any, str]]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def lookup(self, grammar: Any) -> Tuple[str, Any]:
+        """``(fingerprint, root)`` for ``grammar`` (a root or a cfg grammar)."""
+        root = as_root(grammar)
+        key = id(root)
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None and hit[0] is root:
+                self._entries.move_to_end(key)
+                return hit[1], root
+        fingerprint = structural_fingerprint(root)
+        with self._lock:
+            self._entries[key] = (root, fingerprint)
+            while len(self._entries) > 64:
+                self._entries.popitem(last=False)
+        return fingerprint, root
 
 
 class CacheEntry:
@@ -137,17 +167,7 @@ class TableCache:
                 self._building.pop(fingerprint, None)
             future.set_exception(exc)
             raise
-        evicted: List[str] = []
-        with self._lock:
-            self._entries[fingerprint] = entry
-            self._building.pop(fingerprint, None)
-            while len(self._entries) > self.capacity:
-                stale, _ = self._entries.popitem(last=False)
-                evicted.append(stale)
-        if evicted:
-            self.metrics.inc("tables_evicted", len(evicted))
-            for stale in evicted:
-                self.logger.log("table_evicted", fingerprint=stale, reason="capacity")
+        self._insert(fingerprint, entry)
         self.metrics.inc("table_misses")
         future.set_result(entry)
         return entry
@@ -197,22 +217,33 @@ class TableCache:
             engine_metrics = Metrics()
             table = restore_table(data, clone_graph(root), metrics=engine_metrics)
             entry = CacheEntry(fingerprint, table, clone_graph(root), engine_metrics)
-            evicted: List[str] = []
-            with self._lock:
-                if fingerprint in self._entries:  # raced a concurrent compile
-                    continue
-                self._entries[fingerprint] = entry
-                while len(self._entries) > self.capacity:
-                    stale, _ = self._entries.popitem(last=False)
-                    evicted.append(stale)
-            self.metrics.inc("tables_warm_started")
-            self.logger.log("table_warm_started", fingerprint=fingerprint, path=path)
-            if evicted:
-                self.metrics.inc("tables_evicted", len(evicted))
-                for stale in evicted:
-                    self.logger.log("table_evicted", fingerprint=stale, reason="capacity")
-            inserted.append(entry)
+            # A concurrent compile may have cached it meanwhile; keep that one.
+            if self._insert(fingerprint, entry, replace=False):
+                self.metrics.inc("tables_warm_started")
+                self.logger.log("table_warm_started", fingerprint=fingerprint, path=path)
+                inserted.append(entry)
         return inserted
+
+    def _insert(self, fingerprint: str, entry: CacheEntry, replace: bool = True) -> bool:
+        """Cache ``entry``, LRU-evicting past capacity; False when it kept an existing one.
+
+        ``replace=True`` is a finished compile, which also retires its
+        in-flight marker under the same lock.
+        """
+        with self._lock:
+            if replace:
+                self._building.pop(fingerprint, None)
+            elif fingerprint in self._entries:
+                return False
+            self._entries[fingerprint] = entry
+            evicted = []
+            while len(self._entries) > self.capacity:
+                evicted.append(self._entries.popitem(last=False)[0])
+        if evicted:
+            self.metrics.inc("tables_evicted", len(evicted))
+            for stale in evicted:
+                self.logger.log("table_evicted", fingerprint=stale, reason="capacity")
+        return True
 
     @staticmethod
     def _resolve_grammar(grammar_for: Any, fingerprint: str) -> object:

@@ -66,22 +66,22 @@ import pickle
 import tempfile
 import threading
 from bisect import bisect_right
-from collections import OrderedDict
 from concurrent.futures import Future
 from time import perf_counter_ns
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..compile.automaton import GrammarTable, as_root
+from ..compile.automaton import GrammarTable
 from ..compile.executor import CompiledParser
-from ..core.languages import clone_graph, structural_fingerprint
+from ..core.forest_query import RANKINGS
+from ..core.languages import clone_graph
 from ..core.metrics import Metrics
 from ..obs.exposition import prometheus_exposition
 from ..obs.histogram import Histogram
 from ..obs.observer import Observer
 from ..obs.trace import stage
-from ..core.forest_query import RANKINGS, ranking_by_name
+from .cache import FingerprintMemo
 from .metrics import ServiceMetrics
-from .service import DEFAULT_TREE_BUDGET, ForestOutcome, ParseOutcome, ServiceClosed
+from .service import OPS, ForestOutcome, Op, ParseOutcome, ServiceClosed
 from .store import TableStore
 from .transport import (
     WIRE_PROTOCOL,
@@ -93,15 +93,6 @@ from .transport import (
 )
 
 __all__ = ["HashRing", "PooledParseService", "PreparedBatch"]
-
-#: Request-trace names per wire tag (see :mod:`repro.serve.transport`).
-_POOL_REQUEST_NAMES = {
-    "rec": "pool_recognize_many",
-    "par": "pool_parse_many",
-    "enu": "pool_enumerate_many",
-    "sam": "pool_sample_many",
-}
-
 
 class HashRing:
     """Consistent hashing of grammar fingerprints onto worker indices.
@@ -151,9 +142,10 @@ class PreparedBatch:
     same streams — a benchmark loop, a poller re-validating a corpus —
     wraps them once with :meth:`PooledParseService.prepare` and passes the
     result anywhere ``streams`` goes.  Payload bytes are memoized per
-    (operation, chunking, purity), and the workers' decode caches key on
+    (codec, chunking, purity), and the workers' decode caches key on
     those same bytes, so a replayed batch is never re-pickled on either
-    side of the pipe.
+    side of the pipe.  Unprepared batches take the same path through a
+    one-off instance.
     """
 
     __slots__ = ("fingerprint", "streams", "_payloads")
@@ -164,19 +156,21 @@ class PreparedBatch:
         self._payloads: Dict[Tuple[Any, ...], List[bytes]] = {}
 
     def payloads(
-        self, operation: str, bounds: Tuple[Tuple[int, int], ...], pure: bool
+        self, op: Op, bounds: Tuple[Tuple[int, int], ...], pure: bool
     ) -> List[bytes]:
-        """The cached chunk payloads for one (operation, chunking, purity)."""
-        key = (operation, bounds, pure)
+        """The chunk payloads in ``op``'s codec, cached per (codec, chunking, purity).
+
+        The encoders are looked up in this module at call time, so a
+        profiler that wraps them here sees every payload.
+        """
+        key = (op.ships_kinds, bounds, pure)
         cached = self._payloads.get(key)
         if cached is None:
-            if operation == "rec":
-                cached = [
-                    encode_recognize_payload(self.streams[lo:hi], pure)
-                    for lo, hi in bounds
-                ]
+            streams = self.streams
+            if op.ships_kinds:
+                cached = [encode_recognize_payload(streams[lo:hi], pure) for lo, hi in bounds]
             else:
-                cached = [encode_parse_payload(self.streams[lo:hi]) for lo, hi in bounds]
+                cached = [encode_parse_payload(streams[lo:hi]) for lo, hi in bounds]
             self._payloads[key] = cached
         return cached
 
@@ -284,7 +278,7 @@ class PooledParseService:
         self._ring = HashRing(workers)
         self._grammars: Dict[str, _GrammarInfo] = {}
         self._state_lock = threading.Lock()
-        self._fingerprints: "OrderedDict[int, Tuple[Any, str]]" = OrderedDict()
+        self._fingerprints = FingerprintMemo()
         self._closed = False
         self._handles = [
             WorkerHandle(
@@ -339,7 +333,7 @@ class PooledParseService:
         input order — with the batch split contiguously over the shard's
         workers and reassembled on the way back.
         """
-        return self._run_batch("rec", grammar, streams)
+        return self._run_batch(OPS["rec"], grammar, streams)
 
     def parse_many(
         self, grammar: Any, streams: Union[Iterable[Sequence[Any]], PreparedBatch]
@@ -350,7 +344,7 @@ class PooledParseService:
         interpreted engines and shipped back whole — identical, tree for
         tree, to the in-process service's outcomes.
         """
-        return self._run_batch("par", grammar, streams)
+        return self._run_batch(OPS["par"], grammar, streams)
 
     def enumerate_many(
         self,
@@ -367,24 +361,17 @@ class PooledParseService:
         The ranking crosses the pipe by its registered name (rankings are
         code, not data), so it must come from
         :data:`repro.core.forest_query.RANKINGS`; ``k`` is clamped to the
-        dispatcher's tree budget before dispatch.
+        tree budget before dispatch.
         """
-        ranking = ranking_by_name(ranking)
-        if ranking is None:
-            raise ValueError("enumerate_many requires a ranking")
+        op = OPS["enu"]
+        k, ranking = op.resolve((k, ranking))
         if RANKINGS.get(ranking.name) is not ranking:
             raise ValueError(
                 "pooled enumeration needs a ranking registered in "
                 "repro.core.forest_query.RANKINGS so workers can resolve it "
                 "by name; {!r} is not registered".format(ranking.name)
             )
-        name = ranking.name
-        return self._run_batch(
-            "enu",
-            grammar,
-            streams,
-            extras=lambda lo, hi, k=k, name=name: (self._clamp_trees(k, hi - lo), name),
-        )
+        return self._run_batch(op, grammar, streams, (k, ranking))
 
     def sample_many(
         self,
@@ -401,84 +388,47 @@ class PooledParseService:
         stream_index`` the in-process service uses — chunking is invisible
         in the draws.
         """
-        return self._run_batch(
-            "sam",
-            grammar,
-            streams,
-            extras=lambda lo, hi, n=n, seed=seed: (
-                self._clamp_trees(n, hi - lo),
-                seed + lo,
-            ),
-        )
-
-    def _clamp_trees(self, requested: Optional[int], requests: int) -> int:
-        """Clamp a tree ask to the dispatcher's budget (mirrors the service)."""
-        budget = DEFAULT_TREE_BUDGET
-        if requested is None or requested > budget:
-            self.metrics.inc("tree_budget_clamped", requests)
-            return budget
-        return requested
+        return self._run_batch(OPS["sam"], grammar, streams, (n, seed))
 
     def prepare(self, grammar: Any, streams: Iterable[Sequence[Any]]) -> PreparedBatch:
         """Wrap ``streams`` for repeated dispatch (see :class:`PreparedBatch`)."""
         self._require_open()
-        fingerprint, _root = self._fingerprint(grammar)
+        fingerprint, _root = self._fingerprints.lookup(grammar)
         return PreparedBatch(fingerprint, list(streams))
 
     def _run_batch(
-        self,
-        operation: str,
-        grammar: Any,
-        streams: Any,
-        extras: Optional[Callable[[int, int], Tuple[Any, ...]]] = None,
+        self, op: Op, grammar: Any, streams: Any, args: Tuple[Any, ...] = ()
     ) -> List[Any]:
-        """Shard, encode, fan out and reassemble one batch (every operation).
+        """Shard, encode, fan out and reassemble one batch of ``op``.
 
-        ``extras(lo, hi)`` — when given — produces the operation-specific
-        arguments appended to each chunk's frame after the payload (the
-        ``k``/ranking of an enumeration, the ``n``/offset-seed of a
-        sampling run), called once per chunk with that chunk's bounds.
+        Each chunk's frame carries ``op.wire(args, lo)`` after the payload
+        (the ``k``/ranking name of an enumeration, the ``n``/offset seed
+        of a sampling run).
         """
         self._require_open()
+        args = op.resolve(args)
         started = perf_counter_ns()
-        name = _POOL_REQUEST_NAMES[operation]
-        with self.obs.tracer.request(name) as trace:
+        with self.obs.tracer.request("pool_" + op.name + "_many") as trace:
             with stage("fingerprint"):
-                fingerprint, root = self._fingerprint(grammar)
-            prepared: Optional[PreparedBatch] = None
-            if isinstance(streams, PreparedBatch):
-                if streams.fingerprint != fingerprint:
-                    raise ValueError(
-                        "PreparedBatch was prepared for grammar {}..., not {}...".format(
-                            streams.fingerprint[:12], fingerprint[:12]
-                        )
+                fingerprint, root = self._fingerprints.lookup(grammar)
+            if not isinstance(streams, PreparedBatch):
+                streams = PreparedBatch(fingerprint, list(streams))
+            elif streams.fingerprint != fingerprint:
+                raise ValueError(
+                    "PreparedBatch was prepared for grammar {}..., not {}...".format(
+                        streams.fingerprint[:12], fingerprint[:12]
                     )
-                prepared = streams
-                stream_list: List[Sequence[Any]] = prepared.streams
-            else:
-                stream_list = list(streams)
-            if not stream_list:
+                )
+            if not streams.streams:
                 return []
+            args = op.clamp(args, len(streams), self.metrics)
             info, _warm = self._ensure_registered(fingerprint, root)
-            bounds = _chunk_bounds(len(stream_list), len(info.shard))
+            bounds = _chunk_bounds(len(streams), len(info.shard))
             with stage("dispatch"):
-                if prepared is not None:
-                    payloads = prepared.payloads(operation, bounds, info.pure)
-                elif operation == "rec":
-                    payloads = [
-                        encode_recognize_payload(stream_list[lo:hi], info.pure)
-                        for lo, hi in bounds
-                    ]
-                else:
-                    payloads = [
-                        encode_parse_payload(stream_list[lo:hi]) for lo, hi in bounds
-                    ]
+                payloads = streams.payloads(op, bounds, info.pure)
                 futures = [
                     self._handles[info.shard[chunk]].submit(
-                        operation,
-                        fingerprint,
-                        payload,
-                        *(extras(*bounds[chunk]) if extras is not None else ()),
+                        op.tag, fingerprint, payload, *op.wire(args, bounds[chunk][0])
                     )
                     for chunk, payload in enumerate(payloads)
                 ]
@@ -490,41 +440,26 @@ class PooledParseService:
                     trace.add_span("worker", perf_counter_ns() - worker_ns, worker_ns)
                 results.extend(body)
         self.obs.record("request_latency_ns", perf_counter_ns() - started)
-        self.obs.record("batch_size", len(stream_list))
+        self.obs.record("batch_size", len(streams))
         if not info.persisted:
             self._request_persist(fingerprint, info)
         return results
 
     # ---------------------------------------------------------- registration
-    def _fingerprint(self, grammar: Any) -> Tuple[str, Any]:
-        """``(fingerprint, root)`` for ``grammar``, memoized per root object."""
-        root = as_root(grammar)
-        key = id(root)
-        with self._state_lock:
-            hit = self._fingerprints.get(key)
-            if hit is not None and hit[0] is root:
-                self._fingerprints.move_to_end(key)
-                return hit[1], root
-        fingerprint = structural_fingerprint(root)
-        with self._state_lock:
-            self._fingerprints[key] = (root, fingerprint)
-            while len(self._fingerprints) > 64:
-                self._fingerprints.popitem(last=False)
-        return fingerprint, root
-
     def _ensure_registered(self, fingerprint: str, root: Any) -> Tuple[_GrammarInfo, int]:
         """Register ``root`` with every worker of its shard (idempotent).
 
         First sight pickles a pristine clone of the grammar once (the blob
         every registration and every respawn replays) and assigns the
-        shard off the ring.  Each shard worker gets one ``reg`` — with the
-        store path when a serialized table is on disk, so the worker
-        warm-loads instead of compiling — coordinated through per-worker
-        acknowledgement futures created under the state lock but *sent*
-        outside it (see the module's lock-order note): racing threads find
-        the future and wait on it rather than re-sending.  Returns the
-        info plus how many of the registrations this call sent were
-        answered ``warm_loaded`` (what :meth:`preload` reports).
+        shard off the ring.  Each shard worker gets one ``reg`` carrying
+        the grammar's store path — the worker warm-loads from it when a
+        serialized table is on disk instead of compiling — coordinated
+        through per-worker acknowledgement futures created under the state
+        lock but *sent* outside it (see the module's lock-order note):
+        racing threads find the future and wait on it rather than
+        re-sending.  Returns the info plus how many of the registrations
+        this call sent were answered ``warm_loaded`` (what :meth:`preload`
+        reports).
         """
         to_send: List[Tuple[WorkerHandle, "Future[Any]"]] = []
         with self._state_lock:
@@ -542,10 +477,8 @@ class PooledParseService:
                     ack: "Future[Any]" = Future()
                     info.acks[index] = ack
                     to_send.append((self._handles[index], ack))
+        path = self.store.path_for(fingerprint)
         for handle, ack in to_send:
-            path = (
-                self.store.path_for(fingerprint) if self.store.has(fingerprint) else None
-            )
             handle.registered.add(fingerprint)
             submitted = handle.submit("reg", fingerprint, info.blob, path, slot=False)
             submitted.add_done_callback(lambda done, ack=ack: _chain(done, ack))
@@ -605,7 +538,7 @@ class PooledParseService:
         benchmark's cold-start gate.  Returns the stored path.
         """
         self._require_open()
-        fingerprint, root = self._fingerprint(grammar)
+        fingerprint, root = self._fingerprints.lookup(grammar)
         table = GrammarTable(clone_graph(root))
         parser = CompiledParser(table=table)
         for stream in streams:
@@ -615,9 +548,9 @@ class PooledParseService:
     def preload(self, grammars: Iterable[Any]) -> int:
         """Register grammars fleet-wide ahead of traffic; returns warm loads.
 
-        For each grammar, every worker on its shard gets a registration —
-        with the table store path whenever a serialized table is on disk,
-        in which case the worker warm-loads it with **zero derivations**.
+        For each grammar, every worker on its shard gets a registration
+        with the grammar's store path; when a serialized table is on disk
+        there, the worker warm-loads it with **zero derivations**.
         A fleet restarted over a populated store serves its first request
         at warm-cache speed (the pool benchmark asserts fleet-wide
         ``derive_calls == 0`` after exactly this call).  Grammars missing
@@ -628,7 +561,7 @@ class PooledParseService:
         self._require_open()
         warm_loaded = 0
         for grammar in grammars:
-            fingerprint, root = self._fingerprint(grammar)
+            fingerprint, root = self._fingerprints.lookup(grammar)
             _info, warm = self._ensure_registered(fingerprint, root)
             warm_loaded += warm
         return warm_loaded
@@ -734,11 +667,7 @@ class PooledParseService:
                     if worker.index in info.shard
                 ]
             for fingerprint, info in shard_grammars:
-                path = (
-                    self.store.path_for(fingerprint)
-                    if self.store.has(fingerprint)
-                    else None
-                )
+                path = self.store.path_for(fingerprint)
                 worker.provision_send("reg", fingerprint, info.blob, path)
                 worker.registered.add(fingerprint)
             for pending in drained:

@@ -5,11 +5,11 @@ One object owns everything a server process needs to parse heavy traffic:
 * a bounded LRU of compiled grammar tables
   (:class:`~repro.serve.cache.TableCache`, keyed by structural
   fingerprint, hit/miss metered),
-* a thread pool running batched :meth:`ParseService.recognize_many` /
-  :meth:`ParseService.parse_many` over token-stream batches,
-* an asyncio front door (:meth:`ParseService.parse` /
-  :meth:`ParseService.recognize`) that coalesces identical
-  grammar+input requests in flight,
+* a thread pool running batched ``recognize`` / ``parse`` / ``enumerate``
+  / ``sample`` requests over token-stream batches (``*_many``),
+* an asyncio front door for the same four requests that coalesces
+  identical grammar+input requests in flight — both surfaces serve a
+  request kind through its one entry in the op table :data:`OPS`,
 * a :class:`~repro.serve.sessions.SessionManager` for long-lived streaming
   parses with checkpoints and idle eviction.
 
@@ -45,24 +45,23 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter_ns
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..compile.automaton import as_root
 from ..compile.executor import CompiledParser
 from ..core.errors import EmptyForestError, ParseError, ReproError
 from ..core.forest_query import ForestQuery, ranking_by_name
-from ..core.languages import clone_graph, structural_fingerprint
+from ..core.languages import clone_graph
 from ..core.metrics import Metrics
 from ..core.parse import DerivativeParser
 from ..incremental import DEFAULT_CHECKPOINT_EVERY
 from ..obs.exposition import prometheus_exposition
 from ..obs.observer import Observer
 from ..obs.trace import activated, stage
-from .cache import CacheEntry, TableCache
+from .cache import CacheEntry, FingerprintMemo, TableCache
 from .metrics import ServiceMetrics
 from .sessions import ParseSession, SessionCheckpoint, SessionManager
 
-__all__ = ["ForestOutcome", "ParseOutcome", "ParseService", "ServiceClosed"]
+__all__ = ["ForestOutcome", "OPS", "Op", "ParseOutcome", "ParseService", "ServiceClosed"]
 
 #: Default per-request tree budget for the forest endpoints: the most
 #: trees one enumerate/sample request may materialize service-side.
@@ -152,6 +151,181 @@ class ForestOutcome:
         return "ForestOutcome(failed: {!r})".format(self.error)
 
 
+# ---------------------------------------------------------------- op table
+#: An op's argument tuple: ``()``, ``(k, ranking)`` or ``(n, seed)``.
+Args = Tuple[Any, ...]
+
+
+class Op(NamedTuple):
+    """One request kind, defined once for every surface that serves it.
+
+    ``tag`` is the wire tag and the op's key in :data:`OPS`; ``name`` the
+    async trace name (batches trace as ``name + "_many"``, pool
+    dispatches as ``"pool_" + name + "_many"``) and the stem of the
+    ``<name>_requests`` counter.  ``worker(service, entry, args)`` builds
+    one batch's per-stream function ``(index, stream) -> answer``,
+    metering included.  ``resolve(args)`` checks and normalizes the
+    arguments; ``budgeted`` ops carry a tree count first, capped by
+    :meth:`clamp`.  ``wire(args, lo)`` gives the arguments a pool chunk
+    starting at stream ``lo`` carries, so chunking never changes an
+    answer.  ``ships_kinds`` is the codec: recognition may ship kind-only
+    rows on kind-pure grammars, every other op ships the tokens.
+    """
+
+    tag: str
+    name: str
+    worker: Callable[["ParseService", CacheEntry, Args], Callable[[int, Sequence[Any]], Any]]
+    resolve: Callable[[Args], Args] = tuple
+    wire: Callable[[Args, int], Args] = lambda args, lo: ()
+    budgeted: bool = False
+    ships_kinds: bool = False
+
+    @property
+    def request_metric(self) -> str:
+        """The counter of streams served, ``<name>_requests``."""
+        return self.name + "_requests"
+
+    def clamp(self, args: Args, requests: int, metrics: ServiceMetrics) -> Args:
+        """``args`` with the tree count capped at :data:`DEFAULT_TREE_BUDGET` (metered)."""
+        if self.budgeted and (args[0] is None or args[0] > DEFAULT_TREE_BUDGET):
+            metrics.inc("tree_budget_clamped", requests)
+            return (DEFAULT_TREE_BUDGET,) + tuple(args[1:])
+        return args
+
+
+def _recognize_worker(service: "ParseService", entry: CacheEntry, args: Args):
+    """Recognition on the shared compiled table, dense hits metered."""
+    parser = CompiledParser(table=entry.table)
+    metrics = service.metrics
+    obs = service.obs
+
+    def run(index: int, stream: Sequence[Any]) -> bool:
+        started = perf_counter_ns()
+        accepted, hits, fallbacks = parser.recognize_with_stats(stream)
+        elapsed = perf_counter_ns() - started
+        if hits:
+            metrics.inc("dense_hits", hits)
+        if fallbacks:
+            metrics.inc("dense_fallbacks", fallbacks)
+        elif len(stream):
+            # Warm-path rate: every token rode the dense core.
+            obs.record("ns_per_token_dense", elapsed // len(stream))
+        return accepted
+
+    return run
+
+
+def _parse_worker(service: "ParseService", entry: CacheEntry, args: Args):
+    """One tree per stream on the worker thread's interpreted parser."""
+
+    def run(index: int, stream: Sequence[Any]) -> ParseOutcome:
+        parser = service._worker_parser(entry)
+        started = perf_counter_ns()
+        try:
+            with stage("tree"):
+                tree = parser.parse(list(stream))
+            outcome = ParseOutcome(True, tree=tree)
+        except ParseError as error:
+            outcome = ParseOutcome(False, error=error)
+        finally:
+            # Per-parse caches (memo + hash-consing table) grow with every
+            # distinct input; clearing them bounds a worker's memory by one
+            # parse instead of its whole service lifetime.
+            parser.reset()
+        if len(stream):
+            # Whole-parse rate per token; the reset above makes every
+            # parse start cold, so this is not a warm rate.
+            service.obs.record(
+                "ns_per_token_parse", (perf_counter_ns() - started) // len(stream)
+            )
+        return outcome
+
+    return run
+
+
+def _forest_worker(query: Callable[[Any, Args, int], ForestOutcome]) -> Callable[..., Any]:
+    """Parse each stream's forest, answer ``query(forest, args, index)``, meter its trees."""
+
+    def worker(service: "ParseService", entry: CacheEntry, args: Args):
+        def run(index: int, stream: Sequence[Any]) -> ForestOutcome:
+            parser = service._worker_parser(entry)
+            try:
+                try:
+                    with stage("forest"):
+                        forest = parser.parse_forest(list(stream))
+                except ParseError as error:
+                    return ForestOutcome(False, error=error)
+                outcome = query(forest, args, index)
+            finally:
+                parser.reset()
+            if outcome.trees:
+                service.metrics.inc("trees_emitted", len(outcome.trees))
+            return outcome
+
+        return run
+
+    return worker
+
+
+def _top_k(forest: Any, args: Args, index: int) -> ForestOutcome:
+    """The ``k`` best trees under ``ranking``, plus the exact count."""
+    k, ranking = args
+    with stage("rank"):
+        query = ForestQuery(forest, ranking)
+        count = query.count
+        if count == math.inf:
+            error = ValueError("cannot rank a cyclic forest: infinitely many derivations")
+            return ForestOutcome(False, count=count, error=error)
+        trees = [tree for _score, tree in query.iter_ranked(k)]
+    return ForestOutcome(True, trees=trees, count=count)
+
+
+def _samples(forest: Any, args: Args, index: int) -> ForestOutcome:
+    """``n`` uniform samples from ``random.Random(seed + index)``."""
+    n, seed = args
+    with stage("sample"):
+        query = ForestQuery(forest)
+        count = query.count
+        try:
+            trees = query.sample_n(seed + index, n)
+        except (EmptyForestError, ValueError) as error:
+            return ForestOutcome(False, count=count, error=error)
+    return ForestOutcome(True, trees=trees, count=count)
+
+
+def _resolve_ranking(args: Args) -> Args:
+    k, ranking = args
+    resolved = ranking_by_name(ranking)
+    if resolved is None:
+        raise ValueError("enumerate requires a ranking")
+    return k, resolved
+
+
+#: The op table, keyed by wire tag.
+OPS: Dict[str, Op] = {
+    op.tag: op
+    for op in (
+        Op("rec", "recognize", _recognize_worker, ships_kinds=True),
+        Op("par", "parse", _parse_worker),
+        Op(
+            "enu",
+            "enumerate",
+            _forest_worker(_top_k),
+            resolve=_resolve_ranking,
+            wire=lambda args, lo: (args[0], args[1].name),
+            budgeted=True,
+        ),
+        Op(
+            "sam",
+            "sample",
+            _forest_worker(_samples),
+            wire=lambda args, lo: (args[0], args[1] + lo),
+            budgeted=True,
+        ),
+    )
+}
+
+
 class ParseService:
     """Concurrent batched parsing over cached compiled grammar tables.
 
@@ -186,19 +360,10 @@ class ParseService:
         session_idle_ttl: Optional[float] = None,
         metrics: Optional[ServiceMetrics] = None,
         observer: Optional[Observer] = None,
-        max_trees_per_request: int = DEFAULT_TREE_BUDGET,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1, got {}".format(workers))
-        if max_trees_per_request < 1:
-            raise ValueError(
-                "max_trees_per_request must be >= 1, got {}".format(max_trees_per_request)
-            )
         self.workers = workers
-        #: Per-request tree budget for the forest endpoints; requests asking
-        #: for more (or for everything) are clamped here and metered as
-        #: ``tree_budget_clamped`` — ambiguous forests can hold 10^21 trees.
-        self.max_trees_per_request = max_trees_per_request
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.obs = observer if observer is not None else Observer()
         self.tables = TableCache(table_cache_size, self.metrics, logger=self.obs.logger)
@@ -220,10 +385,7 @@ class ParseService:
         #: In-flight async requests keyed by (op, fingerprint, tokens) —
         #: touched only from event-loop callbacks, per-loop by construction.
         self._inflight: Dict[Tuple[Any, ...], "asyncio.Future[Any]"] = {}
-        #: Tiny id-keyed memo for structural fingerprints (strong root refs
-        #: keep the ids stable); bounded, lock-guarded.
-        self._fingerprints: "OrderedDict[int, Tuple[Any, str]]" = OrderedDict()
-        self._fingerprints_lock = threading.Lock()
+        self._fingerprints = FingerprintMemo()
         self._closed = False
 
     # ------------------------------------------------------------- lifecycle
@@ -256,7 +418,7 @@ class ParseService:
         """
         self._require_open()
         with stage("fingerprint"):
-            fingerprint = self._fingerprint(grammar)
+            fingerprint, _root = self._fingerprints.lookup(grammar)
         with stage("table"):
             return self.tables.get_or_compile(grammar, fingerprint=fingerprint)
 
@@ -274,22 +436,6 @@ class ParseService:
         self._require_open()
         return len(self.tables.warm_start(paths, grammar_for))
 
-    def _fingerprint(self, grammar: Any) -> str:
-        """Structural fingerprint of ``grammar``, memoized per root object."""
-        root = as_root(grammar)
-        key = id(root)
-        with self._fingerprints_lock:
-            hit = self._fingerprints.get(key)
-            if hit is not None and hit[0] is root:
-                self._fingerprints.move_to_end(key)
-                return hit[1]
-        fingerprint = structural_fingerprint(root)
-        with self._fingerprints_lock:
-            self._fingerprints[key] = (root, fingerprint)
-            while len(self._fingerprints) > 64:
-                self._fingerprints.popitem(last=False)
-        return fingerprint
-
     # ------------------------------------------------------------ batch APIs
     def recognize_many(self, grammar: Any, streams: Iterable[Sequence[Any]]) -> List[bool]:
         """Recognize a batch of token streams; one bool per stream, in order.
@@ -298,37 +444,7 @@ class ParseService:
         warms it, later batches (and later streams of this one) are pure
         table walks fanned across the worker pool.
         """
-        self._require_open()
-        started = perf_counter_ns()
-        with self.obs.tracer.request("recognize_many") as trace:
-            entry = self.table_for(grammar)
-            streams = list(streams)
-            self.metrics.inc("batch_calls")
-            self.metrics.inc("recognize_requests", len(streams))
-            parser = CompiledParser(table=entry.table)
-
-            def run(stream: Sequence[Any]) -> Tuple[bool, int, int]:
-                # Pool threads never inherited the request's contextvar;
-                # re-enter the trace (no-op when the request is untraced).
-                with activated(trace):
-                    t0 = perf_counter_ns()
-                    result = parser.recognize_with_stats(stream)
-                    elapsed = perf_counter_ns() - t0
-                if len(stream) and result[2] == 0:
-                    # Warm-path rate: every token rode the dense core.
-                    self.obs.record("ns_per_token_dense", elapsed // len(stream))
-                return result
-
-            results = list(self._executor.map(run, streams))
-        self.obs.record("request_latency_ns", perf_counter_ns() - started)
-        self.obs.record("batch_size", len(streams))
-        hits = sum(result[1] for result in results)
-        fallbacks = sum(result[2] for result in results)
-        if hits:
-            self.metrics.inc("dense_hits", hits)
-        if fallbacks:
-            self.metrics.inc("dense_fallbacks", fallbacks)
-        return [result[0] for result in results]
+        return self._run_many(OPS["rec"], grammar, streams)
 
     def parse_many(self, grammar: Any, streams: Iterable[Sequence[Any]]) -> List[ParseOutcome]:
         """Parse a batch of token streams into :class:`ParseOutcome` objects.
@@ -338,22 +454,7 @@ class ParseService:
         carry real parse trees and exact failure positions and the workers
         never contend on shared state.
         """
-        self._require_open()
-        started = perf_counter_ns()
-        with self.obs.tracer.request("parse_many") as trace:
-            entry = self.table_for(grammar)
-            streams = list(streams)
-            self.metrics.inc("batch_calls")
-            self.metrics.inc("parse_requests", len(streams))
-
-            def run(stream: Sequence[Any]) -> ParseOutcome:
-                with activated(trace):
-                    return self._parse_one(entry, stream)
-
-            results = list(self._executor.map(run, streams))
-        self.obs.record("request_latency_ns", perf_counter_ns() - started)
-        self.obs.record("batch_size", len(streams))
-        return results
+        return self._run_many(OPS["par"], grammar, streams)
 
     def enumerate_many(
         self,
@@ -366,34 +467,12 @@ class ParseService:
 
         One :class:`ForestOutcome` per stream, in order: the ranked tree
         prefix plus the forest's exact derivation count.  ``k`` (and the
-        ``k=None`` "give me everything" case) is clamped to the service's
-        ``max_trees_per_request`` budget — extraction is lazy, so a stream
+        ``k=None`` "give me everything" case) is clamped to
+        :data:`DEFAULT_TREE_BUDGET` — extraction is lazy, so a stream
         with 10^21 parses costs the same as one with 10.  ``ranking`` is a
         :class:`~repro.core.forest_query.Ranking` or a registered name.
         """
-        self._require_open()
-        ranking = ranking_by_name(ranking)
-        if ranking is None:
-            raise ValueError("enumerate_many requires a ranking")
-        started = perf_counter_ns()
-        with self.obs.tracer.request("enumerate_many") as trace:
-            entry = self.table_for(grammar)
-            streams = list(streams)
-            self.metrics.inc("batch_calls")
-            self.metrics.inc("enumerate_requests", len(streams))
-            effective_k = self._clamp_trees(k, requests=len(streams))
-
-            def run(stream: Sequence[Any]) -> ForestOutcome:
-                with activated(trace):
-                    return self._enumerate_one(entry, stream, effective_k, ranking)
-
-            results = list(self._executor.map(run, streams))
-        self.obs.record("request_latency_ns", perf_counter_ns() - started)
-        self.obs.record("batch_size", len(streams))
-        emitted = sum(len(outcome.trees) for outcome in results)
-        if emitted:
-            self.metrics.inc("trees_emitted", emitted)
-        return results
+        return self._run_many(OPS["enu"], grammar, streams, (k, ranking))
 
     def sample_many(
         self,
@@ -407,38 +486,39 @@ class ParseService:
         Stream ``i`` samples from ``random.Random(seed + i)`` — explicit,
         replayable seeds (the repo audits against global RNG use), and the
         same arithmetic the pooled service applies per shard, so pooled and
-        in-process results are byte-identical.  ``n`` is clamped to the
-        service's ``max_trees_per_request`` budget.
+        in-process results are byte-identical.  ``n`` is clamped to
+        :data:`DEFAULT_TREE_BUDGET`.
         """
+        return self._run_many(OPS["sam"], grammar, streams, (n, seed))
+
+    def _run_many(
+        self,
+        op: Op,
+        grammar: Any,
+        streams: Iterable[Sequence[Any]],
+        args: Args = (),
+    ) -> List[Any]:
+        """Serve one batch of ``op``: one answer per stream, in order."""
         self._require_open()
+        args = op.resolve(args)
         started = perf_counter_ns()
-        with self.obs.tracer.request("sample_many") as trace:
+        with self.obs.tracer.request(op.name + "_many") as trace:
             entry = self.table_for(grammar)
             streams = list(streams)
             self.metrics.inc("batch_calls")
-            self.metrics.inc("sample_requests", len(streams))
-            effective_n = self._clamp_trees(n, requests=len(streams))
+            self.metrics.inc(op.request_metric, len(streams))
+            run = op.worker(self, entry, op.clamp(args, len(streams), self.metrics))
 
-            def run(indexed: Tuple[int, Sequence[Any]]) -> ForestOutcome:
-                index, stream = indexed
+            def traced(index: int, stream: Sequence[Any]) -> Any:
+                # Pool threads never inherited the request's contextvar;
+                # re-enter the trace (no-op when the request is untraced).
                 with activated(trace):
-                    return self._sample_one(entry, stream, effective_n, seed + index)
+                    return run(index, stream)
 
-            results = list(self._executor.map(run, enumerate(streams)))
+            results = list(self._executor.map(traced, range(len(streams)), streams))
         self.obs.record("request_latency_ns", perf_counter_ns() - started)
         self.obs.record("batch_size", len(streams))
-        emitted = sum(len(outcome.trees) for outcome in results)
-        if emitted:
-            self.metrics.inc("trees_emitted", emitted)
         return results
-
-    def _clamp_trees(self, requested: Optional[int], requests: int = 1) -> int:
-        """Clamp a per-request tree ask to the service budget (metered)."""
-        budget = self.max_trees_per_request
-        if requested is None or requested > budget:
-            self.metrics.inc("tree_budget_clamped", requests)
-            return budget
-        return requested
 
     # -------------------------------------------------------- worker parsers
     def _worker_parser(self, entry: CacheEntry) -> DerivativeParser:
@@ -454,8 +534,7 @@ class ParseService:
             self._local, "parsers", None
         )
         if pool is None:
-            pool = OrderedDict()
-            self._local.parsers = pool
+            pool = self._local.parsers = OrderedDict()
         parser = pool.get(entry.fingerprint)
         if parser is None:
             worker_metrics = Metrics()
@@ -469,99 +548,10 @@ class ParseService:
                 _, evicted = pool.popitem(last=False)
                 with self._worker_metrics_lock:
                     self._retired_engine.merge(evicted.metrics)
-                    try:
-                        self._worker_metrics.remove(evicted.metrics)
-                    except ValueError:  # pragma: no cover - defensive
-                        pass
+                    self._worker_metrics.remove(evicted.metrics)
         else:
             pool.move_to_end(entry.fingerprint)
         return parser
-
-    def _parse_one(self, entry: CacheEntry, stream: Sequence[Any]) -> ParseOutcome:
-        """Parse one stream on this worker's thread-confined parser."""
-        parser = self._worker_parser(entry)
-        started = perf_counter_ns()
-        try:
-            with stage("tree"):
-                tree = parser.parse(list(stream))
-            outcome = ParseOutcome(True, tree=tree)
-        except ParseError as error:
-            outcome = ParseOutcome(False, error=error)
-        finally:
-            # Per-parse caches (memo + hash-consing table) grow with every
-            # distinct input; clearing them bounds a worker's memory by one
-            # parse instead of its whole service lifetime.
-            parser.reset()
-        if len(stream):
-            # The interpreted object-graph engine's warm rate, per token.
-            self.obs.record(
-                "ns_per_token_object", (perf_counter_ns() - started) // len(stream)
-            )
-        return outcome
-
-    def _enumerate_one(
-        self, entry: CacheEntry, stream: Sequence[Any], k: int, ranking: Any
-    ) -> ForestOutcome:
-        """Top-k one stream on this worker's thread-confined parser."""
-        parser = self._worker_parser(entry)
-        try:
-            try:
-                with stage("forest"):
-                    forest = parser.parse_forest(list(stream))
-            except ParseError as error:
-                return ForestOutcome(False, error=error)
-            with stage("rank"):
-                query = ForestQuery(forest, ranking)
-                count = query.count
-                if count == math.inf:
-                    return ForestOutcome(
-                        False,
-                        count=count,
-                        error=ValueError(
-                            "cannot rank a cyclic forest: infinitely many derivations"
-                        ),
-                    )
-                trees = [tree for _score, tree in query.iter_ranked(k)]
-            return ForestOutcome(True, trees=trees, count=count)
-        finally:
-            parser.reset()
-
-    def _sample_one(
-        self, entry: CacheEntry, stream: Sequence[Any], n: int, seed: int
-    ) -> ForestOutcome:
-        """Sample one stream on this worker's thread-confined parser."""
-        parser = self._worker_parser(entry)
-        try:
-            try:
-                with stage("forest"):
-                    forest = parser.parse_forest(list(stream))
-            except ParseError as error:
-                return ForestOutcome(False, error=error)
-            with stage("sample"):
-                query = ForestQuery(forest)
-                count = query.count
-                try:
-                    trees = query.sample_n(seed, n)
-                except (EmptyForestError, ValueError) as error:
-                    return ForestOutcome(False, count=count, error=error)
-            return ForestOutcome(True, trees=trees, count=count)
-        finally:
-            parser.reset()
-
-    def _recognize_one(self, entry: CacheEntry, stream: Sequence[Any]) -> bool:
-        """Recognize one stream on the shared compiled table (dense-metered)."""
-        started = perf_counter_ns()
-        accepted, hits, fallbacks = CompiledParser(table=entry.table).recognize_with_stats(
-            stream
-        )
-        elapsed = perf_counter_ns() - started
-        if hits:
-            self.metrics.inc("dense_hits", hits)
-        if fallbacks:
-            self.metrics.inc("dense_fallbacks", fallbacks)
-        if len(stream) and fallbacks == 0:
-            self.obs.record("ns_per_token_dense", elapsed // len(stream))
-        return accepted
 
     # ------------------------------------------------------ asyncio front door
     async def parse(self, grammar: Any, tokens: Sequence[Any]) -> ParseOutcome:
@@ -573,25 +563,11 @@ class ParseService:
         (``coalesced_requests`` counts the saved runs).  Requires a running
         event loop; the blocking work happens on the service's pool.
         """
-        tokens = tuple(tokens)
-        key = (self._fingerprint(grammar), tokens)
-        return await self._coalesced(
-            "parse",
-            key,
-            "parse_requests",
-            lambda: self._parse_one(self.table_for(grammar), tokens),
-        )
+        return await self._run_one(OPS["par"], grammar, tokens)
 
     async def recognize(self, grammar: Any, tokens: Sequence[Any]) -> bool:
         """Recognize one stream from async code (coalesced like :meth:`parse`)."""
-        tokens = tuple(tokens)
-        key = (self._fingerprint(grammar), tokens)
-        return await self._coalesced(
-            "recognize",
-            key,
-            "recognize_requests",
-            lambda: self._recognize_one(self.table_for(grammar), tokens),
-        )
+        return await self._run_one(OPS["rec"], grammar, tokens)
 
     async def enumerate(
         self,
@@ -605,19 +581,7 @@ class ParseService:
         Identical in-flight requests — same grammar, tokens, ``k`` and
         ranking — share one worker execution.
         """
-        tokens = tuple(tokens)
-        ranking = ranking_by_name(ranking)
-        if ranking is None:
-            raise ValueError("enumerate requires a ranking")
-        key = (self._fingerprint(grammar), tokens, k, ranking.name)
-        return await self._coalesced(
-            "enumerate",
-            key,
-            "enumerate_requests",
-            lambda: self._enumerate_one(
-                self.table_for(grammar), tokens, self._clamp_trees(k), ranking
-            ),
-        )
+        return await self._run_one(OPS["enu"], grammar, tokens, (k, ranking))
 
     async def sample(
         self,
@@ -632,16 +596,22 @@ class ParseService:
         share a worker execution only when they would draw the exact same
         trees anyway.
         """
+        return await self._run_one(OPS["sam"], grammar, tokens, (n, seed))
+
+    async def _run_one(
+        self, op: Op, grammar: Any, tokens: Sequence[Any], args: Args = ()
+    ) -> Any:
+        """Serve one stream of ``op`` on the pool, coalesced by grammar, tokens and args."""
         tokens = tuple(tokens)
-        key = (self._fingerprint(grammar), tokens, n, seed)
-        return await self._coalesced(
-            "sample",
-            key,
-            "sample_requests",
-            lambda: self._sample_one(
-                self.table_for(grammar), tokens, self._clamp_trees(n), seed
-            ),
-        )
+        args = op.resolve(args)
+        fingerprint, _root = self._fingerprints.lookup(grammar)
+
+        def blocking() -> Any:
+            entry = self.table_for(grammar)
+            return op.worker(self, entry, op.clamp(args, 1, self.metrics))(0, tokens)
+
+        key = (fingerprint, tokens) + op.wire(args, 0)
+        return await self._coalesced(op.name, key, op.request_metric, blocking)
 
     async def edit(
         self, session: Any, start: int, end: int, new_tokens: Sequence[Any]

@@ -156,16 +156,12 @@ class ParseSession:
     @property
     def position(self) -> int:
         """Number of tokens consumed so far."""
-        if self._doc is not None:
-            return self._doc.position
-        return self._state.position
+        return self._target().position
 
     @property
     def failed(self) -> bool:
         """True once the automaton entered the ``∅`` sink."""
-        if self._doc is not None:
-            return self._doc.failed
-        return self._state.failed
+        return self._target().failed
 
     @property
     def failure_position(self) -> Optional[int]:
@@ -226,15 +222,9 @@ class ParseSession:
         has no buffer to edit and raises :class:`SessionError`.
         """
         with self._lock:
-            self._require_open()
-            self._touch()
-            if self._doc is None:
-                raise SessionError(
-                    "session {!r} was opened with keep_tokens=False and has "
-                    "no token buffer to edit".format(self.session_id)
-                )
+            document = self._buffer("edit")
             with stage("session_edit"):
-                result = self._doc.apply_edit(start, end, list(new_tokens))
+                result = document.apply_edit(start, end, list(new_tokens))
         self._manager.metrics.inc("edits_applied")
         self._manager.metrics.inc("edit_tokens_refed", result.refed_tokens)
         return result
@@ -260,9 +250,7 @@ class ParseSession:
         with self._lock:
             self._require_open()
             self._touch()
-            if self._doc is not None:
-                return self._doc.tree()
-            return self._state.tree()
+            return self._target().tree()
 
     def trees(self, k: Optional[int] = None, ranking: Any = None) -> List[Any]:
         """Parse trees of the consumed tokens (needs token retention).
@@ -273,16 +261,7 @@ class ParseSession:
         a forest from and raise :class:`SessionError`.
         """
         with self._lock:
-            self._require_open()
-            self._touch()
-            if self._doc is None:
-                raise SessionError(
-                    "session {!r} was opened with keep_tokens=False and has "
-                    "no token buffer to enumerate trees from".format(
-                        self.session_id
-                    )
-                )
-            return self._doc.parse_trees(limit=k, ranking=ranking)
+            return self._buffer("enumerate trees from").parse_trees(limit=k, ranking=ranking)
 
     def sample(self, rng: Any, n: int = 1) -> List[Any]:
         """Uniform samples from the session's parse forest (needs tokens).
@@ -292,16 +271,7 @@ class ParseSession:
         :func:`repro.core.forest_query.sample_trees`).
         """
         with self._lock:
-            self._require_open()
-            self._touch()
-            if self._doc is None:
-                raise SessionError(
-                    "session {!r} was opened with keep_tokens=False and has "
-                    "no token buffer to sample trees from".format(
-                        self.session_id
-                    )
-                )
-            return self._doc.sample_parses(rng, n)
+            return self._buffer("sample trees from").sample_parses(rng, n)
 
     # ------------------------------------------------------------- lifecycle
     def checkpoint(self) -> SessionCheckpoint:
@@ -345,6 +315,17 @@ class ParseSession:
 
     def _target(self) -> Any:
         return self._doc if self._doc is not None else self._state
+
+    def _buffer(self, purpose: str) -> Any:
+        """The token buffer's document (lock held); recognition-only sessions refuse."""
+        self._require_open()
+        self._touch()
+        if self._doc is None:
+            raise SessionError(
+                "session {!r} was opened with keep_tokens=False and has no "
+                "token buffer to {}".format(self.session_id, purpose)
+            )
+        return self._doc
 
     def _end(self, reason: str) -> None:
         """Mark the session dead (manager-internal; registry already updated)."""

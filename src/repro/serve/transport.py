@@ -48,7 +48,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..compile.serialize import dump_table
 from ..core.errors import ReproError
 from ..core.languages import token_kind
-from .service import ParseService
+from .service import OPS, ParseService
 from .store import TableStore
 
 __all__ = [
@@ -58,14 +58,14 @@ __all__ = [
     "PendingRequest",
     "encode_recognize_payload",
     "encode_parse_payload",
-    "decode_recognize_payload",
+    "decode_payload",
     "worker_main",
 ]
 
 #: Pickle protocol for everything crossing the pipe (payloads and frames).
 WIRE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
-#: Decoded recognize payloads a worker memoizes (a PreparedBatch replayed
+#: Decoded batch payloads a worker memoizes (a PreparedBatch replayed
 #: against the same worker decodes once, not per call).
 _DECODE_CACHE_SIZE = 8
 
@@ -127,26 +127,22 @@ def encode_parse_payload(streams: Sequence[Sequence[Any]]) -> bytes:
     return pickle.dumps(("toks", [list(stream) for stream in streams]), WIRE_PROTOCOL)
 
 
-def decode_recognize_payload(
-    payload: bytes, cache: "Optional[OrderedDict[bytes, List[List[Any]]]]" = None
-) -> List[List[Any]]:
-    """Decode a recognition payload (worker side), through ``cache`` if given.
+def decode_payload(payload: bytes, cache: "OrderedDict[bytes, List[List[Any]]]") -> List[List[Any]]:
+    """Decode a batch payload (worker side) through the LRU ``cache``.
 
     ``kinds`` rows decode to lists of bare strings, which the engines
     treat as tokens whose kind is the string itself.  The cache keys on
     the payload bytes, so a :class:`~repro.serve.pool.PreparedBatch`
     replayed at a worker unpickles once.
     """
-    if cache is not None:
-        hit = cache.get(payload)
-        if hit is not None:
-            cache.move_to_end(payload)
-            return hit
+    hit = cache.get(payload)
+    if hit is not None:
+        cache.move_to_end(payload)
+        return hit
     _tag, streams = pickle.loads(payload)
-    if cache is not None:
-        cache[payload] = streams
-        while len(cache) > _DECODE_CACHE_SIZE:
-            cache.popitem(last=False)
+    cache[payload] = streams
+    while len(cache) > _DECODE_CACHE_SIZE:
+        cache.popitem(last=False)
     return streams
 
 
@@ -211,32 +207,14 @@ def _handle(
 ) -> Any:
     """Dispatch one request tuple to the worker's inner service."""
     tag = message[0]
-    if tag == "rec":
-        _tag, _req_id, fingerprint, payload = message
-        streams = decode_recognize_payload(payload, decode_cache)
-        return service.recognize_many(_grammar(grammars, fingerprint), streams)
-    if tag == "par":
-        _tag, _req_id, fingerprint, payload = message
-        _enc, streams = pickle.loads(payload)
-        return service.parse_many(_grammar(grammars, fingerprint), streams)
-    if tag == "enu":
-        # Ranked enumeration: the ranking crosses the wire by registered
-        # name (rankings are code, not data); ``k`` arrives pre-clamped by
-        # the dispatcher so this worker's own budget never re-clamps it.
-        _tag, _req_id, fingerprint, payload, k, ranking_name = message
-        _enc, streams = pickle.loads(payload)
-        return service.enumerate_many(
-            _grammar(grammars, fingerprint), streams, k=k, ranking=ranking_name
-        )
-    if tag == "sam":
-        # ``seed`` is already offset by the chunk's start index, so the
-        # worker's per-stream ``seed + i`` reproduces the exact global
-        # ``seed + stream_index`` arithmetic of the in-process service.
-        _tag, _req_id, fingerprint, payload, n, seed = message
-        _enc, streams = pickle.loads(payload)
-        return service.sample_many(
-            _grammar(grammars, fingerprint), streams, n=n, seed=seed
-        )
+    op = OPS.get(tag)
+    if op is not None:
+        # A batch: ``(tag, req_id, fingerprint, payload, *op.wire(args, lo))``.
+        # Tree counts arrive clamped and seeds offset by the chunk start,
+        # so the inner service answers exactly as the in-process one would.
+        _tag, _req_id, fingerprint, payload, *args = message
+        streams = decode_payload(payload, decode_cache)
+        return service._run_many(op, _grammar(grammars, fingerprint), streams, tuple(args))
     if tag == "reg":
         _tag, _req_id, fingerprint, blob, table_path = message
         if fingerprint in grammars:
@@ -247,7 +225,7 @@ def _handle(
             }
         root = pickle.loads(blob)
         warm_loaded = False
-        if table_path is not None and os.path.exists(table_path):
+        if os.path.exists(table_path):
             # The resolver ignores the document's (post-optimization)
             # fingerprint: this path was keyed dispatcher-side by the same
             # raw-root fingerprint the registration carries.

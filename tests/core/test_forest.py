@@ -68,6 +68,7 @@ class TestLimitsAndHelpers:
     def test_limit_stops_enumeration(self):
         forest = ForestAmb([ForestLeaf((i,)) for i in range(100)])
         assert len(list(iter_trees(forest, limit=7))) == 7
+        assert list(iter_trees(forest, limit=0)) == []
 
     def test_first_tree_returns_one(self):
         forest = ForestAmb([ForestLeaf(("a",)), ForestLeaf(("b",))])

@@ -156,8 +156,10 @@ class TestParseTrees:
 
     def test_parse_trees_limit(self):
         parser = DerivativeParser(ambiguous_sum())
-        trees = parser.parse_trees(list("n+n+n+n"), limit=3)
-        assert len(trees) == 3
+        for ranking in (None, "size"):
+            for limit in (3, 0):
+                trees = parser.parse_trees(list("n+n+n+n"), limit=limit, ranking=ranking)
+                assert len(trees) == limit, (ranking, limit)
 
     def test_nullable_parse_of_empty_input(self):
         parser = DerivativeParser(balanced_parens())

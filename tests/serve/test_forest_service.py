@@ -5,9 +5,10 @@ Pins the serve-layer half of the forest-query contract:
 * ``enumerate_many`` / ``sample_many`` return one :class:`ForestOutcome`
   per stream in order, with exact ``int`` counts and trees matching the
   core :class:`~repro.core.forest_query.ForestQuery` directly;
-* tree asks are clamped to ``max_trees_per_request`` and metered
+* tree asks are clamped to ``DEFAULT_TREE_BUDGET`` and metered
   (``tree_budget_clamped`` / ``trees_emitted`` /
-  ``enumerate_requests`` / ``sample_requests``);
+  ``enumerate_requests`` / ``sample_requests``), by the batch and the
+  async surfaces alike;
 * stream ``i`` of ``sample_many`` draws from ``random.Random(seed + i)``
   — the arithmetic the pool replays per shard, making pooled results
   byte-identical to in-process ones (asserted here over pickled bytes);
@@ -31,6 +32,7 @@ from repro.serve import (
     PooledParseService,
     SessionError,
 )
+from repro.serve.service import DEFAULT_TREE_BUDGET
 from repro.workloads import catalan_count, catalan_tokens
 
 
@@ -80,23 +82,22 @@ class TestEnumerateMany:
                 catalan_grammar(), [catalan_tokens(3)], ranking="no-such"
             )
 
-    def test_budget_clamps_unbounded_asks(self):
+    def test_budget_clamps_unbounded_asks(self, service):
+        # Catalan(7) = 429 and Catalan(8) = 1430 trees: both exceed the budget.
         grammar = catalan_grammar()
-        with ParseService(workers=2, max_trees_per_request=6) as svc:
-            outcomes = svc.enumerate_many(
-                grammar, [catalan_tokens(7), catalan_tokens(8)], k=None
+        budget = DEFAULT_TREE_BUDGET
+        assert catalan_count(8) > budget
+        for k in (None, budget + 1):
+            outcomes = service.enumerate_many(
+                grammar, [catalan_tokens(8), catalan_tokens(9)], k=k
             )
-            assert [len(o.trees) for o in outcomes] == [6, 6]
-            assert svc.metrics.get("tree_budget_clamped") == 2
-            assert svc.metrics.get("trees_emitted") == 12
-            assert svc.metrics.get("enumerate_requests") == 2
-            # An in-budget ask is not metered as clamped.
-            svc.enumerate_many(grammar, [catalan_tokens(7)], k=3)
-            assert svc.metrics.get("tree_budget_clamped") == 2
-
-    def test_max_trees_per_request_validated(self):
-        with pytest.raises(ValueError, match="max_trees_per_request"):
-            ParseService(workers=1, max_trees_per_request=0)
+            assert [len(o.trees) for o in outcomes] == [budget, budget]
+        assert service.metrics.get("tree_budget_clamped") == 4
+        assert service.metrics.get("trees_emitted") == 4 * budget
+        assert service.metrics.get("enumerate_requests") == 4
+        # An in-budget ask is not metered as clamped.
+        service.enumerate_many(grammar, [catalan_tokens(8)], k=budget)
+        assert service.metrics.get("tree_budget_clamped") == 4
 
 
 class TestSampleMany:
@@ -119,14 +120,15 @@ class TestSampleMany:
         assert first == again
         assert first != service.sample_many(grammar, streams, n=5, seed=10)
 
-    def test_sample_budget_metered(self):
+    def test_sample_budget_metered(self, service):
         grammar = catalan_grammar()
-        with ParseService(workers=2, max_trees_per_request=4) as svc:
-            outcomes = svc.sample_many(grammar, [catalan_tokens(6)], n=100, seed=0)
-            assert len(outcomes[0].trees) == 4
-            assert svc.metrics.get("tree_budget_clamped") == 1
-            assert svc.metrics.get("sample_requests") == 1
-            assert svc.metrics.get("trees_emitted") == 4
+        outcomes = service.sample_many(
+            grammar, [catalan_tokens(6)], n=DEFAULT_TREE_BUDGET + 36, seed=0
+        )
+        assert len(outcomes[0].trees) == DEFAULT_TREE_BUDGET
+        assert service.metrics.get("tree_budget_clamped") == 1
+        assert service.metrics.get("sample_requests") == 1
+        assert service.metrics.get("trees_emitted") == DEFAULT_TREE_BUDGET
 
     def test_failed_stream_reports_parse_error(self, service):
         outcomes = service.sample_many(
@@ -167,6 +169,27 @@ class TestAsyncForestOps:
         ranked, sampled = asyncio.run(run())
         assert ranked == service.enumerate_many(grammar, [tokens], k=3)[0]
         assert sampled == service.sample_many(grammar, [tokens], n=4, seed=2)[0]
+
+    def test_async_ops_meter_trees_like_batches(self, service):
+        grammar = catalan_grammar()
+        tokens = catalan_tokens(6)
+        service.enumerate_many(grammar, [tokens], k=3)
+        assert service.metrics.get("trees_emitted") == 3
+
+        async def run():
+            await service.enumerate(grammar, tokens, k=3)
+            await service.sample(grammar, tokens, n=2, seed=1)
+
+        asyncio.run(run())
+        assert service.metrics.get("trees_emitted") == 3 + 3 + 2
+
+        async def unbounded():
+            return await service.enumerate(grammar, tokens, k=None)
+
+        # The async ask is clamped like a batch one; 42 < budget trees exist.
+        assert len(asyncio.run(unbounded()).trees) == catalan_count(6)
+        assert service.metrics.get("tree_budget_clamped") == 1
+        assert service.metrics.get("trees_emitted") == 8 + catalan_count(6)
 
     def test_concurrent_identical_requests_agree(self, service):
         grammar = catalan_grammar()
