@@ -22,6 +22,17 @@ The :class:`Compactor` exposes one ``make_*`` method per grammar form; every
 rule can be switched off individually through :class:`CompactionConfig` so
 the ablation benchmarks can measure the contribution of each group of rules.
 
+This repository adds one rule of its own, grouped with the paper's new
+rules: **``δ(L) ⇒ ε_t`` when the null parses of ``L`` are exactly one finite
+tree ``t``**.  The derivative of a sequence with a nullable left child keeps
+``δ(L1) ◦ Dc(L2)``, and no paper rule ever folds that δ-history, so every
+later token derives it again and the live grammar grows with the input.
+The deriver applies the fold where it builds that branch
+(:meth:`repro.core.derivative.Deriver.null_trees` answers the single-tree
+question); the rules ``ε_s ◦ p ⇒ p ↪→ λu.(s,u)`` and reduction fusion then
+collapse the finished history into one ``↪→`` node.  An ambiguous, cyclic or
+multi-tree null region keeps its ``δ``, so forests and counts are unchanged.
+
 On top of the paper's rules, the compactor **hash-conses** its results
 (``hash_consing`` in :class:`CompactionConfig`, on by default): after the
 rewrite rules have fired, a surviving ``∪``/``◦``/``↪→``/``δ`` construction
@@ -110,7 +121,11 @@ class CompactionConfig:
         ``(p ↪→ f) ↪→ g ⇒ p ↪→ (g ∘ f)`` (original rule).
     new_rules:
         The two rules added by this paper: ``∅ ↪→ f ⇒ ∅`` and
-        ``ε_s1 ∪ ε_s2 ⇒ ε_{s1∪s2}``.
+        ``ε_s1 ∪ ε_s2 ⇒ ε_{s1∪s2}`` — plus this repository's extension
+        ``δ(L) ⇒ ε_t`` when ``L``'s null parses are exactly one finite tree
+        ``t`` (applied by the deriver; see the module docstring).  Off in
+        :meth:`disabled` and :meth:`original_2011`, so the 2011 baseline
+        builds what it always built.
     canonicalize_sequences:
         The Section 4.3.2 associativity rule ``(p1 ◦ p2) ◦ p3 ⇒ ...``.
     float_reductions:

@@ -32,6 +32,11 @@ hatch is needed at any input length.
 
 Memoization is pluggable (:mod:`repro.core.memo`); the default single-entry
 strategy is the improvement of Section 4.4.
+
+With the new compaction rules on, the null branch ``δ(L1) ◦ Dc(L2)`` is
+built as ``ε_t ◦ Dc(L2)`` when ``L1``'s null parses are exactly one finite
+tree ``t`` (:meth:`Deriver.null_trees`; this repository's extension of the
+Section 4.3 rules, described in :mod:`repro.core.compaction`).
 """
 
 from __future__ import annotations
@@ -59,6 +64,9 @@ from .naming import NamingScheme
 from .nullability import NullabilityAnalyzer
 
 __all__ = ["Deriver"]
+
+#: :meth:`Deriver.null_trees` memo value of a node whose walk is under way.
+_ON_PATH = object()
 
 
 # Opcodes for the explicit-stack derive machine.  A _DERIVE entry asks for the
@@ -93,8 +101,15 @@ class Deriver:
             nullability if nullability is not None else NullabilityAnalyzer(self.metrics)
         )
         self.naming = naming
+        #: ``id(node) -> (node, answer)`` for :meth:`null_trees`; the node is
+        #: held so its id cannot be reused while the entry lives.
+        self._null_trees: dict = {}
 
     # ------------------------------------------------------------------ API
+    def clear_null_trees(self) -> None:
+        """Forget the :meth:`null_trees` answers (``DerivativeParser.reset``)."""
+        self._null_trees.clear()
+
     def derive(self, node: Language, token: Any, position: int = 0) -> Language:
         """Return the derivative of ``node`` with respect to ``token``.
 
@@ -325,14 +340,93 @@ class Deriver:
         return root_slot[0]
 
     def _null_branch(self, left: Language, right_derivative: Language) -> Language:
-        """Build ``δ(left) ◦ Dc(right)`` for the nullable-left sequence case."""
+        """Build ``δ(left) ◦ Dc(right)`` for the nullable-left sequence case.
+
+        With the new rules on, ``δ(left) ⇒ ε_t`` when ``left``'s null parses
+        are exactly one finite tree ``t``; the ``ε_s ◦ p`` and reduction
+        fusion rules then fold the finished history into one ``↪`` node
+        (see :mod:`repro.core.compaction`).
+        """
         if right_derivative is EMPTY or isinstance(right_derivative, Empty):
             # The freshly computed derivative is known to be ∅, so the whole
             # branch contributes nothing (this does not violate the
             # Section 4.3.1 rule about right children: no inspection of a
             # pre-existing grammar node is involved).
             return EMPTY
-        return self.compactor.make_cat(self.compactor.make_delta(left), right_derivative)
+        compactor = self.compactor
+        config = compactor.config
+        if config.enabled and config.new_rules:
+            trees = self.null_trees(left)
+            if trees is not None and len(trees) == 1:
+                # δ(L) ⇒ ε_t
+                self.metrics.compaction_rewrites += 1
+                return compactor.make_cat(compactor.make_epsilon(trees), right_derivative)
+        return compactor.make_cat(compactor.make_delta(left), right_derivative)
+
+    def null_trees(self, node: Language) -> Optional[tuple]:
+        """The null parses of a nullable ``node`` when there is at most one.
+
+        Returns ``()`` for no tree, ``(t,)`` for exactly one finite tree
+        ``t``, and None for several trees or a cyclic nullable region.  One
+        iterative walk over the nullable region: an ``∪`` with two nullable
+        sides, an ``ε`` carrying several trees, or a cycle (least-fixed-point
+        nullability only allows one through a two-sided ``∪``) answers None,
+        and None reaches every node above it.  Answers are memoized until
+        :meth:`clear_null_trees`; they stay valid because derivation never
+        changes an existing node's nullable region (pruning only rewrites
+        unproductive, hence non-nullable, children).
+        """
+        memo = self._null_trees
+        nullable = self.nullability.nullable
+        # (node, None) asks for a node's answer; (node, children) combines
+        # its children's answers.  The combine entries still on the stack
+        # are the walk path, held in the memo as _ON_PATH.
+        stack: List[Tuple[Language, Optional[tuple]]] = [(node, None)]
+        while stack:
+            current, children = stack.pop()
+            if children is None:
+                hit = memo.get(id(current))
+                if hit is not None:
+                    if hit[1] is None or hit[1] is _ON_PATH:
+                        break  # several trees below, or a cycle
+                    continue
+                if isinstance(current, Epsilon):
+                    if len(current.trees) > 1:
+                        break
+                    memo[id(current)] = (current, current.trees)
+                    continue
+                if isinstance(current, Alt):
+                    left_nullable = nullable(current.left)
+                    if left_nullable and nullable(current.right):
+                        break
+                    children = (current.left,) if left_nullable else (current.right,)
+                elif isinstance(current, Cat):
+                    children = (current.left, current.right)
+                elif isinstance(current, (Reduce, Delta)):
+                    children = (current.lang,)
+                elif isinstance(current, Ref):
+                    children = (current.target,)
+                else:
+                    break
+                memo[id(current)] = (current, _ON_PATH)
+                stack.append((current, children))
+                stack.extend((child, None) for child in children)
+                continue
+            trees = memo[id(children[0])][1]
+            if isinstance(current, Cat):
+                right = memo[id(children[1])][1]
+                trees = ((trees[0], right[0]),) if trees and right else ()
+            elif isinstance(current, Reduce):
+                trees = tuple(current.fn(tree) for tree in trees)
+            memo[id(current)] = (current, trees)
+        else:
+            return memo[id(node)][1]
+        # ``current`` and every node on the walk path above it answer None.
+        memo[id(current)] = (current, None)
+        for member, children in stack:
+            if children is not None:
+                memo[id(member)] = (member, None)
+        return None
 
     # ----------------------------------------------------------------- naming
     def _name(self, parent: Language, child: Language, position: int, with_bullet: bool) -> None:

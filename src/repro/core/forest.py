@@ -26,7 +26,7 @@ termination without any depth cap.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from .errors import EmptyForestError
 
@@ -77,7 +77,9 @@ def trees_equal(a: Any, b: Any) -> bool:
     return True
 
 
-def tree_fingerprint(tree: Any) -> Optional[int]:
+def tree_fingerprint(
+    tree: Any, memo: Optional[Dict[int, Tuple[tuple, int]]] = None
+) -> Optional[int]:
     """Structural hash of a parse tree, iterative and recursion-safe.
 
     Used to bucket trees for near-constant-time deduplication: equal trees
@@ -87,8 +89,14 @@ def tree_fingerprint(tree: Any) -> Optional[int]:
     input); shared sub-tuples are memoized by identity so DAG-shaped trees
     do not blow up.  Returns ``None`` when a leaf is unhashable — callers
     fall back to pairwise comparison for that bucket.
+
+    ``memo`` (``id(tuple) -> (tuple, fingerprint)``) carries that identity
+    memo across calls, so trees sharing sub-tuples hash each one once.
+    Each entry holds its tuple, so an id cannot be reused while the memo
+    lives; a caller owns the memo and decides how long that is.
     """
-    memo: Dict[int, int] = {}
+    if memo is None:
+        memo = {}
     values: List[int] = []
     stack: List[Any] = [(0, tree)]
     while stack:
@@ -98,7 +106,7 @@ def tree_fingerprint(tree: Any) -> Optional[int]:
                 key = id(node)
                 cached = memo.get(key)
                 if cached is not None:
-                    values.append(cached)
+                    values.append(cached[1])
                     continue
                 stack.append((1, node))
                 for child in reversed(node):
@@ -113,7 +121,7 @@ def tree_fingerprint(tree: Any) -> Optional[int]:
             children = tuple(values[len(values) - width :])
             del values[len(values) - width :]
             fingerprint = hash((1, width, children))
-            memo[id(node)] = fingerprint
+            memo[id(node)] = (node, fingerprint)
             values.append(fingerprint)
     return values[0]
 

@@ -31,6 +31,18 @@ Rankings score *derivations* compositionally (leaf / pair / map), so the
 algebra is semiring-like: counts use (+, x), scores use (min, combine).
 ``ForestMap`` is score-preserving by default — a ranking may override
 :meth:`Ranking.map` when the mapped tree should be re-weighted.
+
+A score therefore measures the forest's *derivation encoding*, not the
+finished tree: compaction turns pairs into maps (whose functions build
+tree nodes the score never sees) and folds finished subtrees into leaves.
+``TreeSizeRanking`` does not return a tree's node count, nor
+``TreeDepthRanking`` its height.  What holds is the order contract:
+scores never decrease along :meth:`ForestQuery.iter_ranked`, the ranked
+trees are distinct derivations, and counts are exact.  Because the
+encoding follows the compaction rules, a change to them can reorder
+equal-score ranked trees and change which trees a seed draws from an
+ambiguous forest (the ``δ(L) ⇒ ε_t`` fold did both); pooled and
+in-process answers stay byte-identical, since both build the same forest.
 """
 
 from __future__ import annotations
@@ -125,7 +137,12 @@ class Ranking:
 
 
 class TreeSizeRanking(Ranking):
-    """Rank by node count — smallest (least material) trees first."""
+    """Rank by the size of the derivation encoding, smallest first.
+
+    Leaf trees count their nodes and each pair adds one; maps keep their
+    child's score.  This is not the finished tree's node count (module
+    docstring).
+    """
 
     name = "size"
 
@@ -134,12 +151,17 @@ class TreeSizeRanking(Ranking):
         return _tree_size(tree)
 
     def pair(self, left_score: int, right_score: int) -> int:
-        """Sum of the children's node counts plus the joining node."""
+        """Sum of the children's scores plus one for the pair."""
         return left_score + right_score + 1
 
 
 class TreeDepthRanking(Ranking):
-    """Rank by height — shallowest (most balanced) trees first."""
+    """Rank by the height of the derivation encoding, shallowest first.
+
+    Leaf trees count their height and each pair adds one level; maps keep
+    their child's score.  This is not the finished tree's height (module
+    docstring).
+    """
 
     name = "depth"
 
@@ -148,7 +170,7 @@ class TreeDepthRanking(Ranking):
         return _tree_depth(tree)
 
     def pair(self, left_score: int, right_score: int) -> int:
-        """Height of the deeper child plus the joining node."""
+        """The larger child score plus one for the pair."""
         return max(left_score, right_score) + 1
 
 
@@ -422,8 +444,12 @@ class ForestQuery:
     def _iter_ranked(self, k: Optional[int]) -> Iterator[Tuple[Any, Any]]:
         root = self.forest
         rank = 0
+        # One tree_fingerprint memo for every ambiguity node of this walk:
+        # candidates share sub-tuples, so each is hashed once.  It pins the
+        # tuples it has seen, so it lives only as long as the walk.
+        fingerprints: Dict[int, Tuple[tuple, int]] = {}
         while k is None or rank < k:
-            self._ensure_ranked(root, rank + 1)
+            self._ensure_ranked(root, rank + 1, fingerprints)
             state = self._ranked_states[id(root)]
             if len(state.extracted) <= rank:
                 return
@@ -443,7 +469,9 @@ class ForestQuery:
             self._ranked_states[key] = state
         return state
 
-    def _ensure_ranked(self, node: ForestNode, want: int) -> None:
+    def _ensure_ranked(
+        self, node: ForestNode, want: int, fingerprints: Dict[int, Tuple[tuple, int]]
+    ) -> None:
         """Drive ``node`` to ``want`` extractions (or exhaustion), iteratively."""
         stack: List[Tuple[ForestNode, int]] = [(node, want)]
         while stack:
@@ -463,7 +491,7 @@ class ForestQuery:
                 continue
             score, _seq, tree, spec = heapq.heappop(state.heap)
             self._push_successors(current, state, spec)
-            if state.seen is not None and self._amb_duplicate(state, tree):
+            if state.seen is not None and self._amb_duplicate(state, tree, fingerprints):
                 continue  # same tree via another alternative: skip, keep going
             state.extracted.append((score, tree))
 
@@ -566,9 +594,11 @@ class ForestQuery:
         else:  # ForestMap / ForestRef
             state.pending.append(spec + 1)
 
-    def _amb_duplicate(self, state: _RankedState, tree: Any) -> bool:
+    def _amb_duplicate(
+        self, state: _RankedState, tree: Any, fingerprints: Dict[int, Tuple[tuple, int]]
+    ) -> bool:
         """Enumeration-grade dedup: same tree via several alternatives."""
-        fingerprint = tree_fingerprint(tree)
+        fingerprint = tree_fingerprint(tree, fingerprints)
         bucket = state.seen.get(fingerprint)
         if bucket is None:
             state.seen[fingerprint] = [tree]

@@ -230,3 +230,46 @@ class TestInitialGrammarOptimization:
         root = Cat(token("a"), EMPTY)
         compactor = Compactor(CompactionConfig.disabled(), Metrics())
         assert optimize_initial_grammar(root, compactor) is root
+
+
+class TestNullTreeFoldSwitch:
+    """``δ(L) ⇒ ε_t`` rides ``new_rules``: on in full(), off in the baselines."""
+
+    def test_fold_follows_new_rules(self):
+        assert CompactionConfig.full().new_rules
+        assert not CompactionConfig.disabled().new_rules
+        assert not CompactionConfig.original_2011().new_rules
+
+    def test_the_fold_adds_no_switch(self):
+        from dataclasses import fields
+
+        assert [field.name for field in fields(CompactionConfig)] == [
+            "enabled",
+            "null_rules",
+            "epsilon_rules",
+            "reduction_fusion",
+            "new_rules",
+            "canonicalize_sequences",
+            "float_reductions",
+            "hash_consing",
+        ]
+
+    @pytest.mark.parametrize(
+        "cell_id, generator, sizes",
+        [
+            ("catalan", "catalan_tokens", (1, 2, 5, 9, 14)),
+            ("binary-sum", "ambiguous_sum_tokens", (1, 3, 6, 10)),
+            ("dangling-else", "dangling_else_tokens", (1, 2, 7, 20)),
+        ],
+    )
+    def test_counts_match_closed_forms(self, cell_id, generator, sizes):
+        from repro import workloads
+        from repro.bench.registry import CELLS_BY_ID
+        from repro.core import DerivativeParser
+        from repro.core.forest import count_trees
+
+        spec = CELLS_BY_ID[cell_id].grammar
+        for size in sizes:
+            tokens = getattr(workloads, generator)(size)
+            forest = DerivativeParser(spec.factory()).parse_forest(tokens)
+            assert count_trees(forest) == spec.forest_count(tokens)

@@ -207,3 +207,74 @@ class TestPlaceholderBehaviour:
             assert not node.under_construction
             if isinstance(node, (Alt, Cat)):
                 assert node.left is not None and node.right is not None
+
+
+class TestNullTreeFold:
+    """``δ(L) ⇒ ε_t`` when L's null parses are exactly one finite tree."""
+
+    @staticmethod
+    def derive_null_branch(left, compaction=None):
+        # Dc_b((left) ◦ b) keeps only the null branch δ(left) ◦ ε_b.
+        deriver = make_deriver(compaction)
+        return deriver, deriver.derive(Cat(left, token("b")), "b")
+
+    @staticmethod
+    def has_delta(node):
+        from repro.core.languages import reachable_nodes
+
+        return any(isinstance(member, Delta) for member in reachable_nodes(node))
+
+    def test_full_folds_a_single_tree_delta(self):
+        # δ(ε_x ∪ a) ⇒ ε_x, then ε_x ◦ ε_b ⇒ ε_b ↪ pair-with-x ⇒ ε_(x, b)
+        _deriver, result = self.derive_null_branch(Alt(epsilon("x"), token("a")))
+        assert isinstance(result, Epsilon)
+        assert result.trees == (("x", "b"),)
+
+    def test_fold_applies_reductions_and_pairs(self):
+        left = Reduce(Cat(epsilon("x"), Alt(token("a"), epsilon("y"))), lambda t: ("r", t))
+        _deriver, result = self.derive_null_branch(left)
+        assert isinstance(result, Epsilon)
+        assert result.trees == ((("r", ("x", "y")), "b"),)
+
+    def test_ambiguous_null_parses_keep_delta(self):
+        _deriver, result = self.derive_null_branch(Alt(epsilon("x"), epsilon("y")))
+        assert self.has_delta(result)
+
+    def test_epsilon_with_several_trees_keeps_delta(self):
+        _deriver, result = self.derive_null_branch(Alt(Epsilon(("x", "y")), token("a")))
+        assert self.has_delta(result)
+
+    def test_cyclic_nullable_region_keeps_delta(self):
+        ref = Ref("N")
+        ref.set(Alt(Reduce(ref, lambda t: ("n", t)), epsilon("x")))
+        deriver, result = self.derive_null_branch(ref)
+        assert self.has_delta(result)
+        assert deriver.null_trees(ref) is None
+
+    def test_null_trees_answers(self):
+        deriver = make_deriver()
+        assert deriver.null_trees(Epsilon(())) == ()
+        assert deriver.null_trees(epsilon("x")) == ("x",)
+        assert deriver.null_trees(Cat(epsilon("x"), Epsilon(()))) == ()
+        assert deriver.null_trees(Alt(epsilon("x"), epsilon("y"))) is None
+        shared = Alt(token("a"), epsilon("s"))
+        assert deriver.null_trees(Cat(shared, shared)) == (("s", "s"),)
+
+    @pytest.mark.parametrize(
+        "config", [CompactionConfig.disabled(), CompactionConfig.original_2011()]
+    )
+    def test_disabled_and_original_2011_never_fold(self, config):
+        deriver, result = self.derive_null_branch(Alt(epsilon("x"), token("a")), config)
+        assert self.has_delta(result)
+        assert deriver._null_trees == {}
+
+    def test_reset_clears_the_single_tree_cache(self):
+        from repro.core.parse import DerivativeParser
+
+        grammar = Cat(Alt(epsilon("x"), token("a")), Cat(token("b"), token("c")))
+        parser = DerivativeParser(grammar)
+        assert parser.parse(["b", "c"]) == ("x", ("b", "c"))
+        assert parser.deriver._null_trees
+        parser.reset()
+        assert parser.deriver._null_trees == {}
+        assert parser.parse(["a", "b", "c"]) == ("a", ("b", "c"))

@@ -7,7 +7,9 @@ The layer's contract, pinned here:
   ones), matching closed forms far past 2⁵³;
 * ranked extraction is lazy best-first: non-decreasing scores, top-k a
   verbatim prefix of top-(k+m), the exhausted stream a permutation of
-  ``iter_trees`` (identical dedup semantics);
+  ``iter_trees`` (identical dedup semantics), every ranked tree a distinct
+  valid derivation — scores measure the forest's derivation encoding, not
+  the tree's node count or height, so only their order is pinned;
 * sampling is exact count-proportional descent: uniform over derivations,
   same-seed replayable, no enumeration or rejection;
 * zero-tree forests raise :class:`EmptyForestError` (a ``ParseError`` *and*
@@ -224,6 +226,73 @@ class TestRankedExtraction:
         assert scores == sorted(scores)
 
 
+def is_derivation(grammar, tree, tokens):
+    """True when ``tree`` — ``(lhs, children)`` nodes, terminals as token
+    values — derives ``tokens`` from ``grammar``'s start symbol."""
+    from repro.cfg.grammar import Nonterminal
+    from repro.core.languages import token_kind, token_value
+
+    leaves = []
+    stack = [(tree, Nonterminal(grammar.start))]
+    while stack:
+        node, symbol = stack.pop()
+        if not isinstance(symbol, Nonterminal):
+            leaves.append((symbol, node))
+            continue
+        if type(node) is not tuple or len(node) != 2 or node[0] != symbol.name:
+            return False
+        children = node[1]
+        for production in grammar.productions_for(symbol.name):
+            if len(production.rhs) == len(children) and all(
+                isinstance(rhs, Nonterminal) == (type(child) is tuple)
+                for rhs, child in zip(production.rhs, children)
+            ):
+                break
+        else:
+            return False
+        stack.extend(reversed(list(zip(children, production.rhs))))
+    return leaves == [(token_kind(tok), token_value(tok)) for tok in tokens]
+
+
+class TestRankingContract:
+    """What ranked extraction promises on real parse forests.
+
+    Scores measure the forest's derivation encoding: compaction folds
+    finished subtrees into leaves and turns pairs into maps, and a map
+    keeps its child's score.  So a "size" score is not a node count and a
+    "depth" score is not a height — only their order is a contract.
+    """
+
+    @pytest.mark.parametrize(
+        "cell_id, generator, size",
+        [
+            ("catalan", "catalan_tokens", 9),
+            ("binary-sum", "ambiguous_sum_tokens", 8),
+            ("dangling-else", "dangling_else_tokens", 10),
+        ],
+    )
+    @pytest.mark.parametrize("ranking", ["size", "depth"])
+    def test_ranked_trees_are_distinct_valid_derivations_best_first(
+        self, cell_id, generator, size, ranking
+    ):
+        from repro import workloads
+        from repro.bench.registry import CELLS_BY_ID
+
+        spec = CELLS_BY_ID[cell_id].grammar
+        grammar = spec.factory()
+        tokens = getattr(workloads, generator)(size)
+        query = ForestQuery(DerivativeParser(grammar).parse_forest(tokens), ranking)
+        ranked = list(query.iter_ranked(16))
+        scores = [score for score, _tree in ranked]
+        trees = [tree for _score, tree in ranked]
+        assert query.count == spec.forest_count(tokens)
+        assert len(ranked) == min(16, query.count)
+        assert scores == sorted(scores)
+        assert len({repr(tree) for tree in trees}) == len(trees)
+        assert all(is_derivation(grammar, tree, tokens) for tree in trees)
+        assert all(is_derivation(grammar, tree, tokens) for tree in query.sample_n(3, 8))
+
+
 # ---------------------------------------------------------------------------
 # exact uniform sampling
 # ---------------------------------------------------------------------------
@@ -316,6 +385,14 @@ class TestFingerprintDedup:
         shared = ("s", "t")
         tree = (shared, shared)
         assert tree_fingerprint(tree) == tree_fingerprint((("s", "t"), ("s", "t")))
+
+    def test_memo_shared_across_calls_pins_its_tuples(self):
+        memo = {}
+        inner = ("x", ("y", "z"))
+        first = tree_fingerprint((inner, "a"), memo)
+        assert memo[id(inner)][0] is inner
+        assert first == tree_fingerprint((("x", ("y", "z")), "a"))
+        assert tree_fingerprint((inner, "b"), memo) == tree_fingerprint((inner, "b"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,44 @@
+"""Linear-growth gate for the tree path ("linear in practice", §4.3).
+
+Parsing a long unambiguous stream with bounded nesting must do a flat
+amount of derivation work per token, and the live grammar must stay
+bounded.  Both are deterministic counts (no wall time): uncached derive
+calls per token, and the number of live grammar nodes.  Without the
+``δ(L) ⇒ ε_t`` fold every completed PL/0 statement leaves a δ-history
+that each later token derives again — uncached derives per token climb
+from ~100 to ~700 over 2k tokens, and the live grammar from ~280 to ~840
+nodes.
+"""
+
+import pytest
+
+from repro.bench.registry import CELLS_BY_ID
+from repro.core import DerivativeParser
+from repro.core.prune import live_nodes
+from repro.workloads import json_document_tokens, pl0_tokens
+
+#: Tokens per measuring window, and the stream length the gate covers.
+WINDOW = 500
+LENGTH = 2000
+
+
+@pytest.mark.parametrize(
+    "cell_id, generator", [("pl0", pl0_tokens), ("json-documents", json_document_tokens)]
+)
+def test_tree_path_work_and_live_size_stay_flat(cell_id, generator):
+    tokens = generator(LENGTH, 0)[:LENGTH]
+    assert len(tokens) == LENGTH
+    parser = DerivativeParser(CELLS_BY_ID[cell_id].grammar.factory())
+    state = parser.start()
+    uncached = [parser.metrics.derive_uncached]
+    live_at = {}
+    for position, token in enumerate(tokens, 1):
+        state.feed(token)
+        assert not state.failed
+        if position % WINDOW == 0:
+            uncached.append(parser.metrics.derive_uncached)
+            live_at[position] = len(live_nodes(state.language))
+    first = uncached[1] - uncached[0]
+    last = uncached[-1] - uncached[-2]
+    assert last <= 1.25 * first, (first, last)
+    assert live_at[LENGTH] <= 1.5 * live_at[WINDOW], live_at
