@@ -25,7 +25,6 @@ from .forest import (
     ForestRef,
     count_trees,
     first_tree,
-    is_empty_forest,
     iter_trees,
     tree_fingerprint,
     trees_equal,
@@ -148,7 +147,6 @@ __all__ = [
     "iter_trees",
     "count_trees",
     "first_tree",
-    "is_empty_forest",
     "trees_equal",
     "tree_fingerprint",
     # forest queries (count / top-k / sample)

@@ -1,31 +1,49 @@
-"""Weighted queries over shared parse forests: exact counts, top-k, sampling.
+"""The one reader of shared parse forests: counts, the descent, top-k.
 
 The cubic bound of parsing with derivatives holds because ambiguous
 parses stay a *shared graph* (:mod:`repro.core.forest`) — but that bound
 is only useful if consumers never have to flatten the graph back into a
-list of trees.  This module is the single place where forests are
-consumed *as graphs*:
+list of trees.  :class:`ForestQuery` is the only code that reads a
+forest, in three parts:
 
-``ForestQuery``
-    One iterative bottom-up pass over the forest computes, per node, the
-    **exact** ``int`` number of derivations (``math.inf`` strictly for
-    cyclic forests) and — when a :class:`Ranking` is supplied — the
-    1-best derivation score.  Every operation below reads from that pass.
+The count pass
+    One iterative post-order pass computes, per node, the **exact**
+    ``int`` number of derivations and — when a :class:`Ranking` is
+    supplied — the 1-best derivation score.  On an acyclic forest that is
+    a single DFS.  When the DFS meets a back edge it stops, and three
+    linear sweeps take over: a worklist proves which nodes are
+    *productive* (have at least one finite tree), a second resolves,
+    children first, the productive nodes that reach no productive cycle
+    and counts them exactly, and a third sizes the forest's *finite core*
+    (below).  The rest count ``math.inf``, so ``math.inf`` means exactly
+    "infinitely many derivations", whatever path reaches the node.
 
-``iter_trees_ranked(forest, ranking, k)``
-    Lazy best-first top-k extraction (Huang & Chiang style): each
-    ambiguity node materializes at most one new candidate per tree
-    emitted, so extracting ``k`` trees from a forest with ``10^21``
-    derivations touches ``O(k)`` candidates per node, never the forest's
-    tree count.
+The descent, :meth:`ForestQuery.tree_at`
+    Builds the tree of derivation number ``index`` by walking down the
+    counts: an ambiguity node subtracts each alternative's count until the
+    index falls inside one, a pair splits it with ``divmod`` by its right
+    side's count, a map applies its function.  ``first_tree`` is
+    ``tree_at(0)``; ``iter_trees`` keeps the distinct trees of
+    ``tree_at(0), tree_at(1), …``; :meth:`ForestQuery.sample` is
+    ``tree_at`` of a uniform index — integer arithmetic throughout, so the
+    draw stays exactly uniform over derivations past 2^53.
 
-``sample_trees(forest, rng, n)``
-    Exact uniform sampling over derivations by descending the graph with
-    count-proportional choices — integer arithmetic throughout (no float
-    rounding above 2^53), no rejection, no enumeration.
+    On a cyclic forest the descent walks the finite core.  Every edge is
+    kept unless both ends are infinite and the worklist proved the child
+    productive no earlier than the parent — only an ambiguity node's
+    alternatives can fail that.  Proof order makes the core acyclic, and
+    it keeps for each node the edges that proved it productive, so the
+    core has a tree whenever the forest has one.  Each of its trees is a
+    derivation that never revisits a node on its own root path.
 
-``count_trees`` in :mod:`repro.core.forest` is rebuilt on the same pass
-via :func:`exact_count`.
+The lazy k-best walk, :meth:`ForestQuery.iter_ranked`
+    Best-first top-k extraction (Huang & Chiang style): each ambiguity
+    node materializes at most one new candidate per tree emitted, so
+    extracting ``k`` trees from a forest with ``10^21`` derivations
+    touches ``O(k)`` candidates per node, never the forest's tree count.
+
+``count_trees``, ``first_tree`` and ``iter_trees`` in
+:mod:`repro.core.forest` and the module helpers below are thin wrappers.
 
 Rankings score *derivations* compositionally (leaf / pair / map), so the
 algebra is semiring-like: counts use (+, x), scores use (min, combine).
@@ -51,7 +69,7 @@ import heapq
 import itertools
 import math
 import random
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import EmptyForestError
 from .forest import (
@@ -77,6 +95,11 @@ __all__ = [
     "iter_trees_ranked",
     "sample_trees",
 ]
+
+_NO_TREES = (
+    "the parse forest contains no finite trees; input recognized "
+    "but no finite parse tree could be extracted"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +219,62 @@ def ranking_by_name(name: Union[str, Ranking, None]) -> Optional[Ranking]:
 
 
 # ---------------------------------------------------------------------------
-# The bottom-up pass: per-node exact counts (+ 1-best scores).
+# Graph helpers shared by the passes.
 # ---------------------------------------------------------------------------
 
-# Opcodes for the iterative pass (post-order with a pair short-circuit).
+
+def _children(node: ForestNode) -> Sequence[ForestNode]:
+    """The child forests of ``node``, in derivation order."""
+    if isinstance(node, ForestAmb):
+        return node.alternatives
+    if isinstance(node, ForestPair):
+        return (node.left, node.right)
+    if isinstance(node, ForestMap):
+        return (node.child,)
+    if isinstance(node, ForestRef):
+        return () if node.target is None else (node.target,)
+    if isinstance(node, (ForestLeaf, ForestEmpty)):
+        return ()
+    raise TypeError("unknown forest node: {!r}".format(node))
+
+
+def _combine(
+    node: ForestNode, children: Sequence[ForestNode], sizes: Dict[int, Any]
+) -> Any:
+    """``node``'s derivation count from its ``children``'s ``sizes``."""
+    if isinstance(node, ForestLeaf):
+        return len(node.trees)
+    if isinstance(node, ForestPair):
+        left, right = children
+        return sizes[id(left)] * sizes[id(right)]
+    return sum(sizes[id(child)] for child in children)  # amb, map, ref
+
+
+def _seen_before(
+    seen: Dict[Optional[int], List[Any]], tree: Any, memo: Dict[int, Tuple[tuple, int]]
+) -> bool:
+    """True when ``seen`` already holds a tree equal to ``tree``; else add it.
+
+    ``seen`` buckets trees by :func:`tree_fingerprint` (``memo`` is its
+    identity memo), so the check is O(1) per tree instead of a scan of
+    every prior tree; :func:`trees_equal` within a bucket keeps it exact.
+    """
+    fingerprint = tree_fingerprint(tree, memo)
+    bucket = seen.get(fingerprint)
+    if bucket is None:
+        seen[fingerprint] = [tree]
+        return False
+    if any(trees_equal(tree, prior) for prior in bucket):
+        return True
+    bucket.append(tree)
+    return False
+
+
+# Opcodes for the iterative DFS (post-order with a pair short-circuit).
 _ENTER, _EXIT, _PAIR_RIGHT = range(3)
+
+# Opcodes for the descent.
+_VISIT, _JOIN, _MAP = range(3)
 
 
 class _RankedState:
@@ -219,14 +293,12 @@ class _RankedState:
 
 
 class ForestQuery:
-    """Weighted queries over one forest: count / best-k / uniform sample.
+    """Queries over one forest: count / tree by index / best-k / sample.
 
-    Construction runs a single iterative post-order pass over the graph
-    (three-color DFS; a back edge to a grey node marks the derivation
-    space infinite) computing per-node exact ``int`` counts — cached, so
-    every subsequent operation is incremental.  Supplying ``ranking``
-    additionally computes per-node 1-best scores in the same pass and
-    enables :meth:`iter_ranked`.
+    Construction runs the count pass (module docstring) and caches
+    per-node exact ``int`` counts, so every later operation is
+    incremental.  Supplying ``ranking`` additionally computes per-node
+    1-best scores in the same pass and enables :meth:`iter_ranked`.
     """
 
     def __init__(self, forest: ForestNode, ranking: Union[str, Ranking, None] = None) -> None:
@@ -236,33 +308,38 @@ class ForestQuery:
         self._best: Dict[int, Any] = {}
         self._nodes: Dict[int, ForestNode] = {}  # keeps ids stable / nodes alive
         self._acyclic = True
+        # What ``tree_at`` descends by: the counts, or on a cyclic forest
+        # the finite core's counts and its infinite ambiguity nodes' kept
+        # alternatives.
+        self._sizes: Dict[int, Union[int, float]] = self._counts
+        self._core_alternatives: Dict[int, List[ForestNode]] = {}
         self._ranked_states: Dict[int, _RankedState] = {}
         self._seq = itertools.count()
-        self._root_count = self._pass(forest)
+        count = self._dag_pass(forest)
+        if count is None:  # the DFS met a back edge
+            self._acyclic = False
+            count = self._cyclic_pass(forest)
+        self._root_count = count
 
     # ------------------------------------------------------------------
-    # The counting (+ 1-best) pass.
+    # The count pass.
     # ------------------------------------------------------------------
 
-    def _pass(self, root: ForestNode) -> Union[int, float]:
-        """Post-order walk from ``root``: exact counts (+ 1-best scores).
+    def _dag_pass(self, root: ForestNode) -> Optional[int]:
+        """Post-order DFS from ``root``: exact counts (+ 1-best scores).
 
-        A back edge to a node on the current walk path contributes
-        ``math.inf`` — but inf values are **not** cached: a node inside a
-        zero-guarded cycle can evaluate inf in one context yet have a
-        finite true count (the old ``count_trees`` pinned this), so only
-        context-free (non-inf) values persist.  Every node the sampler or
-        the ranked extractor can reach ends up cached: a finite non-zero
-        parent forces finite (hence cached) children.
+        Returns ``None`` as soon as it meets a back edge — a node already
+        on the walk path — and leaves the cyclic forest to
+        :meth:`_cyclic_pass`.  A pair whose left side counts zero is zero
+        without visiting its right side.
         """
         ranking = self.ranking
         counts = self._counts
         bests = self._best
         nodes = self._nodes
-        inf = math.inf
         on_path: set = set()
         stack: List[Tuple[int, Any]] = [(_ENTER, root)]
-        values: List[Union[int, float]] = []
+        values: List[int] = []
         best_values: List[Any] = []  # parallel to ``values``
 
         while stack:
@@ -275,47 +352,28 @@ class ForestQuery:
                     best_values.append(bests.get(key))
                     continue
                 if key in on_path:
-                    # Back edge: derivations through here never terminate.
-                    self._acyclic = False
-                    values.append(inf)
-                    best_values.append(None)
-                    continue
+                    return None
                 nodes[key] = node
-                if isinstance(node, ForestEmpty):
-                    counts[key] = 0
-                    values.append(0)
-                    best_values.append(None)
-                    continue
-                if isinstance(node, ForestLeaf):
-                    counts[key] = len(node.trees)
-                    best = None
-                    if ranking is not None and node.trees:
-                        best = min(ranking.leaf(tree) for tree in node.trees)
+                children = _children(node)
+                if not children:  # a leaf, or a forest without trees
+                    trees = node.trees if isinstance(node, ForestLeaf) else ()
+                    best = min(map(ranking.leaf, trees)) if ranking is not None and trees else None
+                    counts[key] = len(trees)
+                    if best is not None:
                         bests[key] = best
-                    values.append(len(node.trees))
+                    values.append(len(trees))
                     best_values.append(best)
                     continue
-                if isinstance(node, ForestRef) and node.target is None:
-                    counts[key] = 0
-                    values.append(0)
-                    best_values.append(None)
-                    continue
                 on_path.add(key)
-                if isinstance(node, (ForestRef, ForestMap)):
-                    stack.append((_EXIT, node))
-                    child = node.target if isinstance(node, ForestRef) else node.child
-                    stack.append((_ENTER, child))
-                elif isinstance(node, ForestAmb):
-                    stack.append((_EXIT, node))
-                    for alternative in reversed(node.alternatives):
-                        stack.append((_ENTER, alternative))
-                elif isinstance(node, ForestPair):
+                if isinstance(node, ForestPair):
                     # Left side first; the right side is visited only when
-                    # the left count is non-zero (mirrors the 0-guard).
+                    # the left count is non-zero.
                     stack.append((_PAIR_RIGHT, node))
                     stack.append((_ENTER, node.left))
                 else:
-                    raise TypeError("unknown forest node: {!r}".format(node))
+                    stack.append((_EXIT, node))
+                    for child in reversed(children):
+                        stack.append((_ENTER, child))
 
             elif op == _PAIR_RIGHT:
                 left_count = values.pop()
@@ -333,20 +391,9 @@ class ForestQuery:
                 best = None
                 if isinstance(node, tuple):  # a pair with its left results
                     node, left_count, left_best = node
-                    right_count = values.pop()
                     right_best = best_values.pop()
-                    if right_count == 0:
-                        result: Union[int, float] = 0
-                    elif left_count == inf or right_count == inf:
-                        result = inf  # explicit: inf * big-int overflows float
-                    else:
-                        result = left_count * right_count
-                    if (
-                        ranking is not None
-                        and result != 0
-                        and left_best is not None
-                        and right_best is not None
-                    ):
+                    result = left_count * values.pop()
+                    if ranking is not None and result:  # both sides have a best
                         best = ranking.pair(left_best, right_best)
                 elif isinstance(node, (ForestRef, ForestMap)):
                     result = values.pop()
@@ -357,30 +404,111 @@ class ForestQuery:
                         else:
                             best = child_best
                 else:  # ForestAmb
-                    total = 0
-                    saw_inf = False
+                    result = 0
                     for _ in node.alternatives:
-                        alt_count = values.pop()
+                        result += values.pop()
                         alt_best = best_values.pop()
-                        if alt_count == inf:
-                            saw_inf = True
-                        else:
-                            total += alt_count
                         if alt_best is not None and (best is None or alt_best < best):
                             best = alt_best
-                    result = inf if saw_inf else total
                 key = id(node)
                 on_path.discard(key)
-                # Only cache values computed without hitting the current
-                # path; a value involving a back edge is context-dependent.
-                if result != inf:
-                    counts[key] = result
-                    if best is not None:
-                        bests[key] = best
+                counts[key] = result
+                if best is not None:
+                    bests[key] = best
                 values.append(result)
                 best_values.append(best)
 
-        return values[-1] if values else 0
+        return values[-1]
+
+    def _cyclic_pass(self, root: ForestNode) -> Union[int, float]:
+        """Counts of a cyclic forest, and its finite core, in linear sweeps.
+
+        Recounts every node reachable from ``root`` (the aborted DFS's
+        partial results are dropped) and computes no 1-best scores.
+        """
+        counts = self._counts
+        counts.clear()
+        self._best.clear()
+        nodes = self._nodes
+        inf = math.inf
+
+        # Discovery: every reachable node once, each child edge reversed.
+        order: List[ForestNode] = []
+        parents: Dict[int, List[ForestNode]] = {id(root): []}
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            nodes[id(node)] = node
+            counts[id(node)] = 0  # unproductive nodes keep it
+            order.append(node)
+            for child in _children(node):
+                key = id(child)
+                if key not in parents:
+                    parents[key] = []
+                    stack.append(child)
+                parents[key].append(node)
+
+        # Productivity: ``proved`` is both the worklist and the proof order.
+        # A pair waits for both sides, anything else for one child; a leaf
+        # with trees needs nothing.
+        waiting: Dict[int, int] = {}
+        proved: List[ForestNode] = []
+        rank: Dict[int, int] = {}
+        for node in order:
+            if isinstance(node, ForestLeaf):
+                need = 0 if node.trees else 1
+            else:
+                need = 2 if isinstance(node, ForestPair) else 1
+            waiting[id(node)] = need
+            if need == 0:
+                rank[id(node)] = len(proved)
+                proved.append(node)
+        for child in proved:
+            for parent in parents[id(child)]:
+                key = id(parent)
+                waiting[key] -= 1
+                if waiting[key] == 0:
+                    rank[key] = len(proved)
+                    proved.append(parent)
+
+        # Finiteness: a productive node resolves once all its productive
+        # children have, and is counted then; the rest reach a productive
+        # cycle and count ``math.inf``.
+        pending: Dict[int, int] = {}
+        resolved: List[ForestNode] = []
+        for node in proved:
+            pending[id(node)] = sum(1 for child in _children(node) if id(child) in rank)
+            if pending[id(node)] == 0:
+                resolved.append(node)
+        for node in resolved:
+            counts[id(node)] = _combine(node, _children(node), counts)
+            for parent in parents[id(node)]:
+                key = id(parent)
+                if key in pending:
+                    pending[key] -= 1
+                    if pending[key] == 0:
+                        resolved.append(parent)
+        for node in proved:
+            if pending[id(node)]:
+                counts[id(node)] = inf
+
+        # The finite core, sized in proof order: a kept infinite child was
+        # proved before its parent, so its core count is already known.
+        sizes = dict(counts)
+        for node in proved:
+            key = id(node)
+            if counts[key] != inf:
+                continue
+            children = _children(node)
+            if isinstance(node, ForestAmb):
+                children = self._core_alternatives[key] = [
+                    alternative
+                    for alternative in children
+                    if counts[id(alternative)] != inf or rank[id(alternative)] < rank[key]
+                ]
+            sizes[key] = _combine(node, children, sizes)
+        self._sizes = sizes
+        return counts[id(root)]
 
     # ------------------------------------------------------------------
     # Counts.
@@ -389,18 +517,14 @@ class ForestQuery:
     @property
     def count(self) -> Union[int, float]:
         """Exact number of derivations of the whole forest (``int``), or
-        ``math.inf`` when the forest is cyclic."""
+        ``math.inf`` exactly when there are infinitely many."""
         return self._root_count
 
     def count_at(self, node: ForestNode) -> Union[int, float]:
-        """Exact derivation count of ``node`` (recomputed on demand for
-        nodes the root pass short-circuited past)."""
-        key = id(node)
-        if key in self._counts:
-            return self._counts[key]
-        if node is self.forest:
-            return self._root_count
-        return self._pass(node)
+        """Exact derivation count of ``node`` (a fresh pass for nodes the
+        root pass short-circuited past)."""
+        count = self._counts.get(id(node))
+        return ForestQuery(node).count if count is None else count
 
     @property
     def best(self) -> Any:
@@ -411,13 +535,65 @@ class ForestQuery:
         """1-best derivation score of ``node`` under the query's ranking."""
         if self.ranking is None:
             raise ValueError("this ForestQuery was built without a ranking")
-        if id(node) not in self._counts and node is not self.forest:
-            self._pass(node)
+        if id(node) not in self._counts:
+            return ForestQuery(node, self.ranking).best
         if not self._acyclic:
             # On a cyclic graph the bottom-up 1-best may miss finite
             # derivations that revisit an ancestor; refuse rather than lie.
             raise ValueError("best scores require an acyclic forest")
         return self._best.get(id(node))
+
+    # ------------------------------------------------------------------
+    # The descent.
+    # ------------------------------------------------------------------
+
+    def tree_at(self, index: int) -> Any:
+        """The tree of derivation number ``index``, counted from 0.
+
+        Derivation order lists an ambiguity node's alternatives in turn,
+        a pair's left derivations outermost and a leaf's trees in order.
+        Valid indexes run up to the count — on a cyclic forest, the count
+        of its finite core (module docstring).  Raises
+        :class:`EmptyForestError` when the forest holds no finite tree
+        and ``IndexError`` past the last derivation.  Iterative, so a
+        forest as deep as a long input needs no interpreter stack.
+        """
+        sizes = self._sizes
+        kept = self._core_alternatives
+        total = sizes[id(self.forest)]
+        if not 0 <= index < total:
+            if total == 0:
+                raise EmptyForestError(_NO_TREES)
+            raise IndexError("derivation {} of {}".format(index, total))
+        stack: List[Tuple[int, Any, int]] = [(_VISIT, self.forest, index)]
+        values: List[Any] = []
+        while stack:
+            op, node, index = stack.pop()
+            if op == _JOIN:
+                right = values.pop()
+                values[-1] = (values[-1], right)
+            elif op == _MAP:
+                values[-1] = node.fn(values[-1])
+            elif isinstance(node, ForestLeaf):
+                values.append(node.trees[index])
+            elif isinstance(node, ForestRef):
+                stack.append((_VISIT, node.target, index))
+            elif isinstance(node, ForestMap):
+                stack.append((_MAP, node, 0))
+                stack.append((_VISIT, node.child, index))
+            elif isinstance(node, ForestPair):
+                left_index, right_index = divmod(index, sizes[id(node.right)])
+                stack.append((_JOIN, node, 0))
+                stack.append((_VISIT, node.right, right_index))
+                stack.append((_VISIT, node.left, left_index))
+            else:  # ForestAmb (an empty forest counts 0 and is never visited)
+                for alternative in kept.get(id(node), node.alternatives):
+                    size = sizes[id(alternative)]
+                    if index < size:
+                        stack.append((_VISIT, alternative, index))
+                        break
+                    index -= size
+        return values[0]
 
     # ------------------------------------------------------------------
     # Lazy best-first top-k extraction.
@@ -428,8 +604,9 @@ class ForestQuery:
 
         Lazy: asking for the next tree advances each touched node by at
         most one extraction, so memory is ``O(k)`` per ambiguity node no
-        matter how many derivations the forest holds.  Requires a finite
-        forest (``ValueError`` on cyclic ones) and a ranking.
+        matter how many derivations the forest holds.  Requires a ranking
+        and finitely many derivations (``ValueError`` naming the cycle
+        otherwise).
         """
         if self.ranking is None:
             raise ValueError("iter_ranked requires a ranking")
@@ -462,8 +639,8 @@ class ForestQuery:
         if state is None:
             state = _RankedState()
             if self._counts.get(key, 0) == 0:
-                # Treeless subgraphs (including cycle-cut ones) are never
-                # descended into — this is what keeps the machine acyclic.
+                # Treeless subgraphs are never descended into — with a
+                # finite root count that keeps the walk off every cycle.
                 state.initialized = True
                 state.exhausted = True
             self._ranked_states[key] = state
@@ -491,7 +668,7 @@ class ForestQuery:
                 continue
             score, _seq, tree, spec = heapq.heappop(state.heap)
             self._push_successors(current, state, spec)
-            if state.seen is not None and self._amb_duplicate(state, tree, fingerprints):
+            if state.seen is not None and _seen_before(state.seen, tree, fingerprints):
                 continue  # same tree via another alternative: skip, keep going
             state.extracted.append((score, tree))
 
@@ -594,20 +771,6 @@ class ForestQuery:
         else:  # ForestMap / ForestRef
             state.pending.append(spec + 1)
 
-    def _amb_duplicate(
-        self, state: _RankedState, tree: Any, fingerprints: Dict[int, Tuple[tuple, int]]
-    ) -> bool:
-        """Enumeration-grade dedup: same tree via several alternatives."""
-        fingerprint = tree_fingerprint(tree, fingerprints)
-        bucket = state.seen.get(fingerprint)
-        if bucket is None:
-            state.seen[fingerprint] = [tree]
-            return False
-        if any(trees_equal(tree, prior) for prior in bucket):
-            return True
-        bucket.append(tree)
-        return False
-
     # ------------------------------------------------------------------
     # Exact uniform sampling.
     # ------------------------------------------------------------------
@@ -615,10 +778,9 @@ class ForestQuery:
     def sample(self, rng: Union[random.Random, int]) -> Any:
         """One tree drawn uniformly over the forest's derivations.
 
-        Descends the graph making count-proportional choices with exact
-        integer arithmetic — no rejection, no enumeration, no float
-        rounding.  Raises :class:`EmptyForestError` on a treeless forest
-        and ``ValueError`` on a cyclic one.
+        ``tree_at`` of one uniform index — no rejection, no enumeration,
+        no float rounding.  Raises :class:`EmptyForestError` on a treeless
+        forest and ``ValueError`` on one with infinitely many derivations.
         """
         count = self.count
         if count == math.inf:
@@ -627,52 +789,8 @@ class ForestQuery:
                 "infinitely many derivations"
             )
         if count == 0:
-            raise EmptyForestError(
-                "the parse forest contains no finite trees; input recognized "
-                "but no finite parse tree could be extracted"
-            )
-        rng = _coerce_rng(rng)
-        counts = self._counts
-        ops: List[Tuple[Any, ...]] = [("visit", self.forest)]
-        values: List[Any] = []
-        while ops:
-            op = ops.pop()
-            kind = op[0]
-            if kind == "visit":
-                node = op[1]
-                if isinstance(node, ForestLeaf):
-                    trees = node.trees
-                    index = rng.randrange(len(trees)) if len(trees) > 1 else 0
-                    values.append(trees[index])
-                elif isinstance(node, ForestRef):
-                    ops.append(("visit", node.target))
-                elif isinstance(node, ForestMap):
-                    ops.append(("map", node.fn))
-                    ops.append(("visit", node.child))
-                elif isinstance(node, ForestPair):
-                    # Combine runs after both sides; left draws first.
-                    ops.append(("pair",))
-                    ops.append(("visit", node.right))
-                    ops.append(("visit", node.left))
-                else:  # ForestAmb (Empty is unreachable: its count is 0)
-                    target = rng.randrange(counts[id(node)])
-                    for alt in node.alternatives:
-                        alt_count = counts[id(alt)]
-                        if target < alt_count:
-                            ops.append(("visit", alt))
-                            break
-                        target -= alt_count
-                    else:  # pragma: no cover - counts pass guarantees a hit
-                        raise RuntimeError(
-                            "sampling descent desynchronized from counts"
-                        )
-            elif kind == "pair":
-                right_tree = values.pop()
-                left_tree = values.pop()
-                values.append((left_tree, right_tree))
-            else:  # "map"
-                values.append(op[1](values.pop()))
-        return values[0]
+            raise EmptyForestError(_NO_TREES)
+        return self.tree_at(_coerce_rng(rng).randrange(count))
 
     def sample_n(self, rng: Union[random.Random, int], n: int) -> List[Any]:
         """``n`` independent uniform samples from one RNG stream."""
@@ -700,8 +818,27 @@ def _coerce_rng(rng: Union[random.Random, int]) -> random.Random:
 
 
 def exact_count(forest: ForestNode) -> Union[int, float]:
-    """Exact ``int`` derivation count; ``math.inf`` strictly for cycles."""
+    """Exact ``int`` derivation count; ``math.inf`` exactly when infinite."""
     return ForestQuery(forest).count
+
+
+def _iter_distinct(forest: ForestNode, limit: Optional[int]) -> Iterator[Any]:
+    """The distinct trees of ``tree_at(0), tree_at(1), …``, first occurrence
+    first; at most ``limit`` (``iter_trees`` in :mod:`repro.core.forest`)."""
+    if limit is not None and limit <= 0:
+        return
+    query = ForestQuery(forest)
+    seen: Dict[Optional[int], List[Any]] = {}
+    fingerprints: Dict[int, Tuple[tuple, int]] = {}
+    emitted = 0
+    for index in range(query._sizes[id(forest)]):
+        tree = query.tree_at(index)
+        if _seen_before(seen, tree, fingerprints):
+            continue
+        yield tree
+        emitted += 1
+        if emitted == limit:
+            return
 
 
 def iter_trees_ranked(

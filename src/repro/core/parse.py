@@ -581,8 +581,8 @@ class DerivativeParser:
     def parse(self, tokens: Sequence[Any]) -> Any:
         """Parse and return a single parse tree (raises on ambiguity-free failure).
 
-        For ambiguous grammars this returns an arbitrary (but deterministic)
-        member of the forest; use :meth:`parse_forest` /
+        For ambiguous grammars this returns the forest's first tree in
+        derivation order (:func:`repro.core.forest.first_tree`); use :meth:`parse_forest` /
         :func:`repro.core.forest.iter_trees` to inspect every parse.
         """
         return forest_answer(self.parse_forest(tokens), tokens)
@@ -599,7 +599,12 @@ class DerivativeParser:
         registered ranking name such as ``"size"``/``"depth"``) trees come
         back best-first via lazy top-k extraction: memory stays bounded by
         ``limit`` even when the forest holds astronomically many parses.
-        Without a ranking, trees come in plain enumeration order.
+        Without a ranking, trees come as :func:`repro.core.forest.iter_trees`
+        yields them: derivation order with repeats removed, the first being
+        :meth:`parse`'s tree.  On an infinitely ambiguous (cyclic) forest
+        they are drawn from its finite core — a subset of the trees whose
+        derivation never revisits a node on its own root path, non-empty
+        whenever the forest has a finite tree.
         """
         return forest_answer(
             self.parse_forest(tokens), tokens, "trees", limit=limit, ranking=ranking

@@ -13,7 +13,6 @@ from repro.core.forest import (
     ForestRef,
     count_trees,
     first_tree,
-    is_empty_forest,
     iter_trees,
 )
 
@@ -22,7 +21,6 @@ class TestBasicForests:
     def test_empty_forest_has_no_trees(self):
         assert list(iter_trees(FOREST_EMPTY)) == []
         assert count_trees(FOREST_EMPTY) == 0
-        assert is_empty_forest(FOREST_EMPTY)
 
     def test_leaf_yields_its_trees(self):
         leaf = ForestLeaf(("a", "b"))
@@ -61,7 +59,7 @@ class TestBasicForests:
 
     def test_unresolved_ref_is_empty(self):
         assert list(iter_trees(ForestRef())) == []
-        assert is_empty_forest(ForestRef())
+        assert count_trees(ForestRef()) == 0
 
 
 class TestLimitsAndHelpers:
@@ -108,10 +106,12 @@ class TestCyclicForests:
         # The only finite trees are the non-cyclic alternatives.
         assert list(iter_trees(amb, limit=5)) == ["x"]
 
-    def test_is_empty_forest_on_structures(self):
-        assert not is_empty_forest(ForestLeaf(("a",)))
-        assert is_empty_forest(ForestAmb([]))
-        assert not is_empty_forest(ForestAmb([ForestLeaf(("a",))]))
+    def test_emptiness_of_structures(self):
+        # Emptiness is ``count_trees(f) == 0``, exact at any depth.
+        assert count_trees(ForestLeaf(("a",))) == 1
+        assert count_trees(ForestAmb([])) == 0
+        assert count_trees(ForestAmb([ForestLeaf(("a",))])) == 1
+        assert count_trees(ForestAmb([ForestPair(ForestLeaf(("a",)), ForestAmb([]))])) == 0
 
     def test_reprs(self):
         nodes = [

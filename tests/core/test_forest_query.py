@@ -3,19 +3,26 @@
 The layer's contract, pinned here:
 
 * ``ForestQuery.count`` / ``count_trees`` / ``exact_count`` return an exact
-  Python ``int`` for every finite forest (``math.inf`` strictly for cyclic
-  ones), matching closed forms far past 2⁵³;
+  Python ``int`` for every finite forest (``math.inf`` exactly when there
+  are infinitely many derivations; a cycle with no finite tree counts 0),
+  matching closed forms far past 2⁵³;
+* ``first_tree`` / ``iter_trees`` / sampling are one count-guided descent,
+  checked against an independent recursive reference enumerator
+  (:func:`reference_trees`): on acyclic forests ``iter_trees`` is the
+  reference with repeats removed, on cyclic ones a non-empty subset
+  exactly when the reference is non-empty;
 * ranked extraction is lazy best-first: non-decreasing scores, top-k a
   verbatim prefix of top-(k+m), the exhausted stream a permutation of
   ``iter_trees`` (identical dedup semantics), every ranked tree a distinct
   valid derivation — scores measure the forest's derivation encoding, not
   the tree's node count or height, so only their order is pinned;
-* sampling is exact count-proportional descent: uniform over derivations,
+* sampling is ``tree_at`` of a uniform index: uniform over derivations,
   same-seed replayable, no enumeration or rejection;
 * zero-tree forests raise :class:`EmptyForestError` (a ``ParseError`` *and*
   a ``ValueError``) with the diagnostic the parse layer aligns with.
 """
 
+import itertools
 import math
 import random
 
@@ -119,6 +126,53 @@ class TestExactCounts:
         query = ForestQuery(pair)
         assert query.count == 0
         assert query.count_at(right) == 3
+
+
+# ---------------------------------------------------------------------------
+# cyclic forests: productivity, the finite core, the descent
+# ---------------------------------------------------------------------------
+class TestCyclicForests:
+    def test_cycle_without_a_finite_tree_is_empty(self):
+        ref = ForestRef()
+        amb = ForestAmb([ref])
+        ref.target = amb
+        query = ForestQuery(amb)
+        assert query.count == 0
+        assert count_trees(amb) == 0
+        with pytest.raises(EmptyForestError):
+            first_tree(amb)
+        with pytest.raises(EmptyForestError):
+            query.sample(0)
+        assert list(iter_trees(amb)) == []
+
+    def test_cycle_reached_from_both_sides_of_a_pair(self):
+        # L = Amb[a, R], R = Amb[L]: one DFS from the pair sees R only
+        # through the back edge R → L, so cutting back edges would leave R
+        # treeless and lose the tree.
+        left = ForestAmb([ForestLeaf(("a",))])
+        right = ForestAmb([left])
+        left.alternatives.append(right)
+        root = ForestPair(left, right)
+        assert count_trees(root) == math.inf
+        assert list(iter_trees(root)) == [("a", "a")]
+        assert first_tree(root) == ("a", "a")
+        assert reference_trees(root) == [("a", "a")]
+
+    def test_tree_at_walks_the_finite_core(self):
+        query = ForestQuery(make_cycle())
+        assert query.count == math.inf
+        assert query.tree_at(0) == "x"
+        with pytest.raises(IndexError):
+            query.tree_at(1)
+
+    def test_tree_at_enumerates_in_derivation_order(self):
+        forest = ForestPair(ForestLeaf(("a", "b")), ForestLeaf(("x", "y", "z")))
+        query = ForestQuery(forest)
+        assert [query.tree_at(i) for i in range(6)] == reference_trees(forest)
+        with pytest.raises(IndexError):
+            query.tree_at(6)
+        with pytest.raises(IndexError):
+            query.tree_at(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -421,14 +475,56 @@ class TestEmptyForestDiagnostics:
 
 
 # ---------------------------------------------------------------------------
-# property tests: random forests vs enumeration
+# property tests: random forests vs a reference enumerator
 # ---------------------------------------------------------------------------
-def _specs(with_map=True, with_empty=False):
-    """Strategy for small forest *specs* built into forests at test time."""
+def reference_trees(forest):
+    """Every derivation's tree, in derivation order, by plain recursion.
+
+    An oracle independent of ``ForestQuery``: an ambiguity node's
+    alternatives in turn, a pair's left trees outermost, and a derivation
+    cut where it reaches a node already on its own root path.  Repeats are
+    kept.  Recursion is fine on the small forests these tests build.
+    """
+
+    def walk(node, path):
+        if id(node) in path:
+            return
+        path = path | {id(node)}
+        if isinstance(node, ForestLeaf):
+            yield from node.trees
+        elif isinstance(node, ForestRef) and node.target is not None:
+            yield from walk(node.target, path)
+        elif isinstance(node, ForestMap):
+            for tree in walk(node.child, path):
+                yield node.fn(tree)
+        elif isinstance(node, ForestAmb):
+            for alternative in node.alternatives:
+                yield from walk(alternative, path)
+        elif isinstance(node, ForestPair):
+            for left in walk(node.left, path):
+                for right in walk(node.right, path):
+                    yield (left, right)
+
+    return list(walk(forest, frozenset()))
+
+
+def _distinct(trees):
+    return list(dict.fromkeys(trees))
+
+
+def _specs(with_map=True, with_empty=False, with_back=False):
+    """Strategy for small forest *specs* built into forests at test time.
+
+    ``("back", k)`` is a reference to the ``k``-th enclosing composite
+    node (modulo the depth) — a cycle; with no enclosing node it stays
+    unresolved, an empty forest.
+    """
     leaf = st.tuples(st.just("leaf"), st.integers(min_value=1, max_value=3))
     base = [leaf]
     if with_empty:
         base.append(st.just(("empty",)))
+    if with_back:
+        base.append(st.tuples(st.just("back"), st.integers(min_value=0, max_value=3)))
 
     def extend(children):
         branches = [
@@ -444,38 +540,84 @@ def _specs(with_map=True, with_empty=False):
     return st.recursive(st.one_of(*base), extend, max_leaves=8)
 
 
-def _build(spec, counter):
-    """Instantiate a spec with globally unique leaf labels (no dup trees)."""
+def _build(spec, labels, path=()):
+    """Instantiate a spec; leaf trees are named ``t<next(labels)>``.
+
+    ``path`` holds, per enclosing composite node, the back references
+    waiting for that node to exist.
+    """
     kind = spec[0]
     if kind == "empty":
         return FOREST_EMPTY
     if kind == "leaf":
-        trees = tuple("t{}".format(next(counter)) for _ in range(spec[1]))
+        trees = tuple("t{}".format(next(labels)) for _ in range(spec[1]))
         return ForestLeaf(trees)
+    if kind == "back":
+        ref = ForestRef()
+        if path:
+            path[-1 - spec[1] % len(path)].append(ref)
+        return ref
+    waiting = []
+    path = path + (waiting,)
     if kind == "pair":
-        return ForestPair(_build(spec[1], counter), _build(spec[2], counter))
-    if kind == "amb":
-        return ForestAmb([_build(child, counter) for child in spec[1]])
-    if kind == "map":
-        return ForestMap(lambda t: ("m", t), _build(spec[1], counter))
-    raise AssertionError(spec)
+        node = ForestPair(_build(spec[1], labels, path), _build(spec[2], labels, path))
+    elif kind == "amb":
+        node = ForestAmb([_build(child, labels, path) for child in spec[1]])
+    elif kind == "map":
+        node = ForestMap(lambda t: ("m", t), _build(spec[1], labels, path))
+    else:
+        raise AssertionError(spec)
+    for ref in waiting:
+        ref.target = node
+    return node
 
 
-def _built(spec):
-    import itertools
-
-    return _build(spec, itertools.count())
+def _built(spec, labels=None):
+    """Build with globally unique leaf labels (no repeated trees) by default."""
+    return _build(spec, itertools.count() if labels is None else labels)
 
 
 @given(spec=_specs(with_empty=True))
 @settings(max_examples=60, deadline=None)
 def test_property_count_equals_enumeration(spec):
     # Unique leaves + injective maps → every derivation is a distinct
-    # tree, so the derivation count equals the enumeration length exactly.
+    # tree, so the derivation count equals the reference's length exactly.
     forest = _built(spec)
     count = exact_count(forest)
     assert type(count) is int
-    assert count == len(list(iter_trees(forest)))
+    assert count == len(reference_trees(forest))
+
+
+@given(spec=_specs(with_empty=True))
+@settings(max_examples=60, deadline=None)
+def test_property_acyclic_trees_are_the_reference_without_repeats(spec):
+    # Two labels for every leaf: many derivations build equal trees.
+    forest = _built(spec, itertools.cycle((0, 1)))
+    reference = reference_trees(forest)
+    assert list(iter_trees(forest)) == _distinct(reference)
+    assert list(iter_trees(forest, limit=2)) == _distinct(reference)[:2]
+    if reference:
+        assert first_tree(forest) == reference[0]
+    else:
+        with pytest.raises(EmptyForestError):
+            first_tree(forest)
+
+
+@given(spec=_specs(with_empty=True, with_back=True))
+@settings(max_examples=100, deadline=None)
+def test_property_cyclic_trees_are_a_subset_of_the_reference(spec):
+    forest = _built(spec, itertools.cycle((0, 1, 2)))
+    reference = reference_trees(forest)
+    trees = list(iter_trees(forest))
+    assert set(trees) <= set(reference)
+    assert len(set(trees)) == len(trees)
+    assert bool(trees) == bool(reference)
+    assert (count_trees(forest) == 0) == (not reference)
+    if reference:
+        assert first_tree(forest) == trees[0]
+    else:
+        with pytest.raises(EmptyForestError):
+            first_tree(forest)
 
 
 @given(spec=_specs(), k=st.integers(min_value=0, max_value=6))
@@ -493,9 +635,9 @@ def test_property_top_k_is_prefix_of_exhaustive(spec, k):
 @settings(max_examples=60, deadline=None)
 def test_property_top_k_agrees_with_sorted_enumeration(spec, k):
     # Map-free forests: a derivation's size score IS its tree's size, so
-    # the ranked score stream must equal the sorted enumeration scores.
+    # the ranked score stream must equal the sorted reference scores.
     forest = _built(spec)
-    reference = sorted(_tree_size(tree) for tree in iter_trees(forest))
+    reference = sorted(_tree_size(tree) for tree in reference_trees(forest))
     ranked = [score for score, _tree in ForestQuery(forest, "size").iter_ranked(k)]
     assert ranked == reference[:k]
 
@@ -505,11 +647,11 @@ def test_property_top_k_agrees_with_sorted_enumeration(spec, k):
 def test_property_sampling_membership_and_replay(spec, seed):
     forest = _built(spec)
     query = ForestQuery(forest)
-    trees = {repr(t) for t in iter_trees(forest)}
+    trees = set(reference_trees(forest))
     draws = query.sample_n(seed, 8)
     assert query.sample_n(seed, 8) == draws
     for tree in draws:
-        assert repr(tree) in trees
+        assert tree in trees
 
 
 @given(spec=_specs(with_map=False))
@@ -520,16 +662,16 @@ def test_property_sampling_matches_enumeration_frequencies(spec):
     # (deterministic forever) must track 1/count within 5 sigma.
     forest = _built(spec)
     count = exact_count(forest)
-    trees = list(iter_trees(forest))
+    trees = reference_trees(forest)
     if count < 2 or count > 12:
         return
     n = 120 * count
     draws = ForestQuery(forest).sample_n(0, n)
     frequencies = {}
     for tree in draws:
-        frequencies[repr(tree)] = frequencies.get(repr(tree), 0) + 1
+        frequencies[tree] = frequencies.get(tree, 0) + 1
     expected = n / count
     tolerance = 5 * math.sqrt(expected) + 1
-    assert set(frequencies) <= {repr(t) for t in trees}
-    for key in (repr(t) for t in trees):
-        assert abs(frequencies.get(key, 0) - expected) <= tolerance, key
+    assert set(frequencies) <= set(trees)
+    for tree in trees:
+        assert abs(frequencies.get(tree, 0) - expected) <= tolerance, tree

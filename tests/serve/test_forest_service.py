@@ -13,16 +13,22 @@ Pins the serve-layer half of the forest-query contract:
   — the arithmetic the pool replays per shard, making pooled results
   byte-identical to in-process ones (asserted here over pickled bytes);
 * sessions expose ``trees`` / ``sample`` over their incremental buffer,
-  refusing on ``keep_tokens=False``.
+  refusing on ``keep_tokens=False``;
+* an infinitely ambiguous input ends promptly: trees still come out, and
+  ranking and sampling fail with a typed outcome that names the cycle.
 """
 
 import asyncio
+import math
 import pickle
+import time
 
 import pytest
 
+from repro.cfg.grammar import grammar_from_rules
 from repro.core import DerivativeParser
 from repro.core.errors import ParseError
+from repro.core.forest import count_trees, first_tree, iter_trees
 from repro.core.forest_query import ForestQuery, TreeSizeRanking
 from repro.grammars import catalan_grammar, pl0_grammar
 from repro.lexer.tokens import Tok
@@ -277,3 +283,29 @@ class TestPooledForestParity:
                 pool.enumerate_many(
                     catalan_grammar(), [catalan_tokens(3)], ranking=LocalRanking()
                 )
+
+
+class TestInfiniteAmbiguity:
+    def test_infinitely_ambiguous_input_ends_promptly(self):
+        # S → S S | a | ε: every a^n has infinitely many parses (ε-cycles).
+        # A count pass that re-walks cycles per path triples its cost per
+        # token and needs ~40 s at 14 tokens; this one is linear.
+        started = time.perf_counter()
+        grammar = grammar_from_rules("S", {"S": [["S", "S"], ["a"], []]})
+        tokens = catalan_tokens(48)
+        forest = DerivativeParser(grammar.to_language()).parse_forest(tokens)
+        assert count_trees(forest) == math.inf
+        assert isinstance(first_tree(forest), tuple)
+        assert len(list(iter_trees(forest, limit=5))) == 5
+        with pytest.raises(ValueError, match="cyclic"):
+            ForestQuery(forest, "size").iter_ranked(3)
+        with pytest.raises(ValueError, match="cyclic"):
+            ForestQuery(forest).sample(0)
+        with ParseService(workers=1) as service:
+            ranked = service.enumerate_many(grammar, [tokens], k=3)
+            sampled = service.sample_many(grammar, [tokens], n=2)
+        for (outcome,) in (ranked, sampled):
+            assert not outcome.ok
+            assert outcome.count == math.inf
+            assert "cyclic" in str(outcome.error)
+        assert time.perf_counter() - started < 10.0
