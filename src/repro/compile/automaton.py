@@ -485,9 +485,10 @@ class GrammarTable:
         #: unified fixed-point kernel).  Routing dead successors through it —
         #: rather than through a structural ∅ check — lets the automaton send
         #: semantically dead derivatives to the ∅ sink even when compaction
-        #: has not structurally collapsed them yet.  Its persistent cache is
-        #: sound for the table's lifetime: after construction a node's
-        #: children change only via the semantics-preserving prune pass.
+        #: has not structurally collapsed them yet.  Its final values live on
+        #: the nodes (``prod_state``), sound for the table's lifetime: after
+        #: construction a node's children change only via the
+        #: semantics-preserving prune pass.
         self.productivity = ProductivityAnalyzer(self.nullability, self.metrics)
         self.deriver = Deriver(
             memo=self.memo,

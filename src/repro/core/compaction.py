@@ -69,6 +69,18 @@ interned node always still denotes the language its key describes.
 Reduction functions are keyed by *identity* (structural hashing of fused
 ``Compose`` chains would recurse as deep as the chain), wrapped so the key
 pins the function object against garbage collection and id reuse.
+
+The smart constructors also **settle** what they build (:func:`_settle`):
+a node whose children already carry final nullability and productivity
+gets its own at construction — ``∪`` is the or of its children, ``◦`` the
+and, ``↪`` copies its child, ``δ(L)`` is nullable iff ``L`` is and
+productive iff ``L`` is nullable.  A value computed from final children is
+exact, so the fixed-point kernel (Section 4.2) only ever sees what really
+needs a fixed point: the cyclic placeholders the deriver fills in place and
+the nodes built over them.  Interned hits already carry their state.  The
+raw constructors never settle: a placeholder or a hand-built grammar node
+may still gain children, and an eagerly final parent would hide the
+unsolved region below it from the solver.
 """
 
 from __future__ import annotations
@@ -77,7 +89,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 from .languages import (
+    DEFINITELY_NOT_NULLABLE,
     EMPTY,
+    NULLABLE,
     Alt,
     Cat,
     Delta,
@@ -243,6 +257,46 @@ def _epsilon_intern_key(trees: tuple) -> Optional[tuple]:
     return ("ε", trees[0])
 
 
+def _either(left: Any, right: Any, dominant: Any, other: Any) -> Any:
+    """A connective over final values: ``dominant`` when either side is,
+    ``other`` when both sides are, and None (undecided) otherwise."""
+    if left == dominant or right == dominant:
+        return dominant
+    if left == other and right == other:
+        return other
+    return None
+
+
+def _settle(node: Language) -> Language:
+    """Give a node the smart constructors just built its final nullability
+    and productivity, wherever they follow from its children's final values
+    (the rules are in the module docstring).
+
+    An undecided child that the answer needs leaves the field None, for the
+    fixed-point kernel to decide on first query.
+    """
+    if isinstance(node, Alt):
+        left, right = node.left, node.right
+        node.null_state = _either(
+            left.null_state, right.null_state, NULLABLE, DEFINITELY_NOT_NULLABLE
+        )
+        node.prod_state = _either(left.prod_state, right.prod_state, True, False)
+    elif isinstance(node, Cat):
+        left, right = node.left, node.right
+        node.null_state = _either(
+            left.null_state, right.null_state, DEFINITELY_NOT_NULLABLE, NULLABLE
+        )
+        node.prod_state = _either(left.prod_state, right.prod_state, False, True)
+    elif isinstance(node, Reduce):
+        node.null_state = node.lang.null_state
+        node.prod_state = node.lang.prod_state
+    else:  # Delta
+        node.null_state = node.lang.null_state
+        if node.null_state is not None:
+            node.prod_state = node.null_state == NULLABLE
+    return node
+
+
 class _FnKey:
     """Identity key for a reduction function in the hash-consing table.
 
@@ -374,9 +428,9 @@ class Compactor:
                 return self.make_epsilon(_merge_trees(left.trees, right.trees))
         tainted = _cycle_participant(left) or _cycle_participant(right)
         if cfg.enabled and cfg.hash_consing and not tainted:
-            return self._intern_node(("∪", left, right), lambda: Alt(left, right))
+            return self._intern_node(("∪", left, right), lambda: _settle(Alt(left, right)))
         self._count_node()
-        node = Alt(left, right)
+        node = _settle(Alt(left, right))
         node.reaches_cycle = tainted
         return node
 
@@ -421,9 +475,9 @@ class Compactor:
                 return self.make_reduce(self.make_cat(left.left, inner), ReassocToLeft())
         tainted = _cycle_participant(left) or _cycle_participant(right)
         if cfg.enabled and cfg.hash_consing and not tainted:
-            return self._intern_node(("◦", left, right), lambda: Cat(left, right))
+            return self._intern_node(("◦", left, right), lambda: _settle(Cat(left, right)))
         self._count_node()
-        node = Cat(left, right)
+        node = _settle(Cat(left, right))
         node.reaches_cycle = tainted
         return node
 
@@ -453,9 +507,11 @@ class Compactor:
                 return lang
         tainted = _cycle_participant(lang)
         if cfg.enabled and cfg.hash_consing and not tainted:
-            return self._intern_node(("↪", lang, _fn_intern_key(fn)), lambda: Reduce(lang, fn))
+            return self._intern_node(
+                ("↪", lang, _fn_intern_key(fn)), lambda: _settle(Reduce(lang, fn))
+            )
         self._count_node()
-        node = Reduce(lang, fn)
+        node = _settle(Reduce(lang, fn))
         node.reaches_cycle = tainted
         return node
 
@@ -480,9 +536,9 @@ class Compactor:
                 return EMPTY
         tainted = _cycle_participant(lang)
         if cfg.enabled and cfg.hash_consing and not tainted:
-            return self._intern_node(("δ", lang), lambda: Delta(lang))
+            return self._intern_node(("δ", lang), lambda: _settle(Delta(lang)))
         self._count_node()
-        node = Delta(lang)
+        node = _settle(Delta(lang))
         node.reaches_cycle = tainted
         return node
 

@@ -57,6 +57,11 @@ __all__ = [
 
 _NODE_IDS = itertools.count()
 
+#: Final ``null_state``: the node's language contains the empty word.
+NULLABLE = "nullable"
+#: Final ``null_state``: the node's language does not contain the empty word.
+DEFINITELY_NOT_NULLABLE = "not-nullable"
+
 
 class Language:
     """Base class for all parsing-expression nodes.
@@ -69,7 +74,12 @@ class Language:
       the naming instrumentation of Definition 5,
     * private slots used by the nullability analysis and the single-entry
       memoization of ``derive`` (Section 4.4 stores memo results in node
-      fields rather than hash tables; those fields live here).
+      fields rather than hash tables; those fields live here),
+    * ``null_state`` / ``prod_state`` — the final nullability and
+      productivity of the node, or None while undecided.  Leaves are born
+      final; the smart constructors of :mod:`repro.core.compaction` settle
+      composites whose children are final, and the fixed-point kernel
+      promotes the rest (Section 4.2).
     """
 
     __slots__ = (
@@ -103,9 +113,9 @@ class Language:
         # holds an owner→table dict so memo instances sharing the graph keep
         # disjoint entries and never evict each other
         "memo_table",
-        # nullability cache (Section 4.2)
+        # final nullability and productivity (Section 4.2)
         "null_state",
-        "null_generation",
+        "prod_state",
         # parse-null memo
         "null_parse_epoch",
         "null_parse_result",
@@ -123,7 +133,7 @@ class Language:
         self.memo_result = None
         self.memo_table = None
         self.null_state = None
-        self.null_generation = -1
+        self.prod_state = None
         self.null_parse_epoch = -1
         self.null_parse_result = None
 
@@ -173,6 +183,11 @@ class Empty(Language):
 
     __slots__ = ()
 
+    def __init__(self) -> None:
+        super().__init__()
+        self.null_state = DEFINITELY_NOT_NULLABLE
+        self.prod_state = False
+
     def describe(self) -> str:
         """Render the paper's ``∅`` symbol."""
         return "∅"
@@ -198,6 +213,8 @@ class Epsilon(Language):
     def __init__(self, trees: Iterable[Any] = ((),)) -> None:
         super().__init__()
         self.trees = tuple(trees)
+        self.null_state = NULLABLE
+        self.prod_state = True
 
     def describe(self) -> str:
         """Render ``ε`` with its parse-tree annotations."""
@@ -233,6 +250,8 @@ class Token(Language):
         label: Optional[str] = None,
     ) -> None:
         super().__init__()
+        self.null_state = DEFINITELY_NOT_NULLABLE
+        self.prod_state = True
         self.kind = kind
         self.predicate = predicate
         self.label = label if label is not None else (str(kind) if kind is not None else "<any>")
@@ -566,8 +585,10 @@ def clone_graph(root: Language) -> Language:
     The clone has the same structure and payloads as the original — same
     :func:`structural_fingerprint`, same recognized language, shared token
     predicates, reduction functions and ε-tree payloads — but every node is
-    a new object with pristine memo/nullability/parse-null fields and no
-    anchored compiled table.  Cycles are preserved.
+    a new object with pristine memo/parse-null fields and no anchored
+    compiled table.  Final nullability and productivity are copied: the
+    clone denotes the same languages, so a clone of a settled grammar
+    starts settled.  Cycles are preserved.
 
     This is the isolation primitive behind concurrent serving
     (:mod:`repro.serve`): node-resident caches make a grammar graph
@@ -599,6 +620,8 @@ def clone_graph(root: Language) -> Language:
             clone = Ref(node.ref_name)
         else:
             raise TypeError("cannot clone unknown node type: {!r}".format(node))
+        clone.null_state = node.null_state
+        clone.prod_state = node.prod_state
         clones[id(node)] = clone
     for node in order:
         clone = clones[id(node)]

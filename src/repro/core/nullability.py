@@ -27,6 +27,15 @@ O(1).  :class:`NullabilityAnalyzer` wraps a solver over that declaration
 behind the same public API as before.  The number of node evaluations is
 recorded in ``Metrics.nullable_calls`` — the quantity compared against the
 original implementation in Figure 7.
+
+Most nodes never reach the solver.  Leaves are born final, and the smart
+constructors of :mod:`repro.core.compaction` settle every node they build
+whose children are already final (``∪`` is the or of its children, ``◦``
+the and, ``↪`` and ``δ`` copy their child), so a derived node is final from
+birth unless it sits over a cyclic placeholder.  The kernel therefore only
+runs on the regions that really need a fixed point: the placeholders the
+deriver fills in place on a cycle, the nodes built over them, and grammars
+assembled by hand with the raw constructors.
 """
 
 from __future__ import annotations
@@ -35,6 +44,8 @@ from typing import Optional
 
 from .fixpoint import NOT_FINAL, FixpointAnalysis, FixpointSolver
 from .languages import (
+    DEFINITELY_NOT_NULLABLE,
+    NULLABLE,
     Alt,
     Cat,
     Delta,
@@ -53,14 +64,6 @@ __all__ = [
     "NullabilityAnalysis",
     "NullabilityAnalyzer",
 ]
-
-
-#: Final state: the node's language contains the empty word.
-NULLABLE = "nullable"
-#: Final state: the node's language definitely does not contain the empty word.
-DEFINITELY_NOT_NULLABLE = "not-nullable"
-
-_FINAL_STATES = (NULLABLE, DEFINITELY_NOT_NULLABLE)
 
 
 class NullabilityAnalysis(FixpointAnalysis):

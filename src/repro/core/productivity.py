@@ -20,25 +20,22 @@ nullability (Section 2.4):
 Like nullability, the computation is a :class:`~repro.core.fixpoint`
 declaration: :class:`ProductivityAnalysis` states the lattice and transfer
 function, and the shared kernel supplies dependency tracking, tentative
-values and final promotion.  Two final-value policies are used:
+values and final promotion.  Final values live on the node, in its
+``prod_state`` field, next to ``null_state``; leaves are born final and the
+smart constructors of :mod:`repro.core.compaction` settle every node they
+build over final children, so the kernel only runs on cyclic regions and
+hand-built grammars.
 
-* :class:`ProductivityAnalyzer` owns a persistent dictionary cache.  This is
-  sound for graphs mutated only by derivation and pruning, because both are
-  semantics-preserving on already-constructed nodes: ``derive`` never changes
-  the children of a finished node, and :func:`repro.core.prune.prune_empty`
-  only rewrites a child to ``∅`` when the child already denoted the empty
-  language.
-* :func:`repro.core.prune.prune_empty` runs one-shot solves with a throwaway
-  cache, recomputing from scratch each pass (the historical, assumption-free
-  behaviour for in-place graph surgery).
-
-The cache is keyed by the node object (identity-hashed); an id()-keyed table
-could collide when a previously-queried temporary node has been collected.
+A persistent value is sound for graphs mutated only by derivation and
+pruning, because both are semantics-preserving on already-constructed
+nodes: ``derive`` never changes the children of a finished node, and
+:func:`repro.core.prune.prune_empty` only rewrites a child to ``∅`` when the
+child already denoted the empty language.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from .fixpoint import NOT_FINAL, FixpointAnalysis, FixpointSolver
 from .languages import (
@@ -51,40 +48,24 @@ from .languages import (
     Reduce,
     Ref,
     Token,
+    reachable_nodes,
 )
 from .metrics import Metrics
 from .nullability import NullabilityAnalyzer
 
-__all__ = ["ProductivityAnalysis", "ProductivityAnalyzer"]
+__all__ = ["ProductivityAnalysis", "ProductivityAnalyzer", "settle_graph"]
 
 
 class ProductivityAnalysis(FixpointAnalysis):
     """Non-emptiness as a lattice declaration for the fixed-point kernel.
 
-    Parameters
-    ----------
-    cache:
-        The final-value store (node → bool).  Pass a long-lived dictionary
-        for incremental analyzers, a throwaway one for one-shot passes.
-    nullability:
-        Decides the ``δ(L)`` case (``δ(L)`` is non-empty iff ``L`` is
-        nullable).
-    strict:
-        When True (the analyzer default), unknown node types raise
-        ``TypeError``; when False (the prune pass), they are conservatively
-        treated as productive so in-place surgery never deletes what it does
-        not understand.
+    Final values are read from and promoted into the ``prod_state`` node
+    field; ``nullability`` decides the ``δ(L)`` case (``δ(L)`` is non-empty
+    iff ``L`` is nullable).
     """
 
-    def __init__(
-        self,
-        cache: Dict[Language, bool],
-        nullability: NullabilityAnalyzer,
-        strict: bool = True,
-    ) -> None:
-        self.cache = cache
+    def __init__(self, nullability: NullabilityAnalyzer) -> None:
         self.nullability = nullability
-        self.strict = strict
 
     # ------------------------------------------------------------- the lattice
     def bottom(self, node: Language) -> bool:
@@ -119,9 +100,7 @@ class ProductivityAnalysis(FixpointAnalysis):
             return self._child(node.lang, get)
         if isinstance(node, Ref):
             return self._child(node.target, get)
-        if self.strict:
-            raise TypeError("unknown language node type: {!r}".format(node))
-        return True  # unknown node types are conservatively kept
+        raise TypeError("unknown language node type: {!r}".format(node))
 
     @staticmethod
     def _child(child: Optional[Language], get) -> bool:
@@ -131,12 +110,13 @@ class ProductivityAnalysis(FixpointAnalysis):
 
     # --------------------------------------------------------- final promotion
     def final(self, node: Language):
-        """Read the cached final productivity of ``node``, if promoted."""
-        return self.cache.get(node, NOT_FINAL)
+        """Read the final productivity of ``node``, if it has one."""
+        state = node.prod_state
+        return NOT_FINAL if state is None else state
 
     def finalize(self, node: Language, value: bool) -> None:
-        """Cache ``value`` as ``node``'s final productivity."""
-        self.cache[node] = value
+        """Promote ``value`` into ``node``'s ``prod_state`` field."""
+        node.prod_state = value
 
 
 class ProductivityAnalyzer:
@@ -149,18 +129,31 @@ class ProductivityAnalyzer:
     ) -> None:
         self.nullability = nullability if nullability is not None else NullabilityAnalyzer()
         self.metrics = metrics if metrics is not None else self.nullability.metrics
-        self._cache: Dict[Language, bool] = {}
-        self._solver = FixpointSolver(
-            ProductivityAnalysis(self._cache, self.nullability), self.metrics
-        )
+        self._solver = FixpointSolver(ProductivityAnalysis(self.nullability), self.metrics)
 
     def productive(self, node: Language) -> bool:
         """True when the language of ``node`` is non-empty."""
-        cached = self._cache.get(node)
-        if cached is not None:
-            return cached
+        state = node.prod_state
+        if state is not None:
+            return state
         return self._solver.value(node)
 
     def is_empty(self, node: Language) -> bool:
         """True when the language of ``node`` contains no words at all."""
         return not self.productive(node)
+
+
+def settle_graph(root: Language, nullability: Optional[NullabilityAnalyzer] = None) -> None:
+    """Decide the nullability and productivity of every node under ``root``.
+
+    Every reachable node is queried, not only the root: a node settled by a
+    smart constructor may sit above a child nobody has decided yet.  The
+    serve layer settles the seed its worker clones copy
+    (:class:`repro.serve.cache.CacheEntry`), so a worker parser built at
+    any time starts with no fixed point left to solve.
+    """
+    nullability = nullability if nullability is not None else NullabilityAnalyzer()
+    productivity = ProductivityAnalyzer(nullability)
+    for node in reachable_nodes(root):
+        nullability.nullable(node)
+        productivity.productive(node)

@@ -15,17 +15,21 @@ during compaction: a child that provably generates no words is replaced by
 ``∅`` so the ordinary ``∅``-rules can collapse its parents.  This module
 implements that as a standalone pass:
 
-* :func:`prune_empty` computes productivity (non-emptiness) for every node
+* :func:`prune_empty` decides productivity (non-emptiness) for every node
   reachable from the current grammar — treating ``δ(L)`` as a leaf whose
-  emptiness is decided by ``L``'s (already cached) nullability — and rewrites
-  child pointers of unproductive children to the canonical ``∅`` in place.
+  emptiness is decided by ``L``'s nullability — and rewrites child pointers
+  of unproductive children to the canonical ``∅`` in place.
 
-The emptiness computation itself is not implemented here: it is one more
-one-shot solve of the shared :class:`~repro.core.productivity.
-ProductivityAnalysis` declaration on the unified fixed-point kernel
-(:mod:`repro.core.fixpoint`), run with a throwaway cache because this pass
-performs in-place graph surgery and deliberately assumes nothing between
-passes.  ``strict=False`` keeps unknown node types conservatively alive.
+The emptiness computation itself is not implemented here: it is the shared
+:class:`~repro.core.productivity.ProductivityAnalysis` declaration on the
+unified fixed-point kernel (:mod:`repro.core.fixpoint`), whose final values
+live on the nodes (``prod_state``).  Most live nodes were settled when they
+were built, so a pass solves only from the live nodes still undecided —
+every one of them, not the root alone: a root settled productive at
+construction would stop the solver's sweep before the dead cyclic cores
+below it.  The rewrite keeps those values exact, because an unproductive
+child is also non-nullable and ``∅`` has the same nullability and
+productivity as the child it replaces.
 
 :class:`repro.core.parse.DerivativeParser` invokes the pass adaptively (when
 the number of uncached ``derive`` calls since the last prune exceeds a small
@@ -43,18 +47,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .fixpoint import FixpointSolver
-from .languages import (
-    EMPTY,
-    Alt,
-    Cat,
-    Delta,
-    Empty,
-    Epsilon,
-    Language,
-    Reduce,
-    Ref,
-    Token,
-)
+from .languages import EMPTY, Alt, Cat, Delta, Empty, Language, Reduce, Ref
 from .metrics import Metrics
 from .nullability import NullabilityAnalyzer
 from .productivity import ProductivityAnalysis
@@ -144,22 +137,14 @@ def prune_empty(
     """
     nullability = nullability if nullability is not None else NullabilityAnalyzer()
     nodes = live_nodes(root)
-
-    # One-shot emptiness solve on the shared kernel: a throwaway cache (this
-    # pass mutates the graph, so nothing is assumed across passes) and
-    # strict=False (unknown node types stay conservatively alive).
     solver = FixpointSolver(
-        ProductivityAnalysis({}, nullability, strict=False),
+        ProductivityAnalysis(nullability),
         metrics if metrics is not None else nullability.metrics,
     )
-    productive = solver.solve([root])
+    solver.solve([node for node in nodes if node.prod_state is None])
 
     def is_dead(child: Optional[Language]) -> bool:
-        if child is None or isinstance(child, Empty):
-            return False  # nothing to rewrite
-        if isinstance(child, (Epsilon, Token)):
-            return False
-        return not productive.get(child, True)
+        return child is not None and child.prod_state is False and not isinstance(child, Empty)
 
     rewrites = 0
     for node in nodes:
@@ -182,6 +167,6 @@ def prune_empty(
     if metrics is not None:
         metrics.compaction_rewrites += rewrites
 
-    if not productive.get(root, True):
+    if root.prod_state is False:
         return EMPTY, 1
     return root, len(live_nodes(root))

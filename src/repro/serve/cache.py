@@ -41,6 +41,8 @@ from ..compile.automaton import GrammarTable, as_root
 from ..compile.serialize import restore_table
 from ..core.languages import Language, clone_graph, structural_fingerprint
 from ..core.metrics import Metrics
+from ..core.nullability import NullabilityAnalyzer
+from ..core.productivity import settle_graph
 from ..obs.logging import NULL_LOGGER, StructuredLogger
 from .metrics import ServiceMetrics
 
@@ -82,8 +84,9 @@ class CacheEntry:
 
     ``table`` is the service-private :class:`GrammarTable` every
     recognition rides (thread-safe per its own contract).
-    ``pristine_root`` is a clone of the same grammar that is never parsed
-    on — its only job is to be read by :func:`clone_graph` when a worker
+    ``pristine_root`` is a clone of the same grammar, its nullability and
+    productivity decided at construction, that is never parsed on — its
+    only job is to be read by :func:`clone_graph` when a worker
     thread needs a private graph for tree extraction, which makes
     concurrent seeding safe without any lock.  Holders of an entry keep the
     table alive across cache eviction.
@@ -101,6 +104,9 @@ class CacheEntry:
         self.fingerprint = fingerprint
         self.table = table
         self.pristine_root = pristine_root
+        # Decided once, here: worker clones copy the final values, so a
+        # worker parser built at any time has no fixed point left to solve.
+        settle_graph(pristine_root, NullabilityAnalyzer(engine_metrics))
         #: The table's private engine counter bag (advanced only under the
         #: table lock); aggregated by :meth:`repro.serve.ParseService.stats`.
         self.engine_metrics = engine_metrics

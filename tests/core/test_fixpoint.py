@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     EMPTY,
+    Compactor,
+    DerivativeParser,
     FixpointAnalysis,
     FixpointSolver,
     Metrics,
@@ -24,6 +26,7 @@ from repro.core import (
 )
 from repro.core.languages import Alt, Cat, Delta, Empty, Epsilon, Language, Reduce, Token
 from repro.core.nullability import DEFINITELY_NOT_NULLABLE, NULLABLE
+from repro.core.productivity import settle_graph
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +179,56 @@ def test_final_promotion_marks_every_covered_node(spec):
     fixed_points_before = analyzer.metrics.nullable_fixed_points
     analyzer.nullable(root)
     assert analyzer.metrics.nullable_fixed_points == fixed_points_before
+
+
+@settings(max_examples=120, deadline=None)
+@given(grammar_spec(), st.lists(st.sampled_from(["a", "b"]), max_size=4))
+def test_settled_states_equal_the_naive_fixed_point(spec, word):
+    # Derived nodes are settled by the smart constructors (or promoted by
+    # the kernel); either way a final state must be the least fixed point.
+    state = DerivativeParser(build_grammar(spec)).start()
+    for tok in word:
+        state.feed(tok)
+    root = state.language
+    expected_nullable = naive_nullable(root)
+    expected_productive = naive_productive(root, expected_nullable)
+    for node in reachable_nodes(root):
+        if node.null_state is not None:
+            assert (node.null_state == NULLABLE) is expected_nullable[id(node)], node
+        if node.prod_state is not None:
+            assert node.prod_state is expected_productive[id(node)], node
+
+
+def test_settle_graph_decides_nodes_below_a_settled_one():
+    dead = Ref("D")
+    dead.set(Cat(token("x"), dead))
+    root = Compactor().make_alt(epsilon(()), dead)
+    assert (root.null_state, root.prod_state) == (NULLABLE, True)
+    assert (dead.null_state, dead.prod_state) == (None, None)
+    settle_graph(root)
+    for node in reachable_nodes(root):
+        assert node.null_state is not None and node.prod_state is not None
+    assert (dead.null_state, dead.prod_state) == (DEFINITELY_NOT_NULLABLE, False)
+
+
+def test_smart_constructors_settle_over_final_children():
+    compactor = Compactor()
+    a = token("a")
+    nullable_alt = compactor.make_alt(a, epsilon(()))
+    assert (nullable_alt.null_state, nullable_alt.prod_state) == (NULLABLE, True)
+    cat = compactor.make_cat(a, nullable_alt)
+    assert (cat.null_state, cat.prod_state) == (DEFINITELY_NOT_NULLABLE, True)
+    delta = compactor.make_delta(cat)
+    assert (delta.null_state, delta.prod_state) == (DEFINITELY_NOT_NULLABLE, False)
+    # An undecided child leaves the state undecided unless the other side
+    # already decides it, and the raw constructors never settle.
+    pending = Ref("P")
+    undecided = compactor.make_cat(pending, nullable_alt)
+    assert (undecided.null_state, undecided.prod_state) == (None, None)
+    assert compactor.make_alt(pending, nullable_alt).null_state == NULLABLE
+    assert compactor.make_cat(a, pending).null_state == DEFINITELY_NOT_NULLABLE
+    assert compactor.make_cat(pending, EMPTY).prod_state is False
+    assert Alt(a, epsilon(())).null_state is None
 
 
 # ---------------------------------------------------------------------------

@@ -218,3 +218,17 @@ class TestCloneGraph:
             assert node.memo_epoch == -1
             assert node.memo_table is None
             assert node.compiled_table is None
+
+    def test_clone_carries_final_analyses(self):
+        from repro.core.languages import clone_graph
+        from repro.core.productivity import settle_graph
+
+        e = Ref("E")
+        e.set((e + token("+") + token("n")) | token("n"))
+        raw = clone_graph(e)
+        assert raw.null_state is None and raw.prod_state is None
+        settle_graph(e)
+        clone = clone_graph(e)
+        for source, copy in zip(reachable_nodes(e), reachable_nodes(clone)):
+            assert source.null_state is not None and source.prod_state is not None
+            assert (copy.null_state, copy.prod_state) == (source.null_state, source.prod_state)

@@ -8,6 +8,11 @@ calls per token, and the number of live grammar nodes.  Without the
 that each later token derives again — uncached derives per token climb
 from ~100 to ~700 over 2k tokens, and the live grammar from ~280 to ~840
 nodes.
+
+The fixed-point work per token is gated too: nodes built over final
+children are settled at construction, so the nullability/productivity
+kernel only runs on cyclic regions (~21 evaluations per token on PL/0,
+none on JSON; re-solving every derived node cost ~77 and ~30).
 """
 
 import pytest
@@ -20,6 +25,8 @@ from repro.workloads import json_document_tokens, pl0_tokens
 #: Tokens per measuring window, and the stream length the gate covers.
 WINDOW = 500
 LENGTH = 2000
+#: Fixed-point evaluations per token allowed in the last window.
+MAX_EVALUATIONS_PER_TOKEN = {"pl0": 30, "json-documents": 2}
 
 
 @pytest.mark.parametrize(
@@ -31,14 +38,18 @@ def test_tree_path_work_and_live_size_stay_flat(cell_id, generator):
     parser = DerivativeParser(CELLS_BY_ID[cell_id].grammar.factory())
     state = parser.start()
     uncached = [parser.metrics.derive_uncached]
+    evaluations = [parser.metrics.fixpoint_node_evaluations]
     live_at = {}
     for position, token in enumerate(tokens, 1):
         state.feed(token)
         assert not state.failed
         if position % WINDOW == 0:
             uncached.append(parser.metrics.derive_uncached)
+            evaluations.append(parser.metrics.fixpoint_node_evaluations)
             live_at[position] = len(live_nodes(state.language))
     first = uncached[1] - uncached[0]
     last = uncached[-1] - uncached[-2]
     assert last <= 1.25 * first, (first, last)
     assert live_at[LENGTH] <= 1.5 * live_at[WINDOW], live_at
+    last_evaluations = (evaluations[-1] - evaluations[-2]) / WINDOW
+    assert last_evaluations <= MAX_EVALUATIONS_PER_TOKEN[cell_id], evaluations

@@ -1,6 +1,14 @@
 """Tests for the productivity analysis and the empty-branch pruning pass."""
 
-from repro.core import CompactionConfig, DerivativeParser, Ref, count_trees, epsilon, token
+from repro.core import (
+    CompactionConfig,
+    Compactor,
+    DerivativeParser,
+    Ref,
+    count_trees,
+    epsilon,
+    token,
+)
 from repro.core.languages import EMPTY, Alt, Cat, Delta, Empty, graph_size
 from repro.core.nullability import NullabilityAnalyzer
 from repro.core.productivity import ProductivityAnalyzer
@@ -43,8 +51,21 @@ class TestProductivity:
     def test_results_are_cached(self):
         analyzer = ProductivityAnalyzer()
         node = Alt(token("a"), EMPTY)
+        assert node.prod_state is None
         assert analyzer.productive(node) is True
+        assert node.prod_state is True
+        solves = analyzer.metrics.fixpoint_solves
         assert analyzer.productive(node) is True
+        assert analyzer.metrics.fixpoint_solves == solves
+
+    def test_results_are_shared_across_analyzers(self):
+        # The final value lives on the node, so a second analyzer reuses it.
+        ref = Ref("L")
+        ref.set(Cat(ref, token("a")))
+        assert ProductivityAnalyzer().is_empty(ref) is True
+        fresh = ProductivityAnalyzer()
+        assert fresh.is_empty(ref) is True
+        assert fresh.metrics.fixpoint_node_evaluations == 0
 
 
 class TestPruneEmpty:
@@ -56,6 +77,20 @@ class TestPruneEmpty:
         assert new_root is root
         assert isinstance(root.left, Empty)
         assert live <= 3
+
+    def test_settled_root_does_not_hide_dead_cycles(self):
+        # D = x ◦ D generates nothing.  The smart constructor settles the
+        # root ε ∪ D as productive before any solve, so a pass that solved
+        # from the root alone would never look below it.
+        compactor = Compactor()
+        dead = Ref("D")
+        dead.set(Cat(token("x"), dead))
+        root = compactor.make_alt(compactor.make_epsilon(((),)), dead)
+        assert root.prod_state is True
+        assert dead.prod_state is None
+        new_root, _live = prune_empty(root)
+        assert new_root is root
+        assert root.right is EMPTY
 
     def test_fully_dead_grammar_prunes_to_empty(self):
         dead = Ref("dead")

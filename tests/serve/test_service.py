@@ -70,6 +70,7 @@ class TestBatchAPIs:
         # the lru_cached evaluation grammars are shared across the whole
         # test run and other suites legitimately cache on them.
         from repro.core import Ref, reachable_nodes, token
+        from repro.core.languages import Alt, Cat
 
         grammar = Ref("E")
         grammar.set((token("a") + grammar) | token("a"))
@@ -80,7 +81,12 @@ class TestBatchAPIs:
             assert node.compiled_table is None
             assert node.memo_table is None
             assert node.memo_epoch == -1
-            assert node.null_generation == -1
+            assert node.null_parse_epoch == -1
+            if isinstance(node, (Alt, Cat, Ref)):
+                # Leaves are born final; a composite only gains a state
+                # when an analysis runs on it, which must be on a clone.
+                assert node.null_state is None
+                assert node.prod_state is None
 
 
 class TestTableCache:
