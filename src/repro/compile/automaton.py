@@ -1,17 +1,28 @@
 """The lazy derivative automaton and its grammar-owned transition table.
 
 A :class:`GrammarTable` compiles a grammar *incrementally*: its states are
-derivative languages interned by node identity, and its transitions are
-``state × token-class → state`` edges discovered the first time a parse
-crosses them.  Three properties make this a compiler rather than a cache:
+recognition-only derivative languages interned by a canonical key of their
+live graph, and its transitions are ``state × token-class → state`` edges
+discovered the first time a parse crosses them.  Four properties make this
+a compiler rather than a cache:
 
 * **States are interned derivative closures.**  The table owns a
   *persistent* derive memo (:class:`repro.core.memo.PersistentDictMemo`), so
   deriving a given language node by a given token always returns the
-  identical result node — node identity (the hash-consing key of
-  :mod:`repro.core.languages`) is therefore a sound interning key for
-  states, and re-walking previously seen input costs one dictionary lookup
-  per token instead of one graph traversal.
+  identical result node, and re-walking previously seen input costs one
+  dictionary lookup per token instead of one graph traversal.
+
+* **New input re-enters existing states.**  Node identity alone never
+  shares a state between two inputs: derivatives of cyclic regions are
+  fresh placeholders.  So a newly derived state that misses the identity
+  map is keyed by the canonical structure of its derived region
+  (:meth:`GrammarTable._state_key`); when another state has the same key,
+  the two graphs are isomorphic and denote one language, and the edge
+  points at the existing state.  This is the grammar analogue of the
+  similarity rules that keep Brzozowski automata finite (Owens, Reppy &
+  Turon, JFP 2009).  The key walk is bounded by the derivation work of the
+  step, so grammars whose states genuinely grow (highly ambiguous ones)
+  fall back to identity interning at a constant-factor cost.
 
 * **Transitions are per token-class, not per token.**  Each state partitions
   the token alphabet by match signature (:class:`.classes.TokenClassifier`);
@@ -29,15 +40,17 @@ crosses them.  Three properties make this a compiler rather than a cache:
   shared nodes under the table's own owner token and can never be read,
   evicted or cleared by other parsers sharing the graph.
 
-The automaton is a *recognition* device — transitions reuse a class
-representative's derivative, which is recognition-equivalent but carries the
-representative's parse-tree payloads.  Forest extraction therefore always
-falls back to on-the-fly derivation (see :class:`~repro.compile.CompiledParser`).
+The automaton is a *recognition* device.  Its deriver builds through a
+:class:`~repro.core.compaction.TreeFreeCompactor`, so states carry no parse
+trees at all (the root itself is optimized with the tree-keeping
+compactor, because tree-producing parsers derive from it).  Forest
+extraction therefore always falls back to on-the-fly derivation (see
+:class:`~repro.compile.CompiledParser`).
 
 States materialized from a serialized table (:mod:`.serialize`) start with
 no language attached; each carries a *witness* (parent state + representative
 token) so the language can be rebuilt on demand by deriving along the
-witness chain.
+witness chain.  A materialized state registers its canonical key then.
 
 **Concurrency contract.**  A table is shared *read-mostly*: the executor's
 hot loops probe ``by_kind``/``by_signature`` without synchronization, and
@@ -67,14 +80,26 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Optional
 
-from ..core.compaction import CompactionConfig, Compactor, optimize_initial_grammar
+from ..core.compaction import (
+    CompactionConfig,
+    Compactor,
+    TreeFreeCompactor,
+    optimize_initial_grammar,
+)
 from ..core.derivative import Deriver
 from ..core.errors import GrammarError, ReproError
 from ..core.languages import (
     EMPTY,
+    Alt,
+    Cat,
+    Delta,
     Empty,
+    Epsilon,
     Language,
+    Reduce,
+    Ref,
     graph_size,
+    reachable_nodes,
     structural_fingerprint,
     token_kind,
 )
@@ -108,6 +133,20 @@ DENSE_DEAD = -1
 #: state id.  A fresh ``object()`` can never compare equal to a token kind,
 #: so the reservation is invisible to ``row.get(kind)`` probes.
 DENSE_SID = object()
+
+
+#: The canonical key walk of a new state may visit ``_KEY_FACTOR`` derived
+#: nodes per uncached derive of the step that built it, plus
+#: ``_KEY_SLACK``.  Fixed constants: without the bound, keying the states
+#: of highly ambiguous grammars (whose derived regions grow with the
+#: input) costs many times the derivation itself.
+_KEY_FACTOR = 4
+_KEY_SLACK = 32
+
+
+def _key_budget(uncached: int) -> int:
+    """The key-walk bound of a state built by ``uncached`` derive steps."""
+    return _KEY_FACTOR * uncached + _KEY_SLACK
 
 
 class DenseCore:
@@ -474,7 +513,10 @@ class GrammarTable:
         self.lock = threading.RLock()
         self.metrics = metrics if metrics is not None else Metrics()
         self.compaction_config = CompactionConfig.full()
-        self.compactor = Compactor(self.compaction_config, self.metrics)
+        #: The deriver's compactor keeps no trees: states are recognition
+        #: devices, and trees come from parsers over :attr:`root`, which is
+        #: therefore optimized with the tree-keeping compactor below.
+        self.compactor = TreeFreeCompactor(self.compaction_config, self.metrics)
         #: The transition cache's backbone: a grammar-lifetime derive memo.
         #: Its owner-keyed entries on the shared nodes are what make state
         #: interning by node identity sound (same node × same token → the
@@ -497,9 +539,18 @@ class GrammarTable:
             metrics=self.metrics,
         )
         if optimize:
-            root = optimize_initial_grammar(root, self.compactor)
+            root = optimize_initial_grammar(
+                root, Compactor(self.compaction_config, self.metrics)
+            )
         self.optimized = optimize
         self.root = root
+        #: ``id → node`` for every node reachable from the root before any
+        #: derivation.  The canonical state key stops at these and names
+        #: them by identity: derivation never changes their language (it
+        #: builds no Token and fills only nodes of its own; pruning
+        #: preserves languages).  The values pin the ids for the table's
+        #: lifetime.
+        self._pristine = {id(node): node for node in reachable_nodes(root)}
         # Snapshot the fingerprint *now*, before any derivation: adaptive
         # pruning rewrites child pointers of the shared graph in place, so a
         # fingerprint taken lazily at save time would never match the one a
@@ -526,9 +577,17 @@ class GrammarTable:
         #: predicate terminals (value-dependent classification).
         self.dense: Optional[DenseCore] = DenseCore() if self.pure else None
         self._states: Dict[Language, AutomatonState] = {}
+        #: Canonical state key (:meth:`_state_key`) → the state it names.
+        self._by_key: Dict[tuple, AutomatonState] = {}
         self._by_index: List[AutomatonState] = []
         #: Number of transitions resolved by actually deriving (cache misses).
         self.transitions_derived = 0
+        #: New derived states that re-entered an existing state by key.
+        self.states_shared = 0
+        #: New states whose key walk passed its bound (identity-interned).
+        self.keys_skipped = 0
+        #: Derived nodes visited by key walks, abandoned ones included.
+        self.key_nodes_walked = 0
         self.dead = AutomatonState(index=-1, language=EMPTY, accepting=False, dead=True)
         # Adaptive empty-branch pruning, on the exact schedule the
         # interpreted parser uses (shared implementation).
@@ -537,7 +596,7 @@ class GrammarTable:
         self._prune_schedule = AdaptivePruneSchedule(
             graph_size(root), self.metrics.derive_uncached
         )
-        self.start = self._intern(root, parent=None, via=None)
+        self.start = self._intern(root, parent=None, via=None, budget=_KEY_SLACK)
 
     # ------------------------------------------------------------- interning
     def _intern(
@@ -545,10 +604,25 @@ class GrammarTable:
         language: Language,
         parent: Optional[AutomatonState],
         via: Any,
+        budget: int,
     ) -> AutomatonState:
+        """The state for ``language``: by identity, else by canonical key.
+
+        ``budget`` bounds the key walk (see :meth:`_state_key`).  A key hit
+        also records ``language`` in the identity map, so a later edge that
+        derives the same node skips the walk.
+        """
         state = self._states.get(language)
         if state is not None:
             return state
+        key = self._state_key(language, budget)
+        if key is not None:
+            state = self._by_key.get(key)
+            if state is not None:
+                self._states[language] = state
+                self.states_shared += 1
+                self.metrics.states_shared += 1
+                return state
         state = AutomatonState(
             index=len(self._by_index),
             language=language,
@@ -560,10 +634,110 @@ class GrammarTable:
             state.transient = True
             return state
         self._states[language] = state
+        if key is not None:
+            self._by_key[key] = state
         self._by_index.append(state)
         if self.dense is not None:
             self.dense.add_state(state)
         return state
+
+    def _state_key(self, language: Language, budget: int) -> Optional[tuple]:
+        """A canonical key of ``language``'s live graph, or None past ``budget``.
+
+        Two states with equal keys have isomorphic graphs, hence one
+        language, so the automaton may send both edges to one state — the
+        grammar analogue of the similarity rules that keep Brzozowski's
+        regular-expression automata finite (Owens, Reppy & Turon, JFP
+        2009).  The key is exact, not a digest; an isomorphism it misses
+        costs one extra state, never a wrong verdict.
+
+        The walk covers *derived* nodes only; pristine nodes (reachable
+        from the root before any derivation) are named by identity.  It
+        is abandoned rather than visit more than ``budget`` derived nodes,
+        which keeps keying within a constant factor of the derivation
+        that built the state.  One productivity solve then decides the
+        walked region, and the key lists the nodes in discovery order:
+
+        * a dead node is ``∅``, and a ``∪`` with a dead side is its other
+          side;
+        * ``↪`` and ``Ref`` are transparent (the table's states carry no
+          trees, so a reduction changes nothing);
+        * ``∪``/``◦`` are ordered pairs and ``δ`` a single child, by index;
+        * a derived ``ε`` is the unit ``ε``.
+        """
+        pristine = self._pristine
+        seen: set = set()
+        undecided: List[Language] = []
+        stack = [language]
+        while stack:
+            node = stack.pop()
+            if id(node) in pristine or id(node) in seen:
+                continue
+            if len(seen) == budget:
+                self.key_nodes_walked += budget
+                self.keys_skipped += 1
+                self.metrics.keys_skipped += 1
+                return None
+            seen.add(id(node))
+            if node.prod_state is None:
+                undecided.append(node)
+            if isinstance(node, (Alt, Cat)):
+                stack.append(node.right)
+                stack.append(node.left)
+            elif isinstance(node, (Reduce, Delta)):
+                stack.append(node.lang)
+            elif isinstance(node, Ref):
+                stack.append(node.target)
+        self.key_nodes_walked += len(seen)
+        if undecided:
+            self.productivity.settle(undecided)
+
+        def canonical(node: Language) -> Language:
+            # Every skip lands on a node of equal language; a loop of skips
+            # would be a language equal only to itself, which is dead.
+            while node.prod_state is not False and id(node) not in pristine:
+                if isinstance(node, Reduce):
+                    node = node.lang
+                elif isinstance(node, Ref):
+                    node = node.target
+                elif isinstance(node, Alt) and node.left.prod_state is False:
+                    node = node.right
+                elif isinstance(node, Alt) and node.right.prod_state is False:
+                    node = node.left
+                else:
+                    return node
+            return EMPTY if node.prod_state is False else node
+
+        entries: List[Any] = []
+        numbers: Dict[int, int] = {}
+
+        def number(node: Language) -> int:
+            node = canonical(node)
+            found = numbers.get(id(node))
+            if found is None:
+                found = numbers[id(node)] = len(entries)
+                entries.append(node)
+                pending.append(found)
+            return found
+
+        pending: List[int] = []
+        number(language)
+        while pending:
+            index = pending.pop()
+            node = entries[index]
+            if node is EMPTY:
+                entries[index] = "∅"
+            elif id(node) in pristine:
+                continue  # named by identity
+            elif isinstance(node, Alt):
+                entries[index] = ("∪", number(node.left), number(node.right))
+            elif isinstance(node, Cat):
+                entries[index] = ("◦", number(node.left), number(node.right))
+            elif isinstance(node, Delta):
+                entries[index] = ("δ", number(node.lang))
+            elif isinstance(node, Epsilon):
+                entries[index] = "ε"
+        return tuple(entries)
 
     # ------------------------------------------------------------- stepping
     def step_slow(self, state: AutomatonState, tok: Any) -> AutomatonState:
@@ -598,6 +772,7 @@ class GrammarTable:
             successor = state.by_signature.get(signature)
             if successor is None:
                 self.transitions_derived += 1
+                uncached = self.metrics.derive_uncached
                 derived = self.deriver.derive(state.language, tok)
                 if (
                     self.prune_enabled
@@ -613,7 +788,12 @@ class GrammarTable:
                     # route to the sink instead of interning a zombie state.
                     successor = self.dead
                 else:
-                    successor = self._intern(derived, parent=state, via=tok)
+                    successor = self._intern(
+                        derived,
+                        parent=state,
+                        via=tok,
+                        budget=_key_budget(self.metrics.derive_uncached - uncached),
+                    )
                 if not successor.transient and not state.transient:
                     state.by_signature[signature] = successor
             if self.pure and not successor.transient and not state.transient:
@@ -650,6 +830,7 @@ class GrammarTable:
             cursor = cursor.parent
         language = cursor.language
         for entry in reversed(chain):
+            uncached = self.metrics.derive_uncached
             language = self.deriver.derive(language, entry.via)
             if language is EMPTY or isinstance(language, Empty):
                 raise ReproError(
@@ -660,11 +841,15 @@ class GrammarTable:
             entry.accepting = self.nullability.nullable(language)
             if self.dense is not None and entry.dense_id is not None:
                 self.dense.accepting[entry.dense_id] = entry.accepting
-            # Reconnect the node-identity interning map; if another state
-            # already claims this node the first claimant keeps it (both
-            # remain correct — the persistent memo gives them identical
-            # successor nodes).
+            # Reconnect the identity and key interning maps; if another
+            # state already claims this node or key the first claimant
+            # keeps it (both remain correct: they denote one language).
             self._states.setdefault(language, entry)
+            key = self._state_key(
+                language, _key_budget(self.metrics.derive_uncached - uncached)
+            )
+            if key is not None:
+                self._by_key.setdefault(key, entry)
         return state.language
 
     # --------------------------------------------------------- dense metering
@@ -728,6 +913,9 @@ class GrammarTable:
             "class_transitions": self.transition_count(),
             "kind_transitions": flattened,
             "transitions_derived": self.transitions_derived,
+            "states_shared": self.states_shared,
+            "keys_skipped": self.keys_skipped,
+            "key_nodes_walked": self.key_nodes_walked,
             "memo_entries": self.memo.entry_count(),
             "pure": self.pure,
             "dense_states": len(dense.rows) if dense is not None else 0,

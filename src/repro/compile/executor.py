@@ -19,10 +19,10 @@ signature → successor (kept public as
 :meth:`CompiledParser.recognize_object`, the dense path's differential
 reference).
 
-Parse-*forest* obligations cannot ride the automaton: transitions are
-interned per token **class**, so a cached successor carries the parse-tree
-payloads of whichever class representative first crossed the edge, not of
-the token actually consumed.  Any API that must produce trees therefore
+Parse-*forest* obligations cannot ride the automaton: its states are
+derived tree-free and shared between inputs (canonically interned), and
+transitions are interned per token **class**, so no state knows the trees
+of the tokens actually consumed.  Any API that must produce trees therefore
 falls back to on-the-fly derivation through an internal
 :class:`~repro.core.parse.DerivativeParser` over the same grammar root
 (sound to interleave with the table: all node-resident caches are owner- or

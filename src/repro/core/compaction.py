@@ -39,9 +39,13 @@ rewrite rules have fired, a surviving ``∪``/``◦``/``↪→``/``δ`` construc
 is interned in a per-compactor table keyed by form + child *identity*, so
 structurally identical acyclic results are one canonical node.  Repeated
 derivations that would previously have rebuilt isomorphic sub-graphs now
-return the existing node, which shrinks derivative graphs, collapses
-compiled-automaton states that were distinct-but-isomorphic, and reduces
-derive-memo entries (the Figure 10 quantity).  Child-identity keys hold
+return the existing node, which shrinks derivative graphs and reduces
+derive-memo entries (the Figure 10 quantity).  Hash-consing does *not*
+collapse compiled-automaton states: derivatives of cyclic regions are fresh
+placeholders that never reach the table, so two isomorphic states stay two
+nodes.  The compiled table interns states by a canonical key of their live
+graph instead (:class:`repro.compile.automaton.GrammarTable`), over nodes
+built by :class:`TreeFreeCompactor`.  Child-identity keys hold
 strong references, so the table's lifetime follows its owner — the parser
 for the interpreted engine (cleared by ``DerivativeParser.reset``), the
 grammar itself for the compiled engine (alongside its
@@ -69,6 +73,15 @@ interned node always still denotes the language its key describes.
 Reduction functions are keyed by *identity* (structural hashing of fused
 ``Compose`` chains would recurse as deep as the chain), wrapped so the key
 pins the function object against garbage collection and id reuse.
+
+**Recognition-only derivation.**  :class:`TreeFreeCompactor` is the
+compactor of the compiled table's deriver.  The table only ever asks its
+states whether they accept; trees come from an interpreted parser over the
+same grammar.  So the tree-free compactor builds every ``ε`` as one unit
+tree, drops every reduction (after ``∅ ↪→ f ⇒ ∅``) and builds ``δ(L)`` as
+that unit ``ε`` (the deriver only asks for ``δ`` of a nullable ``L``).
+Derived states then carry no payload that differs between two inputs with
+the same future, which is what lets the table's canonical key share them.
 
 The smart constructors also **settle** what they build (:func:`_settle`):
 a node whose children already carry final nullability and productivity
@@ -114,7 +127,7 @@ from .reductions import (
     compose,
 )
 
-__all__ = ["CompactionConfig", "Compactor", "optimize_initial_grammar"]
+__all__ = ["CompactionConfig", "Compactor", "TreeFreeCompactor", "optimize_initial_grammar"]
 
 
 @dataclass
@@ -343,6 +356,9 @@ class Compactor:
     """Smart constructors implementing the reduction rules of Section 4.3,
     plus grammar-scoped hash-consing of their results (module docstring)."""
 
+    #: Whether the nodes built here carry parse trees (module docstring).
+    keeps_trees = True
+
     def __init__(
         self,
         config: Optional[CompactionConfig] = None,
@@ -566,6 +582,40 @@ class Compactor:
         self._count_node()
         self.metrics.placeholders_created += 1
         return Ref(ref_name, None)
+
+
+#: The one tree every :class:`TreeFreeCompactor` ε carries.
+_UNIT_TREES = ((),)
+
+
+class TreeFreeCompactor(Compactor):
+    """Smart constructors for recognition-only derivation (module docstring).
+
+    Every ``ε`` is the unit ``ε``, ``L ↪→ f`` is ``L`` and ``δ(L)`` is the
+    unit ``ε``.  Recognition is unchanged: a reduction never changes which
+    words a language has, and the deriver builds ``δ(L)`` only for a
+    nullable ``L``, where it denotes exactly the empty word.  Never use it
+    to optimize a grammar that trees are read from.
+    """
+
+    #: The deriver skips its single-null-tree fold (``δ(L) ⇒ ε_t``) for a
+    #: compactor that keeps no trees: ``make_delta`` already builds the ε.
+    keeps_trees = False
+
+    def make_epsilon(self, trees: Iterable[Any]) -> Epsilon:
+        """The unit ``ε``, whatever trees were asked for."""
+        return super().make_epsilon(_UNIT_TREES)
+
+    def make_reduce(self, lang: Language, fn: Callable[[Any], Any]) -> Language:
+        """``lang`` itself: ``∅ ↪→ f ⇒ ∅``, and otherwise the reduction is dropped."""
+        if lang is EMPTY or isinstance(lang, Empty):
+            self._count_rewrite()
+            return EMPTY
+        return lang
+
+    def make_delta(self, lang: Language) -> Language:
+        """The unit ``ε`` (``lang`` is nullable wherever the deriver asks)."""
+        return self.make_epsilon(_UNIT_TREES)
 
 
 def _merge_trees(left: tuple, right: tuple) -> tuple:

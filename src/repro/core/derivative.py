@@ -345,7 +345,9 @@ class Deriver:
         With the new rules on, ``δ(left) ⇒ ε_t`` when ``left``'s null parses
         are exactly one finite tree ``t``; the ``ε_s ◦ p`` and reduction
         fusion rules then fold the finished history into one ``↪`` node
-        (see :mod:`repro.core.compaction`).
+        (see :mod:`repro.core.compaction`).  A tree-free compactor builds
+        ``δ(left)`` as its unit ``ε`` outright, so the :meth:`null_trees`
+        walk (and its memo) is skipped.
         """
         if right_derivative is EMPTY or isinstance(right_derivative, Empty):
             # The freshly computed derivative is known to be ∅, so the whole
@@ -355,7 +357,7 @@ class Deriver:
             return EMPTY
         compactor = self.compactor
         config = compactor.config
-        if config.enabled and config.new_rules:
+        if config.enabled and config.new_rules and compactor.keeps_trees:
             trees = self.null_trees(left)
             if trees is not None and len(trees) == 1:
                 # δ(L) ⇒ ε_t

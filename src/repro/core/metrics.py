@@ -113,6 +113,12 @@ class Metrics:
         layer's ``step_slow`` (cold edge, never-seen kind, or a transient
         cursor).  The executor counts locally per run and folds the totals
         in under the table lock.
+    states_shared / keys_skipped:
+        Canonical state interning in the compiled
+        :class:`~repro.compile.automaton.GrammarTable`: newly derived states
+        whose canonical key matched an existing state (the transition
+        re-enters that state), and new states whose key walk passed its
+        cost bound and were interned by node identity alone.
     """
 
     nodes_created: int = 0
@@ -139,6 +145,8 @@ class Metrics:
     edit_splices: int = 0
     dense_hits: int = 0
     dense_fallbacks: int = 0
+    states_shared: int = 0
+    keys_skipped: int = 0
 
     def snapshot(self) -> MetricsSnapshot:
         """Capture the current counter values."""

@@ -35,7 +35,7 @@ child already denoted the empty language.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from .fixpoint import NOT_FINAL, FixpointAnalysis, FixpointSolver
 from .languages import (
@@ -141,6 +141,10 @@ class ProductivityAnalyzer:
     def is_empty(self, node: Language) -> bool:
         """True when the language of ``node`` contains no words at all."""
         return not self.productive(node)
+
+    def settle(self, nodes: List[Language]) -> None:
+        """Decide every node in ``nodes`` with one fixed point."""
+        self._solver.solve(nodes)
 
 
 def settle_graph(root: Language, nullability: Optional[NullabilityAnalyzer] = None) -> None:

@@ -90,18 +90,22 @@ class TestRoundTrip:
         # grammar containing an unproductive subgrammar the *original*
         # nodes get rewritten too.  The fingerprint must be the pre-parse
         # snapshot or a saved table could never re-attach in a fresh
-        # process (whose grammar is un-pruned).
+        # process (whose grammar is un-pruned).  The language is a^n b^n,
+        # so every prefix a^k is a new state: the table keeps deriving
+        # until the adaptive prune comes due (a regular stream would
+        # re-enter shared states and never derive enough to prune).
         from repro.core import Ref, token
 
         def leaky_grammar():
             dead = Ref("D")
             dead.set(token("x") + dead)  # unproductive: no base case
             start = Ref("S")
-            start.set((token("a") + start) | token("a") | dead)
+            start.set((token("a") + start + token("b")) | (token("a") + token("b")) | dead)
             return start
 
         warmed = GrammarTable(leaky_grammar())
-        assert CompiledParser(table=warmed).recognize(["a"] * 400) is True
+        stream = ["a"] * 200 + ["b"] * 200
+        assert CompiledParser(table=warmed).recognize(stream) is True
         assert warmed.prune_passes > 0  # the in-place mutation happened
         assert warmed.fingerprint == GrammarTable(leaky_grammar()).fingerprint
 

@@ -60,12 +60,41 @@ def corrupted_streams(tokens, seed=0):
     return streams
 
 
+def mutated_streams(tokens, seed=0, count=3):
+    """One-token mutations that stay inside the stream's own alphabet.
+
+    Each replaces one token with a token of another kind drawn from the
+    same stream, so the automaton walks real (shared) states up to the
+    mutation instead of dying on an unknown kind at once.
+    """
+    rng = random.Random(seed)
+    streams = []
+    kinds = {token.kind for token in tokens}
+    if len(kinds) < 2:
+        return streams
+    for _ in range(count):
+        position = rng.randrange(len(tokens))
+        others = [token for token in tokens if token.kind != tokens[position].kind]
+        streams.append(tokens[:position] + [rng.choice(others)] + tokens[position + 1 :])
+    return streams
+
+
 def _failure_position(parser, stream):
     try:
         parser.parse(stream)
     except ParseError as error:
         return error.position
     return None
+
+
+def _table_failure_position(parser, stream):
+    """Where the compiled automaton itself fails (no fallback derivation):
+    the token whose edge reached the dead sink, or the end of input."""
+    state = parser.start(keep_tokens=False)
+    state.feed_all(stream)
+    if state.failed:
+        return state.failure_position
+    return None if state.accepts() else len(stream)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +108,8 @@ def test_registry_recognition_parity(cell):
     earley = EarleyParser(grammar) if "earley" in cell.engines else None
     glr = GLRParser(grammar) if "glr" in cell.engines else None
     for size, seed, tokens in _quick_streams(cell):
-        for stream in [tokens] + corrupted_streams(tokens, seed=seed):
+        mutations = corrupted_streams(tokens, seed=seed) + mutated_streams(tokens, seed=seed)
+        for stream in [tokens] + mutations:
             expected = derivative.recognize(stream)
             context = "cell {!r} size {} seed {}".format(cell.id, size, seed)
             if earley is not None:
@@ -99,7 +129,7 @@ def test_registry_failure_position_parity(cell):
     compiled = CompiledParser(grammar) if "compiled" in cell.engines else None
     earley = EarleyParser(grammar) if "earley" in cell.engines else None
     size, seed, tokens = _quick_streams(cell, max_streams=1)[0]
-    for stream in corrupted_streams(tokens, seed=seed):
+    for stream in corrupted_streams(tokens, seed=seed) + mutated_streams(tokens, seed=seed):
         expected = _failure_position(derivative, stream)
         if earley is not None:
             assert _failure_position(earley, stream) == expected, (
@@ -110,6 +140,11 @@ def test_registry_failure_position_parity(cell):
         if compiled is not None:
             assert _failure_position(compiled, stream) == expected, (
                 "cell {!r}: compiled failure position diverges on {!r}".format(
+                    cell.id, stream
+                )
+            )
+            assert _table_failure_position(compiled, stream) == expected, (
+                "cell {!r}: compiled automaton fails elsewhere on {!r}".format(
                     cell.id, stream
                 )
             )
@@ -216,14 +251,20 @@ def test_catalan_known_answer_pinned():
 def test_registry_serialization_round_trip(cell, tmp_path):
     grammar = cell.grammar.factory()
     size, seed, tokens = _quick_streams(cell, max_streams=1)[0]
+    streams = [tokens] + corrupted_streams(tokens, seed) + mutated_streams(tokens, seed)
     table = GrammarTable(grammar)
     warm = CompiledParser(table=table)
-    expected = [warm.recognize(stream) for stream in [tokens] + corrupted_streams(tokens, seed)]
+    expected = [warm.recognize(stream) for stream in streams]
+    positions = [_table_failure_position(warm, stream) for stream in streams]
     path = str(tmp_path / "{}.table.json".format(cell.id))
     save_table(table, path)
     loaded = CompiledParser(table=load_table(path, cell.grammar.factory()))
-    got = [loaded.recognize(stream) for stream in [tokens] + corrupted_streams(tokens, seed)]
+    got = [loaded.recognize(stream) for stream in streams]
     assert got == expected, "cell {!r}: reloaded table changed verdicts".format(cell.id)
+    got_positions = [_table_failure_position(loaded, stream) for stream in streams]
+    assert got_positions == positions, (
+        "cell {!r}: reloaded table changed failure positions".format(cell.id)
+    )
 
 
 # ---------------------------------------------------------------------------
