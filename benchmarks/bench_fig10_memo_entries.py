@@ -6,18 +6,10 @@ overwhelming majority of grammar nodes only ever receive one memo entry for
 strategy, then inspects the table sizes: the fraction of single-entry tables
 should be high (the paper's Figure 10 shows most files near 100 %, with a
 second population around 80–90 %).
-
-The second table measures this repository's hash-consing layer on the same
-configuration: with interning enabled (the default), the compaction smart
-constructors return canonical nodes for repeated acyclic constructions, so
-the total number of memo entries and the reachable derivative-graph size
-both drop relative to interning disabled — fewer distinct nodes means fewer
-nodes to memoize, the Figure 10 quantity attacked from the other side.
 """
 
 from repro.bench import (
     emit_json,
-    fig10_interning_ablation,
     fig10_memo_entries,
     format_table,
     python_workload,
@@ -54,34 +46,3 @@ def test_fig10_single_entry_fraction(run_once):
     grammar = python_grammar()
     tokens = python_workload(120)
     run_once(lambda: DerivativeParser(grammar, memo="dict").recognize(tokens))
-
-
-def test_fig10_interning_reduces_memo_entries():
-    rows = fig10_interning_ablation()
-    print()
-    print(
-        format_table(
-            [
-                "workload",
-                "tokens",
-                "memo entries (interning off)",
-                "memo entries (interning on)",
-                "live nodes (off)",
-                "live nodes (on)",
-                "nodes created (on)",
-                "hash-cons hits",
-            ],
-            rows,
-            title="Figure 10 companion — memo entries and graph size with hash-consing",
-        )
-    )
-
-    for _workload, _tokens, entries_off, entries_on, live_off, live_on, _created, hits in rows:
-        # Interning must actually fire and must shrink the memo: every
-        # canonical node reused is a node whose derivatives are memoized
-        # once instead of once per duplicate.
-        assert hits > 0
-        assert entries_on < entries_off
-        # The reachable derivative graph can only get smaller when
-        # structurally identical nodes are shared.
-        assert live_on <= live_off

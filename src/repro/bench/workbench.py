@@ -33,7 +33,6 @@ __all__ = [
     "fig06_parser_comparison",
     "fig07_nullable_calls",
     "fig10_memo_entries",
-    "fig10_interning_ablation",
     "fig11_uncached_derive",
     "fig12_single_entry_speedup",
     "speedup_summary_table",
@@ -167,64 +166,6 @@ def fig10_memo_entries(sizes: Sequence[int] = DEFAULT_SIZES) -> List[Tuple[int, 
         single = distribution.get(1, 0)
         multi = sum(count for entries, count in distribution.items() if entries > 1)
         rows.append((len(tokens), single, multi, single_entry_fraction(distribution)))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Figure 10 companion — hash-consing ablation (interning on vs off)
-# ---------------------------------------------------------------------------
-def fig10_interning_ablation(
-    size: int = 240,
-) -> List[Tuple[str, int, int, int, int, int, int, int]]:
-    """Rows of (workload, tokens, memo entries off, memo entries on,
-    live nodes off, live nodes on, nodes created on, hash-cons hits).
-
-    Measures the hash-consing layer of :class:`~repro.core.compaction.
-    Compactor` on the Figure 10 configuration (full per-node hash tables, so
-    memo entries are directly countable and no eviction feedback muddies the
-    comparison): with interning on, repeated constructions return canonical
-    nodes, so both the derive-memo entry count and the reachable
-    derivative-graph size drop relative to interning off.
-    """
-    from ..core.languages import graph_size
-    from ..grammars import pl0_grammar
-    from ..workloads import pl0_tokens
-
-    workloads = [
-        ("python-subset", python_grammar, python_workload(size)),
-        ("pl0", pl0_grammar, pl0_tokens(size, seed=1)),
-    ]
-    rows: List[Tuple[str, int, int, int, int, int, int, int]] = []
-    for label, grammar_fn, tokens in workloads:
-        measured: Dict[bool, Tuple[int, int, int, int]] = {}
-        for interning in (False, True):
-            config = CompactionConfig.full()
-            config.hash_consing = interning
-            parser = DerivativeParser(grammar_fn(), memo="dict", compaction=config)
-            state = parser.start()
-            state.feed_all(tokens)
-            entries = sum(
-                entries_per_node * node_count
-                for entries_per_node, node_count in parser.memo.entry_distribution().items()
-            )
-            measured[interning] = (
-                entries,
-                graph_size(state.language),
-                parser.metrics.nodes_created,
-                parser.metrics.hash_cons_hits,
-            )
-        rows.append(
-            (
-                label,
-                len(tokens),
-                measured[False][0],
-                measured[True][0],
-                measured[False][1],
-                measured[True][1],
-                measured[True][2],
-                measured[True][3],
-            )
-        )
     return rows
 
 

@@ -3,8 +3,9 @@
 Instead of re-deriving the grammar on every parse, a grammar is compiled
 **once** into a reusable automaton:
 
-* states are interned derivative closures (hash-consed on node identity,
-  backed by a grammar-lifetime derive memo),
+* states are interned derivative closures (by node identity, then by a
+  canonical key of the derived graph, backed by a grammar-lifetime derive
+  memo),
 * transitions are memoized per ``state × token-class`` — one edge covers
   every token with the same match signature
   (:class:`~repro.compile.classes.TokenClassifier`),

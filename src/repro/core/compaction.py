@@ -33,47 +33,6 @@ question); the rules ``ε_s ◦ p ⇒ p ↪→ λu.(s,u)`` and reduction fusion 
 collapse the finished history into one ``↪→`` node.  An ambiguous, cyclic or
 multi-tree null region keeps its ``δ``, so forests and counts are unchanged.
 
-On top of the paper's rules, the compactor **hash-conses** its results
-(``hash_consing`` in :class:`CompactionConfig`, on by default): after the
-rewrite rules have fired, a surviving ``∪``/``◦``/``↪→``/``δ`` construction
-is interned in a per-compactor table keyed by form + child *identity*, so
-structurally identical acyclic results are one canonical node.  Repeated
-derivations that would previously have rebuilt isomorphic sub-graphs now
-return the existing node, which shrinks derivative graphs and reduces
-derive-memo entries (the Figure 10 quantity).  Hash-consing does *not*
-collapse compiled-automaton states: derivatives of cyclic regions are fresh
-placeholders that never reach the table, so two isomorphic states stay two
-nodes.  The compiled table interns states by a canonical key of their live
-graph instead (:class:`repro.compile.automaton.GrammarTable`), over nodes
-built by :class:`TreeFreeCompactor`.  Child-identity keys hold
-strong references, so the table's lifetime follows its owner — the parser
-for the interpreted engine (cleared by ``DerivativeParser.reset``), the
-grammar itself for the compiled engine (alongside its
-:class:`~repro.core.memo.PersistentDictMemo`).
-
-Cycle participants never reach the table.  Merging two structurally
-identical nodes is *not* always invisible: tree enumeration cuts off when
-it re-enters a node already on the current extraction path, so fusing an
-off-cycle occurrence with an on-cycle one moves the cut-off point and
-changes which finite trees of an infinite forest are produced (the
-differential interning suite exercises exactly this).  The smart
-constructors therefore skip interning — both lookup and insert — whenever a
-child is a cycle participant: an under-construction placeholder, an
-``observed`` placeholder (the deriver's cycle path fills those in place,
-bypassing the smart constructors), or a node flagged ``reaches_cycle``
-(initial-grammar recursion, marked by ``optimize_initial_grammar``; the
-flag then propagates child→parent through the constructors).  Acyclic
-regions — ε leaves, reductions over them, and everything built purely from
-them — keep the full hash-consing benefit.
-
-Interning is otherwise sound under this repository's mutation discipline:
-after construction, a node's children change only through
-:func:`repro.core.prune.prune_empty`, which is semantics-preserving, so an
-interned node always still denotes the language its key describes.
-Reduction functions are keyed by *identity* (structural hashing of fused
-``Compose`` chains would recurse as deep as the chain), wrapped so the key
-pins the function object against garbage collection and id reuse.
-
 **Recognition-only derivation.**  :class:`TreeFreeCompactor` is the
 compactor of the compiled table's deriver.  The table only ever asks its
 states whether they accept; trees come from an interpreted parser over the
@@ -81,7 +40,9 @@ same grammar.  So the tree-free compactor builds every ``ε`` as one unit
 tree, drops every reduction (after ``∅ ↪→ f ⇒ ∅``) and builds ``δ(L)`` as
 that unit ``ε`` (the deriver only asks for ``δ`` of a nullable ``L``).
 Derived states then carry no payload that differs between two inputs with
-the same future, which is what lets the table's canonical key share them.
+the same future, which is what lets the table's canonical key share them:
+structurally identical nodes are shared there, by
+:class:`repro.compile.automaton.GrammarTable`, and nowhere else.
 
 The smart constructors also **settle** what they build (:func:`_settle`):
 a node whose children already carry final nullability and productivity
@@ -90,10 +51,10 @@ and, ``↪`` copies its child, ``δ(L)`` is nullable iff ``L`` is and
 productive iff ``L`` is nullable.  A value computed from final children is
 exact, so the fixed-point kernel (Section 4.2) only ever sees what really
 needs a fixed point: the cyclic placeholders the deriver fills in place and
-the nodes built over them.  Interned hits already carry their state.  The
-raw constructors never settle: a placeholder or a hand-built grammar node
-may still gain children, and an eagerly final parent would hide the
-unsolved region below it from the solver.
+the nodes built over them.  The raw constructors never settle: a
+placeholder or a hand-built grammar node may still gain children, and an
+eagerly final parent would hide the unsolved region below it from the
+solver.
 """
 
 from __future__ import annotations
@@ -157,10 +118,6 @@ class CompactionConfig:
         The Section 4.3.2 associativity rule ``(p1 ◦ p2) ◦ p3 ⇒ ...``.
     float_reductions:
         The Section 4.3.2 rule ``(p1 ↪→ f) ◦ p2 ⇒ (p1 ◦ p2) ↪→ ...``.
-    hash_consing:
-        Intern acyclic smart-constructor results in a per-compactor table
-        keyed by form + child identity, so structurally identical nodes are
-        shared (this repository's addition; see the module docstring).
     """
 
     enabled: bool = True
@@ -170,7 +127,6 @@ class CompactionConfig:
     new_rules: bool = True
     canonicalize_sequences: bool = True
     float_reductions: bool = True
-    hash_consing: bool = True
 
     @classmethod
     def disabled(cls) -> "CompactionConfig":
@@ -183,7 +139,6 @@ class CompactionConfig:
             new_rules=False,
             canonicalize_sequences=False,
             float_reductions=False,
-            hash_consing=False,
         )
 
     @classmethod
@@ -197,7 +152,6 @@ class CompactionConfig:
             new_rules=False,
             canonicalize_sequences=False,
             float_reductions=False,
-            hash_consing=False,
         )
 
     @classmethod
@@ -214,60 +168,6 @@ def _structure_known(node: Optional[Language]) -> bool:
     them "would result in a cycle" in the paper's words, so rules punt.
     """
     return node is not None and not node.under_construction
-
-
-def _cycle_participant(node: Language) -> bool:
-    """True when ``node`` may lie on a graph cycle (module docstring).
-
-    Such a node must not appear in a hash-consing key: merging two parents
-    over it could fuse an off-cycle occurrence into the cycle and move the
-    tree-enumeration cut-off point.
-    """
-    return node.under_construction or node.observed or node.reaches_cycle
-
-
-#: Payload types whose hash is depth-free, safe for ε interning keys.
-_SCALARS = (str, bytes, int, float, bool, type(None))
-
-
-def _shallow_payload(value: Any, depth: int = 3) -> bool:
-    """True when hashing ``value`` cannot recurse deeply.
-
-    ε nodes carry parse-tree payloads that can be nested pair tuples as deep
-    as the input consumed so far; hashing those would recurse on the C stack
-    with no interpreter guard.  Interning therefore only considers payloads
-    that are provably shallow: scalars, token-like objects (a ``kind`` plus
-    a scalar ``value`` — the shape of :class:`repro.lexer.tokens.Tok`, whose
-    hash covers exactly those two fields), and small tuples of these up to a
-    fixed depth.  Everything else simply skips interning — sound, just
-    unshared.
-    """
-    if isinstance(value, _SCALARS):
-        return True
-    if isinstance(value, tuple):
-        return depth > 0 and len(value) <= 4 and all(
-            _shallow_payload(part, depth - 1) for part in value
-        )
-    kind = getattr(value, "kind", None)
-    if kind is not None:
-        return isinstance(kind, _SCALARS) and isinstance(
-            getattr(value, "value", None), _SCALARS
-        )
-    return False
-
-
-def _epsilon_intern_key(trees: tuple) -> Optional[tuple]:
-    """The hash-consing key for an ε node, or None when not internable.
-
-    Keyed by *payload equality* (not identity): two ε nodes with equal tree
-    tuples denote the same language with the same parses, so sharing them is
-    what lets the identity-keyed composite interning above them cascade —
-    token-match ε leaves are where most duplication in derivative graphs
-    starts.
-    """
-    if len(trees) != 1 or not _shallow_payload(trees[0]):
-        return None
-    return ("ε", trees[0])
 
 
 def _either(left: Any, right: Any, dominant: Any, other: Any) -> Any:
@@ -310,51 +210,8 @@ def _settle(node: Language) -> Language:
     return node
 
 
-class _FnKey:
-    """Identity key for a reduction function in the hash-consing table.
-
-    Reduction functions compare structurally, but hashing a fused
-    ``Compose`` chain recurses as deep as the chain (one link per input
-    token), so the identity fallback holds the function strongly — a
-    collected function's id can never be reused by a different one while
-    the key is live.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[Any], Any]) -> None:
-        self.fn = fn
-
-    def __hash__(self) -> int:
-        return object.__hash__(self.fn)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _FnKey) and self.fn is other.fn
-
-
-def _fn_intern_key(fn: Callable[[Any], Any]) -> Any:
-    """The hash-consing key for a reduction function.
-
-    The compaction rules allocate their reducers fresh on every rewrite, so
-    keying by identity alone would make ``↪`` entries unmatchable.  The
-    shapes whose equality is cheap and depth-free get structural keys —
-    the stateless :class:`ReassocToLeft` and the pairing reducers carrying
-    shallow payloads (the common ``ε_s ◦ p`` case, where ``s`` is a token
-    value) — and everything else (``Compose`` chains, ``MapFirst`` over
-    arbitrary inner functions) falls back to identity via :class:`_FnKey`.
-    """
-    if isinstance(fn, ReassocToLeft):
-        return "reassoc"
-    if isinstance(fn, PairLeft) and _shallow_payload(fn.left):
-        return ("pairL", fn.left)
-    if isinstance(fn, PairRight) and _shallow_payload(fn.right):
-        return ("pairR", fn.right)
-    return _FnKey(fn)
-
-
 class Compactor:
-    """Smart constructors implementing the reduction rules of Section 4.3,
-    plus grammar-scoped hash-consing of their results (module docstring)."""
+    """Smart constructors implementing the reduction rules of Section 4.3."""
 
     #: Whether the nodes built here carry parse trees (module docstring).
     keeps_trees = True
@@ -366,10 +223,6 @@ class Compactor:
     ) -> None:
         self.config = config if config is not None else CompactionConfig.full()
         self.metrics = metrics if metrics is not None else Metrics()
-        #: The hash-consing table: (form, children identity...) -> canonical
-        #: node.  Strong references throughout; the owner decides the
-        #: lifetime (see reset_interning).
-        self._intern: dict = {}
 
     # ----------------------------------------------------------- primitives
     def _count_node(self) -> None:
@@ -378,47 +231,11 @@ class Compactor:
     def _count_rewrite(self) -> None:
         self.metrics.compaction_rewrites += 1
 
-    # ---------------------------------------------------------- hash-consing
-    @property
-    def interning(self) -> bool:
-        """Whether the smart constructors hash-cons their results."""
-        return self.config.enabled and self.config.hash_consing
-
-    def interned_count(self) -> int:
-        """Number of canonical nodes currently held by the interning table."""
-        return len(self._intern)
-
-    def reset_interning(self) -> None:
-        """Drop every interned node (called by ``DerivativeParser.reset``).
-
-        Canonical nodes are strongly held by their keys, so a per-parse
-        engine that clears its derive memo must clear the interning table
-        too or derived nodes would accumulate across parses.  Grammar-owned
-        compactors (the compiled engine's) deliberately never call this —
-        their table *is* the cross-parse cache.
-        """
-        self._intern.clear()
-
-    def _intern_node(self, key: tuple, build: Callable[[], Language]) -> Language:
-        node = self._intern.get(key)
-        if node is not None:
-            self.metrics.hash_cons_hits += 1
-            return node
-        self.metrics.hash_cons_misses += 1
-        self._count_node()
-        node = build()
-        self._intern[key] = node
-        return node
-
+    # -------------------------------------------------------------- epsilon
     def make_epsilon(self, trees: Iterable[Any]) -> Epsilon:
-        """Construct an ``ε`` node carrying ``trees`` (interned when shallow)."""
-        trees = tuple(trees)
-        if self.config.enabled and self.config.hash_consing:
-            key = _epsilon_intern_key(trees)
-            if key is not None:
-                return self._intern_node(key, lambda: Epsilon(trees))
+        """Construct an ``ε`` node carrying ``trees``."""
         self._count_node()
-        return Epsilon(trees)
+        return Epsilon(tuple(trees))
 
     # ------------------------------------------------------------------ alt
     def make_alt(self, left: Language, right: Language) -> Language:
@@ -442,13 +259,8 @@ class Compactor:
                 # ε_s1 ∪ ε_s2 ⇒ ε_{s1 ∪ s2} (one of the paper's added rules)
                 self._count_rewrite()
                 return self.make_epsilon(_merge_trees(left.trees, right.trees))
-        tainted = _cycle_participant(left) or _cycle_participant(right)
-        if cfg.enabled and cfg.hash_consing and not tainted:
-            return self._intern_node(("∪", left, right), lambda: _settle(Alt(left, right)))
         self._count_node()
-        node = _settle(Alt(left, right))
-        node.reaches_cycle = tainted
-        return node
+        return _settle(Alt(left, right))
 
     # ------------------------------------------------------------------ cat
     def make_cat(self, left: Language, right: Language) -> Language:
@@ -489,13 +301,8 @@ class Compactor:
                 self._count_rewrite()
                 inner = self.make_cat(left.right, right)
                 return self.make_reduce(self.make_cat(left.left, inner), ReassocToLeft())
-        tainted = _cycle_participant(left) or _cycle_participant(right)
-        if cfg.enabled and cfg.hash_consing and not tainted:
-            return self._intern_node(("◦", left, right), lambda: _settle(Cat(left, right)))
         self._count_node()
-        node = _settle(Cat(left, right))
-        node.reaches_cycle = tainted
-        return node
+        return _settle(Cat(left, right))
 
     # --------------------------------------------------------------- reduce
     def make_reduce(self, lang: Language, fn: Callable[[Any], Any]) -> Language:
@@ -521,15 +328,8 @@ class Compactor:
                 return self.make_reduce(lang.lang, compose(fn, lang.fn))
             if isinstance(fn, Identity):
                 return lang
-        tainted = _cycle_participant(lang)
-        if cfg.enabled and cfg.hash_consing and not tainted:
-            return self._intern_node(
-                ("↪", lang, _fn_intern_key(fn)), lambda: _settle(Reduce(lang, fn))
-            )
         self._count_node()
-        node = _settle(Reduce(lang, fn))
-        node.reaches_cycle = tainted
-        return node
+        return _settle(Reduce(lang, fn))
 
     # ---------------------------------------------------------------- delta
     def make_delta(self, lang: Language) -> Language:
@@ -550,13 +350,8 @@ class Compactor:
             if cfg.null_rules and (lang is EMPTY or isinstance(lang, Empty)):
                 self._count_rewrite()
                 return EMPTY
-        tainted = _cycle_participant(lang)
-        if cfg.enabled and cfg.hash_consing and not tainted:
-            return self._intern_node(("δ", lang), lambda: _settle(Delta(lang)))
         self._count_node()
-        node = _settle(Delta(lang))
-        node.reaches_cycle = tainted
-        return node
+        return _settle(Delta(lang))
 
     # ---------------------------------------------------------- raw builders
     def raw_alt(self) -> Alt:
@@ -631,58 +426,6 @@ def _merge_trees(left: tuple, right: tuple) -> tuple:
     return tuple(merged)
 
 
-def _node_children(node: Language) -> tuple:
-    """The child edges the cycle-marking DFS must follow (including Ref→target)."""
-    if isinstance(node, (Alt, Cat)):
-        return (node.left, node.right)
-    if isinstance(node, (Reduce, Delta)):
-        return (node.lang,)
-    if isinstance(node, Ref):
-        return (node.target,)
-    return ()
-
-
-def _mark_grammar_cycles(root: Language) -> None:
-    """Set ``reaches_cycle`` on every node that lies on a cycle under ``root``.
-
-    Grammar recursion (``Ref`` loops) puts whole regions of the graph on
-    cycles before any derivative is taken; the smart constructors must know
-    about those nodes so they never merge two parents built over them
-    (module docstring).  Iterative DFS: a back edge to a node still on the
-    current path marks the entire path segment from that node down.  The
-    flag is monotone, so re-marking a shared or already-derived graph is
-    sound and idempotent.
-    """
-    gray, black = 1, 2
-    color: dict = {id(root): gray}
-    path: list = [root]
-    path_index: dict = {id(root): 0}
-    stack: list = [(root, iter(_node_children(root)))]
-    while stack:
-        node, children = stack[-1]
-        advanced = False
-        for child in children:
-            if child is None:
-                continue
-            state = color.get(id(child))
-            if state is None:
-                color[id(child)] = gray
-                path_index[id(child)] = len(path)
-                path.append(child)
-                stack.append((child, iter(_node_children(child))))
-                advanced = True
-                break
-            if state == gray:
-                # Back edge: the path from ``child`` to ``node`` is a cycle.
-                for member in path[path_index[id(child)]:]:
-                    member.reaches_cycle = True
-        if not advanced:
-            stack.pop()
-            popped = path.pop()
-            del path_index[id(popped)]
-            color[id(popped)] = black
-
-
 def optimize_initial_grammar(
     root: Language,
     compactor: Optional[Compactor] = None,
@@ -702,7 +445,6 @@ def optimize_initial_grammar(
     ``max_passes`` is hit, which only happens for adversarial inputs).
     """
     compactor = compactor if compactor is not None else Compactor()
-    _mark_grammar_cycles(root)
     for _ in range(max_passes):
         changed = False
         cache: dict[int, Language] = {}

@@ -255,7 +255,6 @@ class Deriver:
                     placeholder.left = left
                     placeholder.right = right
                     placeholder.under_construction = False
-                    placeholder.reaches_cycle = True
                     self._name(current, placeholder, position, with_bullet=False)
                     out[slot] = placeholder
                     continue
@@ -271,7 +270,6 @@ class Deriver:
                 if placeholder.observed:
                     placeholder.left = left
                     placeholder.under_construction = False
-                    placeholder.reaches_cycle = True
                     self._name(current, placeholder, position, with_bullet=False)
                     out[slot] = placeholder
                     continue
@@ -291,7 +289,6 @@ class Deriver:
                     placeholder.left = cat_node
                     placeholder.right = null_branch
                     placeholder.under_construction = False
-                    placeholder.reaches_cycle = True
                     self._name(current, placeholder, position, with_bullet=True)
                     out[slot] = placeholder
                     continue
@@ -310,7 +307,6 @@ class Deriver:
                 if placeholder.observed:
                     placeholder.lang = child
                     placeholder.under_construction = False
-                    placeholder.reaches_cycle = True
                     self._name(current, placeholder, position, with_bullet=False)
                     out[slot] = placeholder
                     continue
@@ -326,7 +322,6 @@ class Deriver:
             if placeholder.observed:
                 placeholder.target = target
                 placeholder.under_construction = False
-                placeholder.reaches_cycle = True
                 self._name(current, placeholder, position, with_bullet=False)
                 out[slot] = placeholder
                 continue

@@ -87,16 +87,6 @@ class Language:
         "name",
         "under_construction",
         "observed",
-        # True when this node may lie on (or be rebuilt onto) a cycle of the
-        # grammar/derivative graph.  Hash-consing consults it: merging two
-        # structurally identical nodes is observable when one occurrence is
-        # on a cycle (tree enumeration cuts off on cycle re-entry, so the
-        # merge changes *which* finite trees are reachable), so cycle
-        # participants are never interned.  Set by the cycle-marking pass of
-        # ``optimize_initial_grammar``, by the deriver when it fills an
-        # observed placeholder, and propagated child→parent by the smart
-        # constructors.  Monotone: only ever flipped to True.
-        "reaches_cycle",
         # the compiled-automaton table (repro.compile), anchored on the
         # grammar root in the node-resident idiom of the memo fields below:
         # the grammar owns its table, every parser built over this root
@@ -126,7 +116,6 @@ class Language:
         self.name = None
         self.under_construction = False
         self.observed = False
-        self.reaches_cycle = False
         self.compiled_table = None
         self.memo_epoch = -1
         self.memo_token = None

@@ -92,10 +92,6 @@ class Metrics:
     fixpoint_solves:
         Completed fixed points run by the kernel (each one promotes its
         tentative values to final).
-    hash_cons_hits / hash_cons_misses:
-        Hash-consing outcomes in the compaction smart constructors: a hit
-        returns an existing canonical node instead of allocating a
-        structurally identical duplicate, a miss interns a fresh node.
     compaction_rewrites:
         Number of times a smart constructor applied a reduction rule.
     parse_null_calls:
@@ -135,8 +131,6 @@ class Metrics:
     nullable_fixed_points: int = 0
     fixpoint_node_evaluations: int = 0
     fixpoint_solves: int = 0
-    hash_cons_hits: int = 0
-    hash_cons_misses: int = 0
     compaction_rewrites: int = 0
     parse_null_calls: int = 0
     tokens_consumed: int = 0

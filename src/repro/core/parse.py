@@ -432,10 +432,9 @@ class DerivativeParser:
     def reset(self) -> None:
         """Forget per-parse caches (the paper clears them before each timed parse).
 
-        Clears the derive memo, the compactor's hash-consing table and the
-        deriver's single-null-tree answers (all three hold this parser's
-        derived nodes; dropping one but not the others would leak every
-        derivative ever interned or answered), and re-anchors the
+        Clears the derive memo and the deriver's single-null-tree answers
+        (both hold this parser's derived nodes; dropping one but not the
+        other would leak every derivative ever answered), and re-anchors the
         adaptive-prune schedule to the *current* metrics counters — the
         shared :class:`~repro.core.metrics.Metrics` instance may have
         advanced since construction (other parsers, earlier parses), and a
@@ -443,7 +442,6 @@ class DerivativeParser:
         too late.
         """
         self.memo.clear()
-        self.compactor.reset_interning()
         self.deriver.clear_null_trees()
         self._prune_schedule.reanchor(self.metrics.derive_uncached)
 

@@ -228,7 +228,7 @@ def _parse_worker(service: "ParseService", entry: CacheEntry, args: Args):
         except ParseError as error:
             outcome = ParseOutcome(False, error=error)
         finally:
-            # Per-parse caches (memo + hash-consing table) grow with every
+            # Per-parse caches (memo + null-tree answers) grow with every
             # distinct input; clearing them bounds a worker's memory by one
             # parse instead of its whole service lifetime.
             parser.reset()

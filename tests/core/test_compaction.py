@@ -251,7 +251,6 @@ class TestNullTreeFoldSwitch:
             "new_rules",
             "canonicalize_sequences",
             "float_reductions",
-            "hash_consing",
         ]
 
     @pytest.mark.parametrize(
