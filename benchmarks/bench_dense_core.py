@@ -1,51 +1,40 @@
-"""Dense int-indexed core vs. the object-layer warm walk (repro.compile).
+"""Warm and loaded edge-dict walks of the compiled table (repro.compile).
 
-The dense core's claim: once recognition has promoted a grammar's states and
-token kinds to contiguous ints, the warm hot loop is a single dict probe per
-token over compactly repacked linked rows — no ``by_kind`` dispatch, no
-attribute chains through :class:`AutomatonState` — and a table restored from
-the version-2 serialized layout reproduces that speed with **zero**
-derivations and **zero** dense fallbacks.  This benchmark prints, per
-workload (PL/0 and the Python subset):
+Once recognition has linked a grammar's states, the warm hot loop is one
+small-dict probe per token over the states' repacked edge dicts, and a
+table restored from the version-3 serialized layout reproduces it with
+**zero** derivations and **zero** ``step_slow`` fallbacks — on accepted
+streams and on rejected ones, because dead edges ride along.  This
+benchmark prints, per workload (PL/0 and the Python subset, 4,000 tokens):
 
 =================  ==========================================================
 row                what is measured
 =================  ==========================================================
-object warm        :meth:`CompiledParser.recognize_object` — the pre-dense
-                   warm loop (``by_kind`` probes on interned states)
-dense warm         :meth:`CompiledParser.recognize` — the linked-row int
-                   hot loop, after promotion and repack
-loaded dense       same stream through a table round-tripped with
-                   ``save_table``/``load_table`` (rows rebuilt from disk)
+warm               :meth:`CompiledParser.recognize` after the cold run has
+                   linked and repacked the edges
+loaded             same stream through a table round-tripped with
+                   ``save_table``/``load_table``
+states / edges     interned states and kind edges of the warm table
 =================  ==========================================================
 
-Quick mode (``REPRO_BENCH_QUICK=1``, used by the CI smoke job) shrinks the
-streams and swaps the wall-clock speedup gates for deterministic dense-hit
-gates — every warm token must be a dense hit (zero fallbacks), and the loaded
-table must recognize with zero derivations — because sub-millisecond timings
-on shared CI runners are too noisy to gate a build on.  Full mode keeps the
-timing assertion (the acceptance bar: dense warm ≥ 3× object warm on both
-workloads).
+Every gate is deterministic: warm runs resolve every token by an edge
+(all hits, zero fallbacks); the loaded table recognizes the stream with
+zero derivations and zero fallbacks; and it rejects corrupted streams the
+warm table saw (one token deleted, one replaced by junk) with the warm
+table's verdict, again with zero derivations and zero fallbacks.  Timings
+are reported, not gated: sub-millisecond walks on shared runners are noise.
 
-Set ``REPRO_BENCH_JSON=<path>`` to also write the measured rows as JSON
-(the CI job uploads it as the ``BENCH_dense.json`` artifact).
+Set ``REPRO_BENCH_JSON=<path>`` to also write the measured rows as JSON.
 """
-
-import os
 
 from repro.bench import bench_workload, emit_json, format_table, time_call
 from repro.compile import CompiledParser, GrammarTable, load_table, save_table
+from repro.lexer.tokens import Tok
 
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
-SIZE = 400 if QUICK else 4_000
-#: Registry cells this benchmark rides (sizes above are tuned for the pair).
+SIZE = 4_000
+#: Registry cells this benchmark rides.
 CELL_IDS = ("pl0", "python-subset")
-#: Dense warm vs. object warm: the tentpole acceptance bar.  Timing ratios
-#: are only asserted in full mode — quick mode (CI) gates on the
-#: deterministic dense-hit-rate checks instead.
-MIN_DENSE_SPEEDUP = 3.0
-#: Warm walks finish in microseconds at quick sizes, so every warm row takes
-#: the shared harness's median-of-N timing to keep ratios out of timer noise.
+#: Median-of-N keeps microsecond-scale warm walks out of timer noise.
 WARM_ROUNDS = 5
 
 
@@ -58,58 +47,63 @@ def workloads():
     ]
 
 
-def measure(name, grammar, tokens, tmp_path):
+def corrupted(tokens):
+    """The stream with its middle token deleted, and with it replaced by junk."""
+    mid = len(tokens) // 2
+    return [tokens[:mid] + tokens[mid + 1 :], tokens[:mid] + [Tok("@")] + tokens[mid + 1 :]]
+
+
+def measure(name, grammar, tokens, path):
     table = GrammarTable(grammar.language())
     parser = CompiledParser(table=table)
-    assert parser.recognize(tokens) is True  # cold: derive + promote + repack
+    assert parser.recognize(tokens) is True  # cold: derive + link + repack
+    bad_streams = corrupted(tokens)
+    verdicts = [parser.recognize(stream) for stream in bad_streams]
+    assert False in verdicts, "{}: no corrupted stream was rejected".format(name)
 
-    object_warm = time_call(lambda: parser.recognize_object(tokens), repeats=WARM_ROUNDS)
-    dense_warm = time_call(lambda: parser.recognize(tokens), repeats=WARM_ROUNDS)
-
+    warm = time_call(lambda: parser.recognize(tokens), repeats=WARM_ROUNDS)
     # Deterministic warmth gate: with the stream already walked once, every
-    # token resolves inside the dense core — not one falls back to the
-    # object layer.
+    # token resolves by an edge dict — not one falls back to step_slow.
     accepted, hits, fallbacks = parser.recognize_with_stats(tokens)
     assert accepted is True
-    assert fallbacks == 0, (
-        "{}: warm dense walk fell back {} times".format(name, fallbacks)
-    )
+    assert fallbacks == 0, "{}: warm walk fell back {} times".format(name, fallbacks)
     assert hits == len(tokens)
 
-    save_table(table, tmp_path)
-    loaded_table = load_table(tmp_path, grammar)
+    save_table(table, path)
+    loaded_table = load_table(path, grammar)
     loaded = CompiledParser(table=loaded_table)
     accepted, hits, fallbacks = loaded.recognize_with_stats(tokens)
     assert accepted is True
-    # The serialized dense layout covers the workload end to end: zero
-    # derivations and zero dense fallbacks straight from disk.
+    assert fallbacks == 0, "{}: loaded walk fell back {} times".format(name, fallbacks)
+    assert hits == len(tokens)
+    # The loaded table rejects what the warm table rejected, on its edges.
+    for stream, verdict in zip(bad_streams, verdicts):
+        accepted, hits, fallbacks = loaded.recognize_with_stats(stream)
+        assert accepted is verdict
+        assert fallbacks == 0, (
+            "{}: loaded walk of a corrupted stream fell back {} times".format(
+                name, fallbacks
+            )
+        )
+    # The serialized edges cover the workload end to end: zero derivations.
     assert loaded_table.transitions_derived == 0, (
         "{}: loaded table derived {} transitions".format(
             name, loaded_table.transitions_derived
         )
     )
-    assert fallbacks == 0, (
-        "{}: loaded dense walk fell back {} times".format(name, fallbacks)
-    )
-    assert hits == len(tokens)
     loaded_warm = time_call(lambda: loaded.recognize(tokens), repeats=WARM_ROUNDS)
 
-    stats = table.stats()
     return {
         "workload": name,
         "tokens": len(tokens),
-        "object_warm_s": object_warm,
-        "dense_warm_s": dense_warm,
-        "loaded_warm_s": loaded_warm,
-        "dense_speedup": object_warm / max(dense_warm, 1e-9),
-        "loaded_speedup": object_warm / max(loaded_warm, 1e-9),
-        "dense_states": stats["dense_states"],
-        "dense_kinds": stats["dense_kinds"],
-        "dense_row_fill": stats["dense_row_fill"],
+        "warm_s": warm,
+        "loaded_s": loaded_warm,
+        "states": table.state_count(),
+        "edges": sum(len(state.edges) - 1 for state in table.states()),
     }
 
 
-def test_dense_core_speedup(run_once, tmp_path):
+def test_dense_core_edges(run_once, tmp_path):
     all_rows = [
         measure(name, grammar, tokens, str(tmp_path / (name + ".table.json")))
         for name, grammar, tokens in workloads()
@@ -118,52 +112,28 @@ def test_dense_core_speedup(run_once, tmp_path):
     print()
     print(
         format_table(
-            [
-                "workload",
-                "tokens",
-                "object warm (ms)",
-                "dense warm (ms)",
-                "loaded dense (ms)",
-                "dense speedup",
-                "loaded speedup",
-                "rows×kinds",
-                "row fill",
-            ],
+            ["workload", "tokens", "warm (ms)", "loaded (ms)", "ns/token", "states", "edges"],
             [
                 [
                     row["workload"],
                     "{:,}".format(row["tokens"]),
-                    "{:.3f}".format(row["object_warm_s"] * 1e3),
-                    "{:.3f}".format(row["dense_warm_s"] * 1e3),
-                    "{:.3f}".format(row["loaded_warm_s"] * 1e3),
-                    "{:.1f}x".format(row["dense_speedup"]),
-                    "{:.1f}x".format(row["loaded_speedup"]),
-                    "{}x{}".format(row["dense_states"], row["dense_kinds"]),
-                    "{:.0%}".format(row["dense_row_fill"]),
+                    "{:.3f}".format(row["warm_s"] * 1e3),
+                    "{:.3f}".format(row["loaded_s"] * 1e3),
+                    "{:.0f}".format(row["warm_s"] * 1e9 / row["tokens"]),
+                    "{:,}".format(row["states"]),
+                    "{:,}".format(row["edges"]),
                 ]
                 for row in all_rows
             ],
-            title="Dense int-indexed core vs. object-layer warm recognition"
-            + (" [quick]" if QUICK else ""),
+            title="Warm and loaded edge-dict recognition",
         )
     )
 
-    emit_json(all_rows, quick=QUICK, size=SIZE)
-
-    # Wall-clock gates run only in full mode; quick mode's gates are the
-    # deterministic zero-fallback / zero-derivation assertions in measure().
-    if not QUICK:
-        for row in all_rows:
-            assert row["dense_speedup"] >= MIN_DENSE_SPEEDUP, (
-                "{}: dense warm only {:.1f}x faster than object warm "
-                "(needs {}x)".format(
-                    row["workload"], row["dense_speedup"], MIN_DENSE_SPEEDUP
-                )
-            )
+    emit_json(all_rows, size=SIZE)
 
     # One representative configuration under pytest-benchmark's timer: the
-    # warm dense walk of the PL/0 workload.
+    # warm walk of the PL/0 workload.
     _, grammar, tokens = workloads()[0]
     parser = CompiledParser(grammar)
-    parser.recognize(tokens)  # promote + repack the shared table
+    parser.recognize(tokens)  # link + repack the shared table
     run_once(lambda: parser.recognize(tokens))

@@ -1,7 +1,7 @@
-"""Observability overhead gates: tracing must not perturb the dense hot loop.
+"""Observability overhead gates: tracing must not perturb the warm hot loop.
 
-PR 6's dense core made warm recognition one small-dict probe per token;
-PR 7's tracing hooks are designed to cost one contextvar read per *call*
+Warm recognition is one small-dict probe per token over the states' edge
+dicts; the tracing hooks are designed to cost one contextvar read per *call*
 (never per token) when disabled, and one span per traced stage when
 sampled.  This benchmark measures exactly that claim on the warm PL/0
 workload and gates it:
@@ -9,8 +9,8 @@ workload and gates it:
 =================  ==========================================================
 row                what is measured
 =================  ==========================================================
-dense hot loop     ``CompiledParser._dense_run`` called directly — the raw
-                   PR 6 warm loop with no wrapper at all (the baseline)
+hot loop           ``CompiledParser._walk`` called directly — the raw
+                   warm loop with no wrapper at all (the baseline)
 tracing disabled   ``CompiledParser.recognize`` — the public path, which now
                    reads the trace contextvar once per call (gate: ≤ 5%
                    over the baseline)
@@ -46,7 +46,7 @@ from repro.workloads import pl0_tokens
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 SIZE = 400 if QUICK else 4_000
 #: Full-mode gates: the public recognize path with tracing disabled may cost
-#: at most 5% over the bare dense loop; fully wired sampled tracing at most 15%.
+#: at most 5% over the bare hot loop; fully wired sampled tracing at most 15%.
 MAX_DISABLED_OVERHEAD = 1.05
 MAX_SAMPLED_OVERHEAD = 1.15
 #: Sampled-request stage spans must cover 80–100% of the measured request.
@@ -60,7 +60,7 @@ REQUESTS = 8 if QUICK else 64
 def _warm_parser(tokens):
     table = GrammarTable(pl0_grammar().language())
     parser = CompiledParser(table=table)
-    assert parser.recognize(tokens) is True  # cold: derive + promote + repack
+    assert parser.recognize(tokens) is True  # cold: derive + link + repack
     accepted, hits, fallbacks = parser.recognize_with_stats(tokens)
     assert accepted and fallbacks == 0 and hits == len(tokens)
     return table, parser
@@ -69,10 +69,7 @@ def _warm_parser(tokens):
 def measure_hot_loop(tokens):
     """The three timed rows plus the deterministic sampled-tracing checks."""
     table, parser = _warm_parser(tokens)
-    core = table.dense
-    sid = table.start.dense_id
-
-    baseline = time_call(lambda: parser._dense_run(core, sid, tokens), repeats=WARM_ROUNDS)
+    baseline = time_call(lambda: parser._walk(tokens), repeats=WARM_ROUNDS)
     disabled = time_call(lambda: parser.recognize(tokens), repeats=WARM_ROUNDS)
 
     tracer = Tracer(enabled=True, sample_every=SAMPLE_EVERY)
@@ -169,7 +166,7 @@ def test_obs_overhead(run_once):
                 "vs baseline",
             ],
             [
-                ["dense hot loop", hot["tokens"], hot["baseline_s"] * 1e3, "1.00x"],
+                ["hot loop", hot["tokens"], hot["baseline_s"] * 1e3, "1.00x"],
                 [
                     "tracing disabled",
                     hot["tokens"],
@@ -183,7 +180,7 @@ def test_obs_overhead(run_once):
                     "{:.3f}x".format(hot["sampled_overhead"]),
                 ],
             ],
-            title="Observability overhead on the warm dense walk"
+            title="Observability overhead on the warm edge-dict walk"
             + (" [quick]" if QUICK else ""),
         )
     )
@@ -204,11 +201,11 @@ def test_obs_overhead(run_once):
     # deterministic gates asserted inside the measure functions.
     if not QUICK:
         assert hot["disabled_overhead"] <= MAX_DISABLED_OVERHEAD, (
-            "disabled tracing costs {:.3f}x over the bare dense loop "
+            "disabled tracing costs {:.3f}x over the bare hot loop "
             "(gate {}x)".format(hot["disabled_overhead"], MAX_DISABLED_OVERHEAD)
         )
         assert hot["sampled_overhead"] <= MAX_SAMPLED_OVERHEAD, (
-            "sampled tracing costs {:.3f}x over the bare dense loop "
+            "sampled tracing costs {:.3f}x over the bare hot loop "
             "(gate {}x)".format(hot["sampled_overhead"], MAX_SAMPLED_OVERHEAD)
         )
         assert accounting["min_stage_coverage"] >= MIN_STAGE_COVERAGE, (

@@ -8,7 +8,7 @@ generator, the engines that can run the pair, and the gates the pair must
 pass.  Benchmarks iterate registry cells instead of private ``workloads()``
 tuples, the differential suites parameterize over the same cells (so a new
 zoo entry automatically flows through recognition/tree/failure-position
-parity, serialization round-trips, dense-core promotion and incremental
+parity, serialization round-trips, edge-dict warm-up and incremental
 convergence), and ``python -m repro.bench`` drives the whole matrix from
 the command line.
 
@@ -45,7 +45,7 @@ Gates (``BenchCell.gates``):
 ``serialization``
     A saved + reloaded grammar table reproduces recognition verbatim.
 ``dense``
-    The dense int-indexed core agrees with the hash-map compiled path.
+    The compiled edge-dict walk agrees with interpreted recognition.
 ``incremental``
     :class:`~repro.incremental.IncrementalDocument` edits converge to the
     from-scratch result.

@@ -8,7 +8,9 @@ Instead of re-deriving the grammar on every parse, a grammar is compiled
   memo),
 * transitions are memoized per ``state × token-class`` — one edge covers
   every token with the same match signature
-  (:class:`~repro.compile.classes.TokenClassifier`),
+  (:class:`~repro.compile.classes.TokenClassifier`) — and, on kind-pure
+  grammars, linked per token kind into each state's edge dict, so a warm
+  token costs one ``dict.get``,
 * the transition table is owned by the *grammar* and persists across parses
   and across parser instances
   (:func:`~repro.compile.automaton.compile_grammar`),
@@ -38,10 +40,7 @@ per-token parse-tree payloads).
 """
 
 from .automaton import (
-    DENSE_DEAD,
-    DENSE_UNEXPLORED,
     AutomatonState,
-    DenseCore,
     GrammarTable,
     as_root,
     compile_grammar,
@@ -57,9 +56,6 @@ __all__ = [
     "CompiledSnapshot",
     "GrammarTable",
     "AutomatonState",
-    "DenseCore",
-    "DENSE_UNEXPLORED",
-    "DENSE_DEAD",
     "TokenClassifier",
     "compile_grammar",
     "discard_table",

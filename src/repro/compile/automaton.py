@@ -26,8 +26,10 @@ a compiler rather than a cache:
 
 * **Transitions are per token-class, not per token.**  Each state partitions
   the token alphabet by match signature (:class:`.classes.TokenClassifier`);
-  one derivative covers every token in a class.  Kind-pure states
-  additionally flatten ``kind → successor`` for the executor's hot loop.
+  one derivative covers every token in a class.  On kind-pure tables
+  each state also keeps an *edge dict* linking token kinds straight to
+  the successor's edge dict, which the executor's hot loop chases with
+  one ``dict.get`` per token.
 
 * **The grammar owns the table.**  The default-configuration table is
   anchored on the grammar root's ``compiled_table`` field — the
@@ -53,20 +55,16 @@ token) so the language can be rebuilt on demand by deriving along the
 witness chain.  A materialized state registers its canonical key then.
 
 **Concurrency contract.**  A table is shared *read-mostly*: the executor's
-hot loops probe ``by_kind``/``by_signature`` without synchronization, and
-every mutation of shared *derivation* state — deriving a new transition,
-interning a state, materializing a witness chain, pruning, and the metrics
-counters those paths bump — happens under the table's
-:attr:`GrammarTable.lock`.  The one unlocked write is the idempotent
-``by_kind`` flattening on a warm signature hit in :meth:`GrammarTable.step_slow`:
-it re-publishes an already-interned successor under a finer key, racing
-writers store the identical value, and no derivation state is touched.
-The lock-free reads (and that one write) are sound on CPython because
-(a) dictionary get/set are individually atomic under the GIL and (b) a
-successor state is fully initialized (``accepting``/``dead`` assigned,
-transitions empty) *before* the assignment that publishes it into a
-transition dict, so a racing reader sees either a miss or a complete
-state, never a partial one.  The
+hot loops probe ``edges``/``by_signature`` without synchronization, and
+every mutation — deriving a new transition, interning a state, linking an
+edge, repacking the edge dicts, materializing a witness chain, pruning,
+and the metrics counters those paths bump — happens under the table's
+:attr:`GrammarTable.lock`.  The lock-free reads are sound on CPython
+because (a) dictionary get/set are individually atomic under the GIL and
+(b) a successor state is fully initialized (``accepting``/``dead``
+assigned, its edge dict created) *before* the assignment that publishes
+it into a transition dict, so a racing reader sees either a miss or a
+complete state, never a partial one.  The
 grammar *graph* under the table is mutated by locked paths too (derive
 memos, nullability caches, in-place pruning), so any other engine that
 derives on the same graph — e.g. the tree-extraction fallback of
@@ -113,26 +111,17 @@ from .classes import TokenClassifier
 
 __all__ = [
     "AutomatonState",
-    "DenseCore",
-    "DENSE_UNEXPLORED",
-    "DENSE_DEAD",
-    "DENSE_SID",
+    "STATE",
     "GrammarTable",
     "compile_grammar",
     "discard_table",
     "as_root",
 ]
 
-#: Dense-row sentinel: this ``state × kind`` edge has never been resolved —
-#: the executor must fall back to :meth:`GrammarTable.step_slow`.
-DENSE_UNEXPLORED = -2
-#: Dense-row sentinel: this edge provably leads to the ``∅`` sink.
-DENSE_DEAD = -1
-
-#: Reserved key in every linked row dict, mapping to the row's own dense
-#: state id.  A fresh ``object()`` can never compare equal to a token kind,
-#: so the reservation is invisible to ``row.get(kind)`` probes.
-DENSE_SID = object()
+#: Reserved key in every edge dict, mapping to the state that owns the dict.
+#: A fresh ``object()`` never compares equal to a token kind, so the
+#: reservation is invisible to ``edges.get(kind)`` probes.
+STATE = object()
 
 
 #: The canonical key walk of a new state may visit ``_KEY_FACTOR`` derived
@@ -147,231 +136,6 @@ _KEY_SLACK = 32
 def _key_budget(uncached: int) -> int:
     """The key-walk bound of a state built by ``uncached`` derive steps."""
     return _KEY_FACTOR * uncached + _KEY_SLACK
-
-
-class DenseCore:
-    """The automaton flattened to contiguous integers for the warm hot loop.
-
-    Token kinds and interned states are assigned dense ids in discovery
-    order; transitions live in ``rows[state_id][kind_id]`` — plain Python
-    lists of ints.  Entries are ints ``>= 0`` (the successor's dense id) or
-    one of two sentinels: :data:`DENSE_DEAD` (the ``∅`` sink) and
-    :data:`DENSE_UNEXPLORED` (never resolved — the executor falls back to
-    the object layer's :meth:`GrammarTable.step_slow`, which promotes the
-    freshly resolved edge into the row on its way out).  The int rows are
-    the *canonical* dense layout: they are what serializes, what
-    ``row_fill`` inspects, and what defines dense-id semantics.
-
-    Execution, however, does not index the int rows.  CPython resolves a
-    small-dict ``get`` faster than a pair of ``list`` subscripts plus the
-    int decoding around them, so the core additionally maintains ``links``
-    — one dict per state mapping token kind directly to the *successor's
-    link dict*.  The warm hot loop is then a pointer chase::
-
-        row = links[start_id]
-        for tok in stream:
-            row = row.get(tok.kind)      # next state's dict, or None
-
-    with no ids decoded per token at all.  Each link dict carries its own
-    state id under the reserved :data:`DENSE_SID` key so the executor can
-    re-enter the int/object world on a miss (cold edge, unknown kind) and
-    read off acceptance at end of input.  Dead edges are recorded only in
-    the int rows — a dead probe misses ``links`` and the fallback decodes
-    :data:`DENSE_DEAD` from the canonical row, keeping the per-token path
-    to a single ``None`` test.
-
-    The core is *built incrementally* alongside the object layer: every
-    non-transient interned state gets a row at interning time, and every
-    resolved ``kind → successor`` edge is mirrored into the row the moment
-    the object layer flattens it (cold derivation and warm
-    signature-hit promotion both land here).  The object layer remains the
-    source of truth — trees, forests, failure diagnosis and witness
-    materialization never read the dense core.
-
-    A core only exists on kind-*pure* tables (every terminal matches by
-    token kind alone); predicate terminals classify by value, which no
-    kind-indexed row can express, so impure tables keep ``dense = None``
-    and run the object path everywhere.
-
-    **Concurrency.**  Structure mutations (new state rows, kind interning
-    with its row extension) happen under the owning table's lock, with
-    publication ordered so lock-free readers are always safe: a state's
-    row is appended to ``rows`` before any transition entry can name its
-    id, and every row is extended to cover a new kind before the kind is
-    published in ``kind_ids``.  Transition-entry writes are idempotent
-    single-slot int stores (racing writers store the identical value), so
-    the warm promotion path may write them without the lock — the same
-    argument that covers ``by_kind`` flattening.
-    """
-
-    __slots__ = (
-        "kind_ids",
-        "kinds",
-        "rows",
-        "links",
-        "packed_states",
-        "states",
-        "accepting",
-        "hits",
-        "fallbacks",
-    )
-
-    def __init__(self) -> None:
-        #: Canonical token kind → dense kind id.
-        self.kind_ids: Dict[Any, int] = {}
-        #: Dense kind id → canonical token kind (the serialized kind table).
-        self.kinds: List[Any] = []
-        #: Dense state id → transition row (one int per interned kind).
-        self.rows: List[List[int]] = []
-        #: Dense state id → linked execution row: token kind → successor's
-        #: link dict (live edges only; :data:`DENSE_SID` maps to the row's
-        #: own state id).  Derived from ``rows``, maintained in lock-step
-        #: and periodically rebuilt compactly by :meth:`repack`.
-        self.links: List[Dict[Any, Any]] = []
-        #: How many link dicts the last :meth:`repack` laid out compactly
-        #: (states interned since then live wherever the allocator put
-        #: them, until the next repack).
-        self.packed_states = 0
-        #: Dense state id → the interned :class:`AutomatonState` behind it.
-        self.states: List["AutomatonState"] = []
-        #: Dense state id → nullability of the state's language.
-        self.accepting: List[bool] = []
-        #: Tokens resolved by a dense row since the table was built.
-        self.hits = 0
-        #: Tokens that fell back to the object layer (cold edge, unknown
-        #: kind, or a transient cursor past the state cap).
-        self.fallbacks = 0
-
-    # ------------------------------------------------------------- structure
-    def add_state(self, state: "AutomatonState") -> int:
-        """Assign ``state`` a dense id and an unexplored row (table-locked)."""
-        dense_id = len(self.rows)
-        self.rows.append([DENSE_UNEXPLORED] * len(self.kinds))
-        self.links.append({DENSE_SID: dense_id})
-        self.states.append(state)
-        self.accepting.append(state.accepting)
-        state.dense_id = dense_id
-        return dense_id
-
-    def intern_kind(self, kind: Any) -> int:
-        """Intern ``kind``, growing every row first (table-locked).
-
-        Rows are extended *before* the kind is published in ``kind_ids``,
-        so a lock-free reader that obtained the new kind id always finds
-        every row long enough to index.
-        """
-        kid = self.kind_ids.get(kind)
-        if kid is not None:
-            return kid
-        kid = len(self.kinds)
-        for row in self.rows:
-            row.append(DENSE_UNEXPLORED)
-        self.kinds.append(kind)
-        self.kind_ids[kind] = kid
-        return kid
-
-    # ------------------------------------------------------------ promotion
-    def record_edge(
-        self,
-        lock: "threading.RLock",
-        state: "AutomatonState",
-        kind: Any,
-        successor: "AutomatonState",
-    ) -> None:
-        """Mirror a resolved ``state × kind → successor`` edge into the rows.
-
-        Safe to call with or without the table lock held: interning a
-        never-seen kind takes ``lock`` (structure mutation); the row store
-        itself is an idempotent int write.  Edges involving transient
-        states (no dense id) are skipped — exactly the states the object
-        layer also refuses to cache.
-        """
-        sid = state.dense_id
-        if sid is None:
-            return
-        if successor.dead:
-            target = DENSE_DEAD
-        else:
-            target = successor.dense_id
-            if target is None:
-                return
-        kid = self.kind_ids.get(kind)
-        if kid is None:
-            with lock:
-                kid = self.intern_kind(kind)
-        self.rows[sid][kid] = target
-        if target >= 0:
-            # Mirror live edges into the linked execution rows.  Both ends
-            # come from one snapshot of ``links`` so a concurrent repack
-            # never splices an old dict into a new chain; if the snapshot
-            # is the pre-repack list the edge lands in retired dicts and
-            # the packed chain recovers it from the canonical row on the
-            # fallback path.  The successor's link dict was created (under
-            # the lock) when the state was interned, so the reference is
-            # always resolvable; racing writers store the identical dict,
-            # so this is the same idempotent unlocked write as the row
-            # store above.  Dead edges stay out of ``links`` by design —
-            # see the class docstring.
-            links = self.links
-            links[sid][kind] = links[target]
-
-    # -------------------------------------------------------------- repacking
-    def needs_repack(self) -> bool:
-        """True when enough states were interned since the last repack.
-
-        Safe to call lock-free (two monotone int reads; worst case a
-        harmless extra or missed check).  The ``dirty * 8 >= packed``
-        threshold keeps the O(states + edges) repack amortized against at
-        least 12.5% automaton growth — and fires on the *first* warm run
-        after any cold compilation (``packed_states == 0``), which is the
-        case that matters most.
-        """
-        dirty = len(self.rows) - self.packed_states
-        return dirty > 0 and dirty * 8 >= self.packed_states
-
-    def repack(self) -> None:
-        """Rebuild the linked execution rows compactly (table-locked).
-
-        Link dicts created during cold compilation are interleaved with
-        the derivation's memo churn and end up scattered across the heap;
-        chasing them costs a cache/TLB miss per token, which erases the
-        representation's advantage.  Rebuilding every dict in one tight
-        allocation burst from the canonical int rows restores locality —
-        on the PL/0 workload this is the difference between ~80ns and
-        ~400ns per warm token.
-
-        The swap publishes a fully-built list in one reference store:
-        lock-free walkers holding the retired list keep walking internally
-        consistent dicts (every retired dict still resolves through its
-        own :data:`DENSE_SID`), and edges racing into retired dicts are
-        never lost — the canonical rows are the source of truth and the
-        executor's miss path re-reads them.
-        """
-        kinds = self.kinds
-        fresh = [{DENSE_SID: sid} for sid in range(len(self.rows))]
-        for sid, row in enumerate(self.rows):
-            links = fresh[sid]
-            for kid, target in enumerate(row):
-                if target >= 0:
-                    links[kinds[kid]] = fresh[target]
-        self.links = fresh
-        self.packed_states = len(fresh)
-
-    # ------------------------------------------------------------ inspection
-    def row_fill(self) -> float:
-        """Fraction of row slots holding a resolved edge (0.0 when empty)."""
-        total = len(self.rows) * len(self.kinds)
-        if not total:
-            return 0.0
-        explored = sum(
-            1 for row in self.rows for entry in row if entry != DENSE_UNEXPLORED
-        )
-        return explored / total
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return "DenseCore(states={}, kinds={}, fill={:.2f})".format(
-            len(self.rows), len(self.kinds), self.row_fill()
-        )
 
 
 def as_root(grammar: Any) -> Language:
@@ -403,15 +167,18 @@ class AutomatonState:
     materialized, for states loaded from a serialized table), ``accepting``
     its nullability, and ``dead`` marks the unique ``∅`` sink.  Transitions
     live in two tiers: ``by_signature`` is the authoritative token-class
-    table, and ``by_kind`` is the flattened ``kind → successor`` fast path,
-    populated only when the table's shared classifier is kind-pure (the
-    classifier — and with it purity — is a property of the grammar's
-    terminal alphabet, so it lives on the :class:`GrammarTable`, not here).
+    table, and ``edges`` is the executor's fast path — token kind → the
+    successor's own ``edges`` dict, with :data:`STATE` mapping to this
+    state.  Edges are linked only when the table's shared classifier is
+    kind-pure (the classifier — and with it purity — is a property of the
+    grammar's terminal alphabet, so it lives on the :class:`GrammarTable`,
+    not here); dead edges link to the ``∅`` sink's dict, which never gets
+    edges of its own.
 
     ``parent``/``via`` record how the state was first reached — the witness
     used to re-derive the language after deserialization.  ``transient``
     states were built past the table's ``max_states`` cap and are never
-    cached in any transition table.
+    cached in any transition table (nor get edges).
     """
 
     __slots__ = (
@@ -420,11 +187,10 @@ class AutomatonState:
         "accepting",
         "dead",
         "transient",
-        "by_kind",
+        "edges",
         "by_signature",
         "parent",
         "via",
-        "dense_id",
     )
 
     def __init__(
@@ -441,19 +207,13 @@ class AutomatonState:
         self.accepting = accepting
         self.dead = dead
         self.transient = False
-        self.by_kind: Dict[Any, "AutomatonState"] = {}
+        self.edges: Dict[Any, Any] = {STATE: self}
         self.by_signature: Dict[Any, "AutomatonState"] = {}
         self.parent = parent
         self.via = via
-        #: This state's id in the table's :class:`DenseCore` (row index), or
-        #: None when the state is transient, the ``∅`` sink, or the table is
-        #: kind-impure (no dense core at all).
-        self.dense_id: Optional[int] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         flags = []
-        if self.dense_id is not None:
-            flags.append("dense#{}".format(self.dense_id))
         if self.dead:
             flags.append("dead")
         if self.accepting:
@@ -566,16 +326,10 @@ class GrammarTable:
         #: edges but avoids an O(graph) terminal scan per new state.
         self.classifier = TokenClassifier(root)
         #: Kind-purity of the whole alphabet: when True, every state may
-        #: flatten ``kind → successor``; when False, every token is
-        #: classified by value (``by_kind`` stays empty everywhere).
+        #: link ``kind → successor`` edges; when False, every token is
+        #: classified by value (``edges`` stay empty everywhere).
         self.pure = self.classifier.pure
         self.max_states = max_states
-        #: The dense int-indexed execution core (kind-pure grammars only).
-        #: Built incrementally as states/edges are interned; the executor's
-        #: hot loop runs entirely on it and falls back to :meth:`step_slow`
-        #: on :data:`DENSE_UNEXPLORED` entries.  None when the alphabet has
-        #: predicate terminals (value-dependent classification).
-        self.dense: Optional[DenseCore] = DenseCore() if self.pure else None
         self._states: Dict[Language, AutomatonState] = {}
         #: Canonical state key (:meth:`_state_key`) → the state it names.
         self._by_key: Dict[tuple, AutomatonState] = {}
@@ -588,6 +342,11 @@ class GrammarTable:
         self.keys_skipped = 0
         #: Derived nodes visited by key walks, abandoned ones included.
         self.key_nodes_walked = 0
+        #: Tokens the executor resolved by an edge dict / by :meth:`step_slow`.
+        self.dense_hits = 0
+        self.dense_fallbacks = 0
+        #: How many states' edge dicts the last :meth:`repack` laid out.
+        self.packed_states = 0
         self.dead = AutomatonState(index=-1, language=EMPTY, accepting=False, dead=True)
         # Adaptive empty-branch pruning, on the exact schedule the
         # interpreted parser uses (shared implementation).
@@ -637,8 +396,6 @@ class GrammarTable:
         if key is not None:
             self._by_key[key] = state
         self._by_index.append(state)
-        if self.dense is not None:
-            self.dense.add_state(state)
         return state
 
     def _state_key(self, language: Language, budget: int) -> Optional[tuple]:
@@ -741,13 +498,14 @@ class GrammarTable:
 
     # ------------------------------------------------------------- stepping
     def step_slow(self, state: AutomatonState, tok: Any) -> AutomatonState:
-        """Advance one token past the flattened fast path.
+        """Advance one token past the edge dicts.
 
-        Callers (the executor's hot loops) probe ``state.by_kind`` first and
+        Callers (the executor's hot loops) probe ``state.edges`` first and
         come here on a miss: classify the token, consult the class table,
-        derive only if the edge is genuinely new.  Impure states keep
-        ``by_kind`` empty, so every token routes here and is classified by
-        value — the invariant that makes the callers' bare kind probe sound.
+        derive only if the edge is genuinely new, and link the kind edge
+        on the way out.  Impure and transient states never get edges, so
+        every token routes here and is classified by value — the invariant
+        that makes the callers' bare kind probe sound.
 
         Thread-safe: the class-table probe is lock-free (classification
         reads a frozen terminal list), and a genuine miss re-checks the
@@ -760,11 +518,9 @@ class GrammarTable:
         if state.language is not None:
             successor = state.by_signature.get(signature)
             if successor is not None:
-                if self.pure and not successor.transient and not state.transient:
-                    kind = token_kind(tok)
-                    state.by_kind[kind] = successor
-                    if self.dense is not None:
-                        self.dense.record_edge(self.lock, state, kind, successor)
+                if self.pure:
+                    with self.lock:
+                        self._link(state, tok, successor)
                 return successor
         with self.lock:
             if state.language is None:
@@ -796,12 +552,52 @@ class GrammarTable:
                     )
                 if not successor.transient and not state.transient:
                     state.by_signature[signature] = successor
-            if self.pure and not successor.transient and not state.transient:
-                kind = token_kind(tok)
-                state.by_kind[kind] = successor
-                if self.dense is not None:
-                    self.dense.record_edge(self.lock, state, kind, successor)
+            if self.pure:
+                self._link(state, tok, successor)
         return successor
+
+    def _link(self, state: AutomatonState, tok: Any, successor: AutomatonState) -> None:
+        """Link ``tok``'s kind from ``state`` to ``successor`` (table-locked)."""
+        if not (state.transient or successor.transient):
+            state.edges[token_kind(tok)] = successor.edges
+
+    # -------------------------------------------------------------- repacking
+    def needs_repack(self) -> bool:
+        """True when enough states were interned since the last repack.
+
+        Safe to call lock-free (two monotone int reads; worst case a
+        harmless extra or missed check).  The ``dirty * 8 >= packed``
+        threshold keeps the O(states + edges) repack amortized against at
+        least 12.5% automaton growth, and fires on the *first* warm run
+        after any cold compilation (``packed_states == 0``).
+        """
+        dirty = len(self._by_index) - self.packed_states
+        return dirty > 0 and dirty * 8 >= self.packed_states
+
+    def repack(self) -> None:
+        """Rebuild every state's edge dict compactly (table-locked).
+
+        Edge dicts created during cold compilation are interleaved with the
+        derivation's memo churn and end up scattered across the heap;
+        chasing them costs cache/TLB misses per token.  Rebuilding them in
+        one allocation burst restores locality.  The new dicts are copied
+        from the old ones; a walker still holding an old dict keeps walking
+        a consistent chain (each old dict still names its state under
+        :data:`STATE`), and its next miss re-enters the new dicts through
+        :meth:`step_slow`.  Every edge write takes :attr:`lock`, so none is
+        lost to the swap.
+        """
+        with self.lock:
+            states = self._by_index
+            fresh = [{STATE: state} for state in states]
+            for state, edges in zip(states, fresh):
+                for kind, target in state.edges.items():
+                    if kind is not STATE:
+                        successor = target[STATE]
+                        edges[kind] = target if successor.dead else fresh[successor.index]
+            for state, edges in zip(states, fresh):
+                state.edges = edges
+            self.packed_states = len(fresh)
 
     # -------------------------------------------------------- materialization
     def materialize(self, state: AutomatonState) -> Language:
@@ -839,8 +635,6 @@ class GrammarTable:
                 )
             entry.language = language
             entry.accepting = self.nullability.nullable(language)
-            if self.dense is not None and entry.dense_id is not None:
-                self.dense.accepting[entry.dense_id] = entry.accepting
             # Reconnect the identity and key interning maps; if another
             # state already claims this node or key the first claimant
             # keeps it (both remain correct: they denote one language).
@@ -852,9 +646,9 @@ class GrammarTable:
                 self._by_key.setdefault(key, entry)
         return state.language
 
-    # --------------------------------------------------------- dense metering
+    # --------------------------------------------------------- edge metering
     def note_dense_run(self, hits: int, fallbacks: int) -> None:
-        """Fold one recognition run's dense-hit/fallback counts into the table.
+        """Fold one run's edge-hit/``step_slow`` counts into the table.
 
         The executor counts locally during the run (zero per-token metering
         cost) and reports once at the end; the fold takes :attr:`lock`, per
@@ -863,9 +657,8 @@ class GrammarTable:
         if not hits and not fallbacks:
             return
         with self.lock:
-            if self.dense is not None:
-                self.dense.hits += hits
-                self.dense.fallbacks += fallbacks
+            self.dense_hits += hits
+            self.dense_fallbacks += fallbacks
             self.metrics.dense_hits += hits
             self.metrics.dense_fallbacks += fallbacks
 
@@ -883,14 +676,14 @@ class GrammarTable:
         """Number of resolved outgoing edges across all states.
 
         Live states count their ``state × token-class`` edges; states
-        deserialized from a saved table carry only flattened kind edges
-        until a cache miss re-classifies them, so those are counted
-        instead (a kind edge may be finer than a class edge, but zero
-        would misreport a warm loaded table as empty).
+        deserialized from a saved table carry only kind edges until a
+        cache miss re-classifies them, so those are counted instead (a
+        kind edge may be finer than a class edge, but zero would misreport
+        a warm loaded table as empty).
         """
         total = 0
         for state in self._by_index:
-            total += len(state.by_signature) if state.by_signature else len(state.by_kind)
+            total += len(state.by_signature) or len(state.edges) - 1
         return total
 
     def states(self) -> List[AutomatonState]:
@@ -900,42 +693,26 @@ class GrammarTable:
     def stats(self) -> Dict[str, Any]:
         """A summary dictionary for benchmarks, serve logs and debugging.
 
-        The ``dense_*`` keys report promotion progress of the int-indexed
-        core: how many kinds/states have dense ids, what fraction of the
-        row slots hold a resolved edge, and how many tokens the executor
-        resolved densely vs. fell back on (all zero on kind-impure tables,
-        which have no core).
+        ``dense_hits``/``dense_fallbacks`` count the tokens the executor
+        resolved by an edge dict vs. by :meth:`step_slow`, over the
+        table's lifetime.
         """
-        flattened = sum(len(state.by_kind) for state in self._by_index)
-        dense = self.dense
         return {
             "states": self.state_count(),
             "class_transitions": self.transition_count(),
-            "kind_transitions": flattened,
             "transitions_derived": self.transitions_derived,
             "states_shared": self.states_shared,
             "keys_skipped": self.keys_skipped,
             "key_nodes_walked": self.key_nodes_walked,
             "memo_entries": self.memo.entry_count(),
             "pure": self.pure,
-            "dense_states": len(dense.rows) if dense is not None else 0,
-            "dense_kinds": len(dense.kinds) if dense is not None else 0,
-            "dense_row_fill": dense.row_fill() if dense is not None else 0.0,
-            "dense_hits": dense.hits if dense is not None else 0,
-            "dense_fallbacks": dense.fallbacks if dense is not None else 0,
+            "dense_hits": self.dense_hits,
+            "dense_fallbacks": self.dense_fallbacks,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        dense = self.dense
-        dense_part = (
-            ", dense={}x{} fill={:.2f}".format(
-                len(dense.rows), len(dense.kinds), dense.row_fill()
-            )
-            if dense is not None
-            else ""
-        )
-        return "GrammarTable(states={}, transitions={}{})".format(
-            self.state_count(), self.transition_count(), dense_part
+        return "GrammarTable(states={}, transitions={})".format(
+            self.state_count(), self.transition_count()
         )
 
 

@@ -5,19 +5,13 @@
 ``parse_forest``, ``parse_trees``, and a streaming ``start()`` state with
 ``feed``/``feed_all`` — but drives recognition through the grammar's shared
 :class:`~repro.compile.automaton.GrammarTable` instead of deriving per
-token.  On a kind-pure table the warm hot loop runs entirely on the
-table's :class:`~repro.compile.automaton.DenseCore`: int-interned kinds
-and states with canonical transition rows (``rows[state_id][kind_id]``),
-executed through the core's *linked* rows — one small-dict probe per
-token chasing successor row dicts by reference, with no Python-level
-classification call, no ``AutomatonState`` hops and no per-token
-allocation.  Unexplored edges fall back to the object layer's
-``step_slow`` (which promotes the resolved edge into the core), and
-kind-impure tables skip the dense core entirely and run the object path:
-one ``kind → successor`` dict probe per token, falling back to class
-signature → successor (kept public as
-:meth:`CompiledParser.recognize_object`, the dense path's differential
-reference).
+token.  Every table runs one hot loop: one small-dict probe per token
+chasing the states' linked edge dicts (token kind → the successor's edge
+dict), with no Python-level classification call and no per-token
+allocation.  A miss calls the table's ``step_slow`` — classify, consult
+the class table, derive only if the edge is new — and continues from the
+successor's dict.  Kind-impure and transient states have no edges, so on
+those every token takes ``step_slow``.
 
 Parse-*forest* obligations cannot ride the automaton: its states are
 derived tree-free and shared between inputs (canonically interned), and
@@ -52,13 +46,7 @@ from ..core.forest import ForestNode
 from ..core.languages import Language, token_kind
 from ..core.parse import DerivativeParser, forest_answer
 from ..obs.trace import current_trace
-from .automaton import (
-    DENSE_DEAD,
-    DENSE_SID,
-    AutomatonState,
-    GrammarTable,
-    compile_grammar,
-)
+from .automaton import STATE, AutomatonState, GrammarTable, compile_grammar
 
 __all__ = ["CompiledParser", "CompiledState", "CompiledSnapshot"]
 
@@ -76,7 +64,7 @@ class CompiledSnapshot:
     state must support ``tree()``/``forest()``.
     """
 
-    __slots__ = ("state", "position", "failure_position", "dense_id")
+    __slots__ = ("state", "position", "failure_position")
 
     def __init__(
         self,
@@ -87,12 +75,6 @@ class CompiledSnapshot:
         self.state = state
         self.position = position
         self.failure_position = failure_position
-        #: The pinned state's id in the table's dense core (None on impure
-        #: tables, transient states and the ``∅`` sink).  Interned states
-        #: and dense ids are bijective, so trail consumers — the shadow
-        #: cursor of :mod:`repro.incremental` — can compare ints instead
-        #: of object identities when deciding re-convergence.
-        self.dense_id = state.dense_id
 
     def __repr__(self) -> str:
         status = (
@@ -176,30 +158,15 @@ class CompiledState:
     def feed(self, tok: Any) -> "CompiledState":
         """Consume one token (a no-op once failed, keeping the position).
 
-        Probes the table's dense core first (one linked-row dict get);
-        unexplored edges, dead edges, unknown kinds and dense-less tables
-        fall back to the object layer exactly like
-        :meth:`CompiledParser.recognize_object`.
+        Probes the state's edge dict, and on a miss resolves the token with
+        the table's ``step_slow`` — the same two steps as the batch loop.
         """
         if self.failure_position is not None:
             return self
         if self.tokens is not None:
             self.tokens.append(tok)
-        state = self.state
-        successor = None
-        core = self.table.dense
-        sid = state.dense_id
-        if core is not None and sid is not None:
-            try:
-                nxt = core.links[sid].get(getattr(tok, "kind", tok))
-            except TypeError:  # unhashable kind guess (exotic token shape)
-                nxt = None
-            if nxt is not None:
-                successor = core.states[nxt[DENSE_SID]]
-        if successor is None:
-            successor = state.by_kind.get(token_kind(tok))
-            if successor is None:
-                successor = self.table.step_slow(state, tok)
+        nxt = self.state.edges.get(token_kind(tok))
+        successor = self.table.step_slow(self.state, tok) if nxt is None else nxt[STATE]
         self.position += 1
         if successor.dead:
             self.failure_position = self.position - 1
@@ -389,23 +356,21 @@ class CompiledParser:
     def recognize(self, tokens: Iterable[Any]) -> bool:
         """True when the token sequence is in the grammar's language.
 
-        The hot path: the table's dense core
-        (:class:`~repro.compile.automaton.DenseCore`) executed over its
-        linked rows — one small-dict probe per warm token — entering the
-        object layer only on unexplored edges and leaving it again as soon
-        as the resolved successor has a dense id.  Kind-impure tables (no
-        dense core) run :meth:`recognize_object` unchanged.
+        The hot path: one small-dict probe per warm token over the states'
+        linked edge dicts, entering ``step_slow`` only on a miss (see
+        :meth:`_walk`).
         """
         return self.recognize_with_stats(tokens)[0]
 
     def recognize_with_stats(self, tokens: Iterable[Any]) -> "Tuple[bool, int, int]":
         """Recognize and report ``(accepted, dense_hits, dense_fallbacks)``.
 
-        The counts cover *this call only*: tokens resolved by a dense row
-        vs. tokens routed through the object layer (cold edge, unknown
-        kind, or a transient cursor past the state cap).  Both are zero
-        when the table has no dense core.  The counts are also folded into
-        the table's lifetime totals (``stats()['dense_hits']`` /
+        The counts cover *this call only*: tokens resolved by an edge dict
+        vs. tokens resolved by ``step_slow`` (cold edge, unknown kind, an
+        impure table, or a transient cursor past the state cap).  A run
+        that stops at the ``∅`` sink counts the tokens up to and including
+        the one that killed it.  The counts are also folded into the
+        table's lifetime totals (``stats()['dense_hits']`` /
         ``['dense_fallbacks']`` and the shared
         :class:`~repro.core.metrics.Metrics`) under the table lock — one
         acquisition per run, never per token.
@@ -415,7 +380,7 @@ class CompiledParser:
         recorded as a ``recognize`` stage span; when none is (the
         default), the cost is this single contextvar read —
         ``benchmarks/bench_obs_overhead.py`` gates it at ≤ 5% over the
-        bare dense loop.
+        bare hot loop.
         """
         trace = current_trace()
         if trace is None:
@@ -426,136 +391,60 @@ class CompiledParser:
     def _recognize_with_stats(self, tokens: Iterable[Any]) -> "Tuple[bool, int, int]":
         """The untraced body of :meth:`recognize_with_stats`."""
         table = self.table
-        core = table.dense
-        if core is None:
-            return self.recognize_object(tokens), 0, 0
-        sid = table.start.dense_id
-        if sid is None:  # start state transient (max_states=0): no dense run
-            return self.recognize_object(tokens), 0, 0
         if not isinstance(tokens, (list, tuple)):
             tokens = list(tokens)
-        if core.needs_repack():
+        if table.needs_repack():
             with table.lock:
-                if core.needs_repack():
-                    core.repack()
+                if table.needs_repack():
+                    table.repack()
         try:
-            accepted, hits, fallbacks = self._dense_run(core, sid, tokens)
+            accepted, hits, fallbacks = self._walk(tokens)
         except TypeError:
-            # A token whose fast-path kind guess is unhashable: recognition
-            # is a pure function of the stream, so rerun it entirely on the
-            # object layer (which classifies with the full token_kind
-            # protocol and raises only genuine errors).
-            return self.recognize_object(tokens), 0, 0
+            # A token whose fast kind guess is unhashable (a tuple token
+            # carrying a list): recognition is a pure function of the
+            # stream, so rerun it on the streaming path, which reads every
+            # kind with the full token_kind protocol and raises only
+            # genuine errors.  That path is not metered.
+            return self.start(keep_tokens=False).feed_all(tokens).accepts(), 0, 0
         table.note_dense_run(hits, fallbacks)
         return accepted, hits, fallbacks
 
-    def _dense_run(
-        self, core: Any, sid: int, tokens: Sequence[Any]
-    ) -> "Tuple[bool, int, int]":
-        """The dense hot loop; returns (accepted, hits, fallbacks).
+    def _walk(self, tokens: Sequence[Any]) -> "Tuple[bool, int, int]":
+        """The hot loop; returns (accepted, hits, fallbacks).
 
-        Walks the core's *linked* execution rows — one small-dict ``get``
-        per token, chasing the successor's row dict directly, with no ids
-        decoded on the hot path (see :class:`DenseCore` for why this beats
-        indexing the int rows in CPython).  A miss re-enters the int/object
-        world: the row's own id (under the reserved ``DENSE_SID`` key)
-        addresses the canonical int row, which distinguishes a dead edge
-        (dead edges are deliberately absent from the linked rows) from a
-        genuinely unexplored one; only the latter pays ``step_slow``.  The
-        loop body never counts — token totals are recovered from
-        ``len(tokens)`` on completion and by draining the shared iterator
-        on the (rare) early exits.
+        One ``dict.get`` per token, chasing the successor's edge dict
+        directly.  A miss reads the dict's state (under the reserved
+        :data:`~repro.compile.automaton.STATE` key), retries with the full
+        ``token_kind`` protocol (tuple tokens miss the fast guess), stops
+        if the previous token took a dead edge into the ``∅`` sink's dict,
+        and otherwise resolves the token with ``step_slow`` and continues
+        from the successor's dict.  The loop body never counts: token
+        totals are recovered from ``len(tokens)`` on completion and by
+        draining the shared iterator on the early exit.
         """
-        table = self.table
-        links = core.links
-        rows = core.rows
-        states = core.states
-        get_kid = core.kind_ids.get
+        step_slow = self.table.step_slow
         kind_of = token_kind
-        step_slow = table.step_slow
         n = len(tokens)
         fallbacks = 0
-        row = links[sid]
+        row = self.table.start.edges
         stream = iter(tokens)
         for tok in stream:
             nxt = row.get(getattr(tok, "kind", tok))
             if nxt is not None:
                 row = nxt
                 continue
-            # Miss: recover the int cursor and consult the canonical row.
-            # Successor rows are re-read through ``core.links`` — a
-            # concurrent repack may have retired the snapshot we entered
-            # with, and states interned after the swap only exist in the
-            # current list.
-            sid = row[DENSE_SID]
-            kid = get_kid(kind_of(tok))
-            if kid is not None:
-                target = rows[sid][kid]
-                if target >= 0:
-                    # Resolved edge the fast-path kind guess missed (e.g.
-                    # tuple-shaped tokens) — still a dense hit.
-                    row = core.links[target]
-                    continue
-                if target == DENSE_DEAD:
-                    consumed = n - sum(1 for _ in stream)
-                    return False, consumed - fallbacks, fallbacks
-            # Cold edge or never-seen kind: resolve on the object layer
-            # (step_slow promotes the edge into the dense core), then step
-            # back onto the linked rows.
-            fallbacks += 1
-            successor = step_slow(states[sid], tok)
-            if successor.dead:
-                consumed = n - sum(1 for _ in stream)
+            nxt = row.get(kind_of(tok))
+            if nxt is not None:
+                row = nxt
+                continue
+            state = row[STATE]
+            if state.dead:
+                # ``tok`` is the first token past the one that killed the run.
+                consumed = n - sum(1 for _ in stream) - 1
                 return False, consumed - fallbacks, fallbacks
-            nsid = successor.dense_id
-            if nsid is None:
-                # Transient successor (past the table's state cap): the
-                # rest of this stream cannot re-enter the dense core.
-                accepted, tail = self._object_tail(successor, stream)
-                consumed = n - sum(1 for _ in stream) - tail
-                return accepted, consumed - fallbacks, fallbacks + tail
-            row = core.links[nsid]
-        return core.accepting[row[DENSE_SID]], n - fallbacks, fallbacks
-
-    def _object_tail(
-        self, state: AutomatonState, stream: Iterable[Any]
-    ) -> "Tuple[bool, int]":
-        """Finish a run on the object layer, consuming ``stream``."""
-        step_slow = self.table.step_slow
-        kind_of = token_kind
-        count = 0
-        for tok in stream:
-            count += 1
-            successor = state.by_kind.get(kind_of(tok))
-            if successor is None:
-                successor = step_slow(state, tok)
-            if successor.dead:
-                return False, count
-            state = successor
-        return state.accepting, count
-
-    def recognize_object(self, tokens: Iterable[Any]) -> bool:
-        """Recognition on the object layer only (the pre-dense warm path).
-
-        One ``kind → successor`` dict probe per token with the
-        class-signature (and ultimately derivation) path behind a single
-        miss check.  This is the differential reference the dense core
-        must agree with — the parity tests and the dense-core benchmark's
-        object-path baseline both call it directly; ``recognize`` itself
-        routes through the dense core whenever the table has one.
-        """
-        table = self.table
-        state = table.start
-        step_slow = table.step_slow
-        kind_of = token_kind
-        for tok in tokens:
-            successor = state.by_kind.get(kind_of(tok))
-            if successor is None:
-                successor = step_slow(state, tok)
-            if successor.dead:
-                return False
-            state = successor
-        return state.accepting
+            fallbacks += 1
+            row = step_slow(state, tok).edges
+        return row[STATE].accepting, n - fallbacks, fallbacks
 
     # ---------------------------------------------------------------- parsing
     def parse_forest(self, tokens: Sequence[Any]) -> ForestNode:

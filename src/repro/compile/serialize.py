@@ -1,8 +1,8 @@
 """Serialization of compiled grammar tables (ship a hot grammar pre-warmed).
 
 A serialized table is a JSON document holding the automaton's *shape* —
-state indices, accepting flags, flattened ``kind → successor`` transitions —
-plus, per state, a **witness**: the parent state and the representative
+state indices, accepting flags and each state's kind edges — plus, per
+state, a **witness**: the parent state and the representative
 token that first reached it.  Languages, classifiers and memo entries are
 deliberately not serialized (they hold arbitrary Python callables); instead,
 a loaded state starts unmaterialized, and the witness chain lets the table
@@ -22,41 +22,50 @@ Consequences:
 
 Only JSON-representable token data survives serialization: states whose
 witness token has a non-string kind (or a non-scalar value) are dropped,
-together with the transitions pointing at them, as are ``kind`` edges whose
-kind is not a string.  Kind-impure states (predicate terminals) serialize
-without transitions — their classification is value-dependent and must be
-recomputed live.
+together with the edges pointing at them, as are edges whose kind is not a
+JSON scalar.  Kind-impure states (predicate terminals) serialize without
+edges — their classification is value-dependent and must be recomputed
+live.
 
-Version 2 additionally persists the table's dense layout
-(:class:`~repro.compile.automaton.DenseCore`): a top-level ``dense_kinds``
-table (scalar kinds only, in dense-kid order) and a per-state ``row`` of
-ints aligned with it — serialized state indices, ``-1`` for the dead sink,
-``-2`` for unexplored.  The loader re-interns both sides into the fresh
-table's core (and rebuilds the linked execution rows compactly), so a
-loaded table runs the dense hot path with zero derivations *and* zero
-dense fallbacks on input the saved automaton covered.
+Version 3: each state carries one ``edges`` list of ``[kind, target]``
+pairs, where ``target`` is a serialized state index or ``-1`` for the
+``∅`` sink.  The loader links them into the fresh table's edge dicts in
+one allocation burst, so a loaded table runs the hot loop with zero
+derivations *and* zero ``step_slow`` fallbacks on input the saved
+automaton covered — and rejects with none either, because dead edges
+ride along.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any, Dict, List, Optional
 
 from ..core.errors import ReproError
 from ..core.languages import token_kind, token_value
 from ..core.metrics import Metrics
 from ..lexer.tokens import Tok
-from .automaton import DENSE_DEAD, DENSE_UNEXPLORED, AutomatonState, GrammarTable
+from .automaton import STATE, AutomatonState, GrammarTable
 
 __all__ = ["save_table", "load_table", "dump_table", "restore_table", "FORMAT", "VERSION"]
 
 FORMAT = "repro-compiled-table"
-#: Version 2: the dense-core layout (``dense_kinds`` + per-state ``row``)
-#: rides along with the object-layer transitions.  Version-1 documents
-#: predate the dense core and are rejected — re-save from a live table.
-VERSION = 2
+#: Version 3: one ``edges`` list per state.  Older documents are rejected —
+#: re-save from a live table.
+VERSION = 3
 
 _SCALAR = (str, int, float, bool, type(None))
+
+
+def _interned(kind: Any) -> Any:
+    """``kind``, as the interned string when it is one.
+
+    Lexers' kind strings are interned, and a dict probe whose key is the
+    identical object skips the string comparison: loaded edge keys then
+    hit as fast as the ones a live walk linked from the tokens themselves.
+    """
+    return sys.intern(kind) if isinstance(kind, str) else kind
 
 
 def _witness_fields(state: AutomatonState) -> Optional[Dict[str, Any]]:
@@ -88,60 +97,32 @@ def dump_table(table: GrammarTable) -> Dict[str, Any]:
             state.parent.index, False
         )
 
-    # The dense layout ships as a top-level kind table (scalar kinds only,
-    # in dense-kid order) plus one int row per serialized state, aligned
-    # with it.  Row entries use serialized *state indices* — the same
-    # namespace as the ``kinds`` dicts — with the dead/unexplored
-    # sentinels passed through; targets whose state was dropped serialize
-    # as unexplored so the loaded table re-derives them on demand.
-    core = table.dense
-    dense_columns: List[int] = []
-    dense_kinds: List[Any] = []
-    if core is not None:
-        for kid, kind in enumerate(core.kinds):
-            if isinstance(kind, _SCALAR):
-                dense_columns.append(kid)
-                dense_kinds.append(kind)
-
     serialized: List[Dict[str, Any]] = []
     dropped = 0
     for state in states:
         if not placeable[state.index]:
             dropped += 1
             continue
-        kinds: Dict[str, int] = {}
-        for kind, successor in state.by_kind.items():
-            if not isinstance(kind, str):
+        edges: List[List[Any]] = []
+        for kind, target in state.edges.items():
+            if not isinstance(kind, _SCALAR):  # also skips the STATE key
                 continue
+            successor = target[STATE]
             if successor.dead:
-                kinds[kind] = -1
+                edges.append([kind, -1])
             elif placeable.get(successor.index, False):
-                kinds[kind] = successor.index
-        entry: Dict[str, Any] = {
-            "index": state.index,
-            "accepting": bool(state.accepting),
-            "parent": state.parent.index if state.parent is not None else None,
-            "via": witnesses[state.index],
-            "kinds": kinds,
-        }
-        if core is not None and state.dense_id is not None:
-            dense_row = core.rows[state.dense_id]
-            row: List[int] = []
-            for kid in dense_columns:
-                target = dense_row[kid]
-                if target >= 0:
-                    successor = core.states[target]
-                    row.append(
-                        successor.index
-                        if placeable.get(successor.index, False)
-                        else DENSE_UNEXPLORED
-                    )
-                else:
-                    row.append(target)
-            entry["row"] = row
-        serialized.append(entry)
+                edges.append([kind, successor.index])
+        serialized.append(
+            {
+                "index": state.index,
+                "accepting": bool(state.accepting),
+                "parent": state.parent.index if state.parent is not None else None,
+                "via": witnesses[state.index],
+                "edges": edges,
+            }
+        )
 
-    document = {
+    return {
         "format": FORMAT,
         "version": VERSION,
         "fingerprint": table.fingerprint,
@@ -154,9 +135,6 @@ def dump_table(table: GrammarTable) -> Dict[str, Any]:
         "dropped_states": dropped,
         "states": serialized,
     }
-    if core is not None:
-        document["dense_kinds"] = dense_kinds
-    return document
 
 
 def save_table(table: GrammarTable, path: str) -> None:
@@ -186,7 +164,7 @@ def restore_table(
     *identity* guards — the structural-fingerprint match and the
     kind-purity agreement.  Passing ``strict=False`` attaches the document
     to ``grammar`` without either check; everything else (format/version
-    validation, state wiring, dense-row restoration) is identical.  The
+    validation, state and edge wiring) is identical.  The
     contract is *the caller vouches for the grammar*: serialized
     transitions and accepting flags are replayed as saved, so input covered
     by the saved automaton is answered by the **saved** grammar's automaton,
@@ -204,9 +182,8 @@ def restore_table(
     if data.get("version") != VERSION:
         raise ReproError(
             "unsupported compiled-table version {0!r}: this build reads only "
-            "version {1} (version {1} added the dense-core layout; older "
-            "documents carry no dense rows).  Re-save the table from a live "
-            "{1}-format build with save_table().".format(
+            "version {1} (version {1} stores one edge list per state).  "
+            "Re-save the table from a live build with save_table().".format(
                 data.get("version"), VERSION
             )
         )
@@ -230,9 +207,7 @@ def restore_table(
     start_index = data.get("start", 0)
     by_serialized_index: Dict[int, AutomatonState] = {}
 
-    # Pass 1: create (or adopt) one state per serialized entry.  Restored
-    # states register with the fresh table's dense core as they are
-    # created, so dense ids exist before pass 3 wires the rows.
+    # Pass 1: create (or adopt) one state per serialized entry.
     for entry in entries:
         if entry["index"] == start_index:
             by_serialized_index[entry["index"]] = table.start
@@ -243,11 +218,9 @@ def restore_table(
             accepting=bool(entry["accepting"]),
         )
         table._by_index.append(state)
-        if table.dense is not None:
-            table.dense.add_state(state)
         by_serialized_index[entry["index"]] = state
 
-    # Pass 2: wire witnesses and flattened kind transitions.
+    # Pass 2: wire witnesses and edges (the first walk repacks them).
     for entry in entries:
         state = by_serialized_index[entry["index"]]
         parent_index = entry.get("parent")
@@ -256,51 +229,10 @@ def restore_table(
             via = entry.get("via")
             if via is not None:
                 state.via = Tok(via["kind"], via["value"])
-        for kind, successor_index in entry.get("kinds", {}).items():
-            if successor_index == -1:
-                state.by_kind[kind] = table.dead
-            else:
-                successor = by_serialized_index.get(successor_index)
-                if successor is not None:
-                    state.by_kind[kind] = successor
-
-    # Pass 3: rebuild the dense core.  The serialized rows restore every
-    # scalar-kind edge (including non-string kinds the ``kinds`` dicts
-    # cannot carry); a sweep over the restored ``by_kind`` edges then
-    # covers documents without rows (e.g. a strict=False cross-attach),
-    # idempotently.  Built here in one allocation burst, the linked rows
-    # are already compact — mark them packed so the executor does not
-    # schedule a redundant repack.
-    core = table.dense
-    if core is not None:
-        dense_kinds = data.get("dense_kinds") or []
-        with table.lock:
-            kid_of_column = [core.intern_kind(kind) for kind in dense_kinds]
-        for entry in entries:
-            row_doc = entry.get("row")
-            if not row_doc:
-                continue
-            sid = by_serialized_index[entry["index"]].dense_id
-            if sid is None:
-                continue
-            for column, target in enumerate(row_doc):
-                if column >= len(kid_of_column) or target == DENSE_UNEXPLORED:
-                    continue
-                kid = kid_of_column[column]
-                if target == DENSE_DEAD:
-                    core.rows[sid][kid] = DENSE_DEAD
-                    continue
-                target_state = by_serialized_index.get(target)
-                if target_state is not None and target_state.dense_id is not None:
-                    tsid = target_state.dense_id
-                    core.rows[sid][kid] = tsid
-                    core.links[sid][core.kinds[kid]] = core.links[tsid]
-        for entry in entries:
-            state = by_serialized_index[entry["index"]]
-            for kind, successor in state.by_kind.items():
-                core.record_edge(table.lock, state, kind, successor)
-        core.packed_states = len(core.rows)
-
+        for kind, target in entry.get("edges", []):
+            successor = table.dead if target == -1 else by_serialized_index.get(target)
+            if successor is not None:
+                state.edges[_interned(kind)] = successor.edges
     return table
 
 

@@ -103,12 +103,12 @@ class Metrics:
         parse and spliced its checkpoint trail instead of re-feeding to
         the end.
     dense_hits / dense_fallbacks:
-        Warm-recognition routing on the compiled engine's int-indexed
-        :class:`~repro.compile.automaton.DenseCore`: tokens resolved by a
-        dense transition row vs. tokens that fell back to the object
-        layer's ``step_slow`` (cold edge, never-seen kind, or a transient
-        cursor).  The executor counts locally per run and folds the totals
-        in under the table lock.
+        Recognition routing on the compiled engine: tokens resolved by a
+        state's edge dict vs. tokens resolved by
+        :meth:`~repro.compile.automaton.GrammarTable.step_slow` (cold edge,
+        never-seen kind, a kind-impure table, or a transient cursor).  The
+        executor counts locally per run and folds the totals in under the
+        table lock.
     states_shared / keys_skipped:
         Canonical state interning in the compiled
         :class:`~repro.compile.automaton.GrammarTable`: newly derived states

@@ -406,20 +406,11 @@ class IncrementalDocument:
                 # Lock-step walk over the unchanged suffix: state is at new
                 # position p, shadow at old position p - delta, both about to
                 # consume the same token object.  Same interned state ⇒ every
-                # later transition identical ⇒ stop and splice.  Interned
-                # states and dense ids are bijective, so on a dense-cored
-                # table the comparison is two int reads (the same ids
-                # CompiledSnapshot pins into checkpoint trails); impure
-                # tables keep the object-identity check.
+                # later transition identical ⇒ stop and splice.
                 p = boundary
                 total = len(self._tokens)
                 while p < total:
-                    ssid = state.state.dense_id
-                    if (
-                        ssid == shadow.state.dense_id
-                        if ssid is not None
-                        else state.state is shadow.state
-                    ):
+                    if state.state is shadow.state:
                         converged_at = p
                         break
                     token = self._tokens[p]

@@ -4,8 +4,8 @@ Both engine states snapshot in O(1) — an interpreted
 :class:`~repro.core.parse.ParserSnapshot` pins one node of a persistent
 derived-language graph, a compiled
 :class:`~repro.compile.executor.CompiledSnapshot` pins one interned
-automaton state (plus its int id in the table's dense core, which is what
-edit-aware reparsing compares during shadow-cursor re-convergence) — so
+automaton state (whose identity is what edit-aware reparsing compares
+during shadow-cursor re-convergence) — so
 keeping a snapshot every *k* tokens costs a handful of references per
 kilotoken, not a copy of anything.  A
 :class:`CheckpointTrail` is that bookkeeping: the sorted list of

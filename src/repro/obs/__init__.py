@@ -35,7 +35,7 @@ Quickstart::
     print(service.exposition())            # Prometheus text format
 
 ``benchmarks/bench_obs_overhead.py`` gates the overhead: disabled tracing
-within 5% of the bare dense hot loop, fully traced within 15%.
+within 5% of the bare hot loop, fully traced within 15%.
 """
 
 from .exposition import json_snapshot, parse_prometheus, prometheus_exposition

@@ -9,7 +9,7 @@ layers below the service never hold a tracer reference; they call the
 module-level :func:`stage`, which reads the active trace out of a
 :class:`contextvars.ContextVar` and returns a shared no-op when none is
 active.  That keeps the instrumentation cost of the disabled state to one
-contextvar read *per call* (never per token — the dense hot loop of
+contextvar read *per call* (never per token — the hot loop of
 :meth:`repro.compile.executor.CompiledParser.recognize_with_stats` checks
 once per run, which ``benchmarks/bench_obs_overhead.py`` gates at ≤ 5%).
 

@@ -14,13 +14,13 @@ One object owns everything a server process needs to parse heavy traffic:
   parses with checkpoints and idle eviction.
 
 **Division of labour between the engines.**  Recognition rides the shared
-compiled table's dense core
-(:class:`~repro.compile.automaton.DenseCore`): warm tokens are lock-free
-linked-row probes from any number of threads, cold edges derive once under
-the table lock and are promoted into the core on the way out
-(:mod:`repro.compile.automaton`'s contract).  Batches meter their dense
-hit/fallback split into ``ServiceMetrics`` (``dense_hits`` /
-``dense_fallbacks``), so promotion progress shows up in :meth:`stats`.  Tree extraction cannot ride
+compiled table's edge dicts: warm tokens are lock-free dict probes from
+any number of threads, cold edges derive once under the table lock and
+are linked into the states' edge dicts on the way out
+(:mod:`repro.compile.automaton`'s contract).  Batches meter their split —
+tokens resolved by an edge dict vs. by ``step_slow`` — into
+``ServiceMetrics`` (``dense_hits`` / ``dense_fallbacks``), so warm-up
+progress shows up in :meth:`stats`.  Tree extraction cannot ride
 class-interned transitions, so :meth:`parse_many` runs the *interpreted*
 engine instead — one thread-confined
 :class:`~repro.core.parse.DerivativeParser` per (worker thread × grammar),
@@ -194,7 +194,7 @@ class Op(NamedTuple):
 
 
 def _recognize_worker(service: "ParseService", entry: CacheEntry, args: Args):
-    """Recognition on the shared compiled table, dense hits metered."""
+    """Recognition on the shared compiled table, edge hits metered."""
     parser = CompiledParser(table=entry.table)
     metrics = service.metrics
     obs = service.obs
@@ -208,7 +208,7 @@ def _recognize_worker(service: "ParseService", entry: CacheEntry, args: Args):
         if fallbacks:
             metrics.inc("dense_fallbacks", fallbacks)
         elif len(stream):
-            # Warm-path rate: every token rode the dense core.
+            # Warm-path rate: every token rode an edge dict.
             obs.record("ns_per_token_dense", elapsed // len(stream))
         return accepted
 

@@ -18,7 +18,7 @@ span).  Batch payloads are **pre-pickled bytes**, not live objects, for
 two reasons: the dispatcher can cache an encoding and replay it across
 calls (:class:`repro.serve.pool.PreparedBatch`), and recognition batches
 on kind-pure grammars are encoded as *kind strings only* — recognition
-on a kind-pure table is value-insensitive (the dense core's premise),
+on a kind-pure table is value-insensitive (the edge dicts' premise),
 and a bare string is its own kind, so shipping ``tok.kind`` instead of
 pickling every ``Tok`` cuts the per-token wire cost by ~60× (measured;
 the difference between the pool beating the in-process service and

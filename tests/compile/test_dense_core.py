@@ -1,11 +1,14 @@
-"""Property + concurrency tests for the dense int-indexed automaton core.
+"""Property + concurrency tests for the compiled table's edge-dict walk.
 
-The dense core's whole bet is that a linked-row walk over int-interned
-states is interchangeable with the object layer's ``by_kind``/``step_slow``
-walk.  These tests drive randomly generated grammars × randomly generated
-token streams through both paths and assert they agree on acceptance *and*
-on the structural failure position, then hammer one cold shared table from
-eight threads to exercise concurrent dense promotion and repacking.
+The hot loop chases each state's linked edge dict and calls ``step_slow``
+only on a miss; it must be interchangeable with a walk that calls
+``step_slow`` for every token and never reads an edge dict.  These tests
+drive randomly generated grammars × randomly generated token streams
+through both walks — on kind-pure, kind-impure (predicate terminal) and
+``max_states``-capped tables — and assert they agree on acceptance *and* on
+the structural failure position, and that every consumed token is counted
+once as an edge hit or a fallback.  Then they hammer one cold shared table
+from eight threads to exercise concurrent edge linking and repacking.
 """
 
 import threading
@@ -13,7 +16,9 @@ import threading
 import pytest
 
 from repro.compile import CompiledParser, GrammarTable
+from repro.compile.automaton import STATE
 from repro.core import DerivativeParser, Ref, epsilon, token
+from repro.core.languages import Token
 from repro.grammars import arithmetic_grammar, pl0_grammar
 from repro.lexer.tokens import Tok
 from repro.workloads import pl0_tokens
@@ -65,46 +70,65 @@ _STREAMS = st.lists(
 )
 
 
-def _object_run(table, stream):
-    """Acceptance + structural failure position on the object layer only."""
+#: Table variants: kind-pure, kind-impure (a predicate terminal makes every
+#: state classify tokens by value, so no state gets edges) and capped at two
+#: interned states (the rest of a walk runs on transient states).
+_VARIANTS = ("pure", "impure", "capped")
+
+
+def _language(shape, variant):
+    language = _build(shape)
+    if variant == "impure":
+        return language | Token(predicate=lambda tok: tok.value == "z", label="z?")
+    return language
+
+
+def _step_slow_run(table, stream):
+    """Acceptance + structural failure position via ``step_slow`` alone."""
     state = table.start
     for position, tok in enumerate(stream):
-        successor = state.by_kind.get(tok.kind)
-        if successor is None:
-            successor = table.step_slow(state, tok)
-        if successor.dead:
+        state = table.step_slow(state, tok)
+        if state.dead:
             return False, position
-        state = successor
     return state.accepting, None
 
 
-def _dense_run(parser, stream):
-    """Acceptance + structural failure position through the dense probes."""
+def _consumed(stream, failure):
+    return len(stream) if failure is None else failure + 1
+
+
+def _edge_run(parser, stream):
+    """Acceptance + structural failure position through the edge probes."""
     state = parser.start(keep_tokens=False)
     state.feed_all(stream)
-    accepted = parser.recognize(stream)  # the batch dense hot loop
+    accepted, hits, fallbacks = parser.recognize_with_stats(stream)  # batch loop
     if not state.failed:
         assert accepted == state.accepts()
+    assert hits + fallbacks == _consumed(stream, state.failure_position)
     return accepted, state.failure_position
 
 
-@settings(max_examples=60, deadline=None)
-@given(shape=_SHAPES, stream=_STREAMS)
-def test_dense_and_object_paths_agree_on_random_grammars(shape, stream):
-    table = GrammarTable(_build(shape))
+@settings(max_examples=90, deadline=None)
+@given(shape=_SHAPES, stream=_STREAMS, variant=st.sampled_from(_VARIANTS))
+def test_dense_and_object_paths_agree_on_random_grammars(shape, stream, variant):
+    table = GrammarTable(
+        _language(shape, variant), max_states=2 if variant == "capped" else None
+    )
+    assert table.pure is (variant != "impure")
     parser = CompiledParser(table=table)
-    expected = DerivativeParser(_build(shape)).recognize(stream)
-    dense_accepted, dense_failure = _dense_run(parser, stream)
-    object_accepted, object_failure = _object_run(table, stream)
-    assert dense_accepted is expected
-    assert object_accepted is expected
-    assert dense_failure == object_failure
-    # A second, fully warm dense run must not flip anything.
+    expected = DerivativeParser(_language(shape, variant)).recognize(stream)
+    edge_accepted, edge_failure = _edge_run(parser, stream)
+    slow_accepted, slow_failure = _step_slow_run(table, stream)
+    assert edge_accepted is expected
+    assert slow_accepted is expected
+    assert edge_failure == slow_failure
+    # A second, fully warm run must not flip anything, and counts every
+    # consumed token exactly once.
     accepted, hits, fallbacks = parser.recognize_with_stats(stream)
     assert accepted is expected
-    assert hits + fallbacks == (
-        len(stream) if dense_failure is None else dense_failure + 1
-    )
+    assert hits + fallbacks == _consumed(stream, edge_failure)
+    if variant == "impure":
+        assert hits == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -114,14 +138,14 @@ def test_dense_and_object_paths_agree_on_random_grammars(shape, stream):
 def test_dense_failure_positions_match_object_path_on_arithmetic(stream):
     table = GrammarTable(arithmetic_grammar().language())
     parser = CompiledParser(table=table)
-    dense_accepted, dense_failure = _dense_run(parser, stream)
-    object_accepted, object_failure = _object_run(table, stream)
-    assert dense_accepted == object_accepted
-    assert dense_failure == object_failure
+    edge_accepted, edge_failure = _edge_run(parser, stream)
+    slow_accepted, slow_failure = _step_slow_run(table, stream)
+    assert edge_accepted == slow_accepted
+    assert edge_failure == slow_failure
 
 
 # ---------------------------------------------------------------------------
-# Concurrency: eight threads promote one cold table at once.
+# Concurrency: eight threads warm one cold table at once.
 
 
 def test_eight_threads_promote_one_cold_table():
@@ -149,7 +173,7 @@ def test_eight_threads_promote_one_cold_table():
     assert not errors
     assert results == expected
     stats = table.stats()
-    assert stats["dense_states"] == table.state_count()
+    assert all(state.edges[STATE] is state for state in table.states())
     assert stats["dense_hits"] > 0
     # Fully warm now: one more pass over every stream is all dense hits.
     for stream, want in zip(streams, expected):

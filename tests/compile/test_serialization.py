@@ -12,6 +12,7 @@ from repro.compile import (
     restore_table,
     save_table,
 )
+from repro.compile.automaton import STATE
 from repro.core import DerivativeParser, ReproError
 from repro.grammars import arithmetic_grammar, pl0_grammar, sexpr_grammar
 from repro.workloads import arithmetic_tokens, pl0_tokens, sexpr_tokens
@@ -51,7 +52,7 @@ class TestRoundTrip:
         accepted, hits, fallbacks = parser.recognize_with_stats(tokens)
         assert accepted is True
         # Warm-from-disk: the whole walk stayed on serialized transitions,
-        # and entirely inside the restored dense core.
+        # and entirely inside the restored edge dicts.
         assert loaded.transitions_derived == 0
         assert fallbacks == 0
         assert hits == len(tokens)
@@ -59,21 +60,36 @@ class TestRoundTrip:
         # class edges until a miss re-classifies a state).
         assert loaded.transition_count() > 0
         assert loaded.stats()["class_transitions"] > 0
-        assert loaded.stats()["dense_states"] == loaded.state_count()
+        assert all(state.edges[STATE] is state for state in loaded.states())
+
+    def test_loaded_table_rejects_without_deriving(self):
+        # The corrupted stream dies at token 30 on a dead edge the warm-up
+        # discovered; the dead edge survives the round trip, so the loaded
+        # table rejects on its edge dicts alone: no derivation, no fallback.
+        tokens = pl0_tokens(200, seed=1)
+        corrupted = tokens[:30] + tokens[31:]
+        table = warmed_table(pl0_grammar(), corrupted)
+        loaded = restore_table(dump_table(table), pl0_grammar())
+        parser = CompiledParser(table=loaded)
+        assert parser.recognize_with_stats(corrupted) == (False, 31, 0)
+        assert loaded.transitions_derived == 0
+        state = parser.start().feed_all(corrupted)
+        assert state.failed
+        assert state.failure_position == 30
 
     def test_document_shape(self, tmp_path):
         table = warmed_table(sexpr_grammar(), sexpr_tokens(40, seed=1))
         data = dump_table(table)
         assert data["format"] == "repro-compiled-table"
-        assert data["version"] == 2
+        assert data["version"] == 3
         assert data["start"] == 0
         assert len(data["states"]) == table.state_count()
-        # The dense layout rides along: a kind table plus aligned int rows.
-        assert data["dense_kinds"] == table.dense.kinds
-        assert all(
-            len(entry["row"]) == len(data["dense_kinds"])
-            for entry in data["states"]
-        )
+        # One [kind, target] pair per edge of the state; -1 is the sink.
+        for entry, state in zip(data["states"], table.states()):
+            assert len(entry["edges"]) == len(state.edges) - 1
+            for kind, target in entry["edges"]:
+                successor = state.edges[kind][STATE]
+                assert target == (-1 if successor.dead else successor.index)
         # JSON-clean end to end.
         path = str(tmp_path / "sexpr.table.json")
         save_table(table, path)
@@ -175,7 +191,17 @@ class TestGuards:
                 arithmetic_grammar(),
             )
         assert "1" in str(excinfo.value)
-        assert "2" in str(excinfo.value)
+        assert "3" in str(excinfo.value)
+
+    def test_rejects_version_2_naming_both(self):
+        # Version 2 stored per-kind dicts and int rows; no reader is kept.
+        with pytest.raises(ReproError) as excinfo:
+            restore_table(
+                {"format": "repro-compiled-table", "version": 2},
+                arithmetic_grammar(),
+            )
+        assert "version 2" in str(excinfo.value)
+        assert "version 3" in str(excinfo.value)
 
 
 class TestStrictFalseSemantics:
