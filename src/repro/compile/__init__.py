@@ -36,7 +36,9 @@ Quickstart::
 + ``feed`` API as :class:`~repro.core.parse.DerivativeParser`; recognition
 runs on the automaton, while tree-producing calls fall back to on-the-fly
 derivation (compiled transitions are token-class-interned and do not carry
-per-token parse-tree payloads).
+per-token parse-tree payloads).  Its ``start()`` cursor recognizes only,
+in O(1) memory; a compiled stream that needs trees is an
+:class:`~repro.incremental.IncrementalDocument`.
 """
 
 from .automaton import (

@@ -232,24 +232,22 @@ class GrammarTable:
     ----------
     grammar:
         A :class:`Language` root or an object convertible via
-        ``language()``/``to_language()``.
-    optimize:
-        Run the initial-grammar compaction of Section 4.3.1 before compiling
-        (default True, matching :class:`~repro.core.parse.DerivativeParser`).
+        ``language()``/``to_language()``.  The table always runs the
+        initial-grammar compaction of Section 4.3.1 on it first (as
+        :class:`~repro.core.parse.DerivativeParser` does by default), and
+        always prunes provably-empty branches from freshly derived states
+        before interning them, on the interpreted parser's adaptive
+        schedule: without pruning, "zombie" cores accumulate in the derived
+        graphs and cold compilation degrades to quadratic.
+        :func:`~repro.core.prune.prune_empty` rewrites child pointers in
+        place and is semantics-preserving, so already-interned states
+        sharing the pruned nodes stay valid.
     max_states:
         Optional cap on interned states.  Derivation past the cap still
         works (and is still memoized by the persistent derive memo) but the
         resulting states are *transient*: they are not interned and no
         transition entry points at them, bounding the table's memory on
         adversarial inputs whose state space never recurs.
-    prune:
-        Adaptively prune provably-empty branches from freshly derived
-        states before interning them (default True, mirroring
-        :class:`~repro.core.parse.DerivativeParser`).  Without it, "zombie"
-        cores accumulate in the derived graphs and cold compilation
-        degrades to quadratic.  :func:`~repro.core.prune.prune_empty`
-        rewrites child pointers in place and is semantics-preserving, so
-        already-interned states sharing the pruned nodes stay valid.
     metrics:
         Optional shared :class:`~repro.core.metrics.Metrics`.
     """
@@ -257,9 +255,7 @@ class GrammarTable:
     def __init__(
         self,
         grammar: Any,
-        optimize: bool = True,
         max_states: Optional[int] = None,
-        prune: bool = True,
         metrics: Optional[Metrics] = None,
     ) -> None:
         root = as_root(grammar)
@@ -298,11 +294,9 @@ class GrammarTable:
             nullability=self.nullability,
             metrics=self.metrics,
         )
-        if optimize:
-            root = optimize_initial_grammar(
-                root, Compactor(self.compaction_config, self.metrics)
-            )
-        self.optimized = optimize
+        root = optimize_initial_grammar(
+            root, Compactor(self.compaction_config, self.metrics)
+        )
         self.root = root
         #: ``id → node`` for every node reachable from the root before any
         #: derivation.  The canonical state key stops at these and names
@@ -350,7 +344,6 @@ class GrammarTable:
         self.dead = AutomatonState(index=-1, language=EMPTY, accepting=False, dead=True)
         # Adaptive empty-branch pruning, on the exact schedule the
         # interpreted parser uses (shared implementation).
-        self.prune_enabled = prune
         self.prune_passes = 0
         self._prune_schedule = AdaptivePruneSchedule(
             graph_size(root), self.metrics.derive_uncached
@@ -530,10 +523,8 @@ class GrammarTable:
                 self.transitions_derived += 1
                 uncached = self.metrics.derive_uncached
                 derived = self.deriver.derive(state.language, tok)
-                if (
-                    self.prune_enabled
-                    and not isinstance(derived, Empty)
-                    and self._prune_schedule.due(self.metrics.derive_uncached)
+                if not isinstance(derived, Empty) and self._prune_schedule.due(
+                    self.metrics.derive_uncached
                 ):
                     derived, live_size = prune_empty(derived, self.nullability, self.metrics)
                     self.prune_passes += 1
@@ -716,11 +707,7 @@ class GrammarTable:
         )
 
 
-def compile_grammar(
-    grammar: Any,
-    optimize: bool = True,
-    max_states: Optional[int] = None,
-) -> GrammarTable:
+def compile_grammar(grammar: Any, max_states: Optional[int] = None) -> GrammarTable:
     """Return the shared :class:`GrammarTable` for ``grammar``, compiling once.
 
     The default-configuration table is **anchored on the grammar root**
@@ -736,10 +723,10 @@ def compile_grammar(
     :meth:`~repro.core.memo.PersistentDictMemo.bind_to_graph`-bound, so no
     global finalizer registry pins the cycle).
 
-    Non-default ``optimize``/``max_states`` callers always get a
-    **private**, unanchored table built to spec: the shared default cache
-    is never reconfigured or hijacked by whoever compiles first, and the
-    private table lives only as long as its holders.
+    Callers that pass ``max_states`` always get a **private**, unanchored
+    table built to spec: the shared default cache is never reconfigured or
+    hijacked by whoever compiles first, and the private table lives only as
+    long as its holders.
 
     The shared table is deliberately uncapped: states and persistent memo
     entries accumulate per *distinct* input walked, for as long as the
@@ -750,8 +737,8 @@ def compile_grammar(
     start fresh.
     """
     root = as_root(grammar)
-    if not (optimize is True and max_states is None):
-        return GrammarTable(root, optimize=optimize, max_states=max_states)
+    if max_states is not None:
+        return GrammarTable(root, max_states=max_states)
     table = root.compiled_table
     if table is not None:
         return table

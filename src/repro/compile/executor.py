@@ -1,17 +1,22 @@
 """The compiled-automaton executor: :class:`CompiledParser`.
 
-``CompiledParser`` exposes the same surface as
+``CompiledParser`` exposes the batch surface of
 :class:`~repro.core.parse.DerivativeParser` — ``recognize``, ``parse``,
-``parse_forest``, ``parse_trees``, and a streaming ``start()`` state with
-``feed``/``feed_all`` — but drives recognition through the grammar's shared
-:class:`~repro.compile.automaton.GrammarTable` instead of deriving per
-token.  Every table runs one hot loop: one small-dict probe per token
-chasing the states' linked edge dicts (token kind → the successor's edge
-dict), with no Python-level classification call and no per-token
-allocation.  A miss calls the table's ``step_slow`` — classify, consult
-the class table, derive only if the edge is new — and continues from the
-successor's dict.  Kind-impure and transient states have no edges, so on
-those every token takes ``step_slow``.
+``parse_forest``, ``parse_trees`` — plus a streaming ``start()`` cursor
+with ``feed``/``feed_all``, but drives recognition through the grammar's
+shared :class:`~repro.compile.automaton.GrammarTable` instead of deriving
+per token.  The cursor (:class:`CompiledState`) recognizes only and keeps
+O(1) memory however long the stream; a compiled stream that needs trees is
+an :class:`~repro.incremental.IncrementalDocument`, which owns the token
+buffer and extracts them through the batch fallback below.
+
+Every table runs one hot loop: one small-dict probe per token chasing the
+states' linked edge dicts (token kind → the successor's edge dict), with
+no Python-level classification call and no per-token allocation.  A miss
+calls the table's ``step_slow`` — classify, consult the class table,
+derive only if the edge is new — and continues from the successor's dict.
+Kind-impure and transient states have no edges, so on those every token
+takes ``step_slow``.
 
 Parse-*forest* obligations cannot ride the automaton: its states are
 derived tree-free and shared between inputs (canonically interned), and
@@ -24,16 +29,16 @@ epoch-tagged, per PR 1's isolation machinery).  Failure diagnostics ride
 the same fallback, so rejection positions agree with the interpreted parser
 exactly.
 
-**Concurrency contract.**  Recognition (``recognize``, ``start()`` states,
+**Concurrency contract.**  Recognition (``recognize``, ``start()`` cursors,
 ``feed``) is safe to run from many threads over one shared table: warm
 walks are lock-free dictionary probes and cold edges are derived under the
 table's lock (see :mod:`repro.compile.automaton`).  The tree-producing
-APIs (``parse``/``parse_forest``/``parse_trees`` and
-``CompiledState.tree``/``forest``) derive on the *same grammar graph* as
-the table, so they hold the table lock for the duration of the fallback
-parse — correct from any thread, but serialized; services that need
-parallel tree extraction should give each worker its own thread-confined
-:class:`DerivativeParser` over a private graph
+APIs (``parse``/``parse_forest``/``parse_trees``/``sample_parses``)
+derive on the *same grammar graph* as the table, so they hold the table
+lock for the duration of the fallback parse — correct from any thread,
+but serialized; services that need parallel tree extraction should give
+each worker its own thread-confined :class:`DerivativeParser` over a
+private graph
 (:func:`repro.core.languages.clone_graph`), which is exactly what
 :class:`repro.serve.ParseService` does.
 """
@@ -58,10 +63,8 @@ class CompiledSnapshot:
     one reference plus two integers — the compiled analogue of
     :class:`~repro.core.parse.ParserSnapshot`, and the unit
     :mod:`repro.incremental` checkpoint trails are made of.  Consumed
-    tokens are deliberately *not* captured (trail owners keep the one
-    authoritative token buffer); resume with
-    :meth:`CompiledParser.resume`, passing ``tokens`` when the resumed
-    state must support ``tree()``/``forest()``.
+    tokens are not captured (the trail's owner keeps the one token
+    buffer); resume with :meth:`CompiledParser.resume`.
     """
 
     __slots__ = ("state", "position", "failure_position")
@@ -88,35 +91,31 @@ class CompiledSnapshot:
 
 
 class CompiledState:
-    """Streaming execution state over a :class:`CompiledParser`.
+    """A streaming recognition cursor over a :class:`GrammarTable`.
 
-    Mirrors :class:`~repro.core.parse.ParserState`: ``feed`` consumes one
-    token, ``failed``/``failure_position`` report structural death (the
-    automaton's ``∅`` sink), ``accepts()`` is definitive for the tokens
-    consumed so far.  Unlike the interpreted state it (by default) also
-    *retains* the consumed tokens, because ``forest()``/``tree()`` re-derive
-    them through the fallback parser (token values do not survive
-    class-interned transitions); memory is O(tokens consumed) rather than
-    O(live grammar).  Recognition-only callers streaming unbounded input
-    should pass ``keep_tokens=False`` to :meth:`CompiledParser.start` —
-    memory drops to O(1) per token and ``forest()``/``tree()`` raise.
+    Mirrors the recognition half of :class:`~repro.core.parse.ParserState`:
+    ``feed`` consumes one token, ``failed``/``failure_position`` report
+    structural death (the automaton's ``∅`` sink), ``accepts()`` is
+    definitive for the tokens consumed so far.  The cursor is one state
+    reference and two integers, so memory stays O(1) however many tokens
+    stream through it.  It keeps no tokens and yields no trees: trees come
+    from an :class:`~repro.incremental.IncrementalDocument` (which owns the
+    token buffer and drives a cursor) or from :meth:`CompiledParser.parse`
+    and its siblings over a token list.
     """
 
     __slots__ = (
-        "parser",
         "table",
         "state",
         "position",
         "failure_position",
-        "tokens",
         "snapshot_every",
         "on_snapshot",
     )
 
     def __init__(
         self,
-        parser: "CompiledParser",
-        keep_tokens: bool = True,
+        table: GrammarTable,
         snapshot_every: Optional[int] = None,
         on_snapshot: Optional[Callable[["CompiledSnapshot"], None]] = None,
     ) -> None:
@@ -124,16 +123,12 @@ class CompiledState:
             raise ValueError(
                 "snapshot_every must be >= 1, got {}".format(snapshot_every)
             )
-        self.parser = parser
-        self.table = parser.table
-        self.state: AutomatonState = parser.table.start
+        self.table = table
+        self.state: AutomatonState = table.start
         #: Number of tokens consumed so far.
         self.position = 0
         #: Index of the token that killed the automaton, or None while alive.
         self.failure_position: Optional[int] = None
-        #: Every consumed token, retained for the forest fallback — or None
-        #: when the caller opted out of retention.
-        self.tokens: Optional[List[Any]] = [] if keep_tokens else None
         #: Emit a snapshot to ``on_snapshot`` every this many tokens (the
         #: checkpoint-trail hook; None disables it); alive states only.
         self.snapshot_every = snapshot_every
@@ -163,8 +158,6 @@ class CompiledState:
         """
         if self.failure_position is not None:
             return self
-        if self.tokens is not None:
-            self.tokens.append(tok)
         nxt = self.state.edges.get(token_kind(tok))
         successor = self.table.step_slow(self.state, tok) if nxt is None else nxt[STATE]
         self.position += 1
@@ -190,39 +183,6 @@ class CompiledState:
             if self.failure_position is not None:
                 break
         return self
-
-    # ---------------------------------------------------------------- results
-    def forest(self) -> ForestNode:
-        """Parse forest of the consumed tokens (fallback derivation).
-
-        Delegates unconditionally — on failed states too — so the raised
-        :class:`ParseError` carries the fallback's exact semantic failure
-        position (the automaton's ``failure_position`` is *structural* and
-        can lag the token that actually killed the parse).
-        """
-        return self.parser.parse_forest(self._retained())
-
-    def tree(self) -> Any:
-        """One parse tree of the consumed tokens (fallback derivation)."""
-        return self.parser.parse(self._retained())
-
-    def trees(
-        self, limit: Optional[int] = None, ranking: Optional[Any] = None
-    ) -> List[Any]:
-        """Up to ``limit`` trees of the consumed tokens, optionally ranked."""
-        return self.parser.parse_trees(self._retained(), limit=limit, ranking=ranking)
-
-    def sample(self, rng: Any, n: int = 1) -> List[Any]:
-        """``n`` uniform samples over the consumed tokens' parse forest."""
-        return self.parser.sample_parses(self._retained(), rng, n=n)
-
-    def _retained(self) -> List[Any]:
-        if self.tokens is None:
-            raise ValueError(
-                "this state was started with keep_tokens=False; forest()/"
-                "tree() need the consumed tokens for the derivation fallback"
-            )
-        return self.tokens
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         status = (
@@ -289,51 +249,32 @@ class CompiledParser:
 
     def start(
         self,
-        keep_tokens: bool = True,
         snapshot_every: Optional[int] = None,
         on_snapshot: Optional[Callable[[CompiledSnapshot], None]] = None,
     ) -> CompiledState:
-        """Begin a streaming run; see :class:`CompiledState`.
+        """Begin a streaming recognition run; see :class:`CompiledState`.
 
-        Pass ``keep_tokens=False`` for recognition-only streaming over
-        unbounded input: the state stops retaining consumed tokens (O(1)
-        memory per token) and ``forest()``/``tree()`` become unavailable.
         ``snapshot_every``/``on_snapshot`` enable the checkpoint-trail
         hook: every ``snapshot_every`` consumed tokens the (alive) state
         hands an O(1) :class:`CompiledSnapshot` to ``on_snapshot``.
         """
-        return CompiledState(
-            self,
-            keep_tokens=keep_tokens,
-            snapshot_every=snapshot_every,
-            on_snapshot=on_snapshot,
-        )
+        return CompiledState(self.table, snapshot_every, on_snapshot)
 
     def resume(
         self,
         snapshot: CompiledSnapshot,
-        tokens: Optional[Sequence[Any]] = None,
         snapshot_every: Optional[int] = None,
         on_snapshot: Optional[Callable[[CompiledSnapshot], None]] = None,
     ) -> CompiledState:
         """A new :class:`CompiledState` positioned exactly at ``snapshot``.
 
         The snapshot must come from a state over this parser's table (state
-        indices are table-scoped).  Snapshots do not capture consumed
-        tokens, so the resumed state supports ``tree()``/``forest()`` only
-        when the caller supplies the consumed prefix via ``tokens``.
+        indices are table-scoped).
         """
-        state = CompiledState(
-            self,
-            keep_tokens=tokens is not None,
-            snapshot_every=snapshot_every,
-            on_snapshot=on_snapshot,
-        )
+        state = CompiledState(self.table, snapshot_every, on_snapshot)
         state.state = snapshot.state
         state.position = snapshot.position
         state.failure_position = snapshot.failure_position
-        if tokens is not None:
-            state.tokens = list(tokens)
         return state
 
     def reset(self) -> None:
@@ -405,7 +346,7 @@ class CompiledParser:
             # stream, so rerun it on the streaming path, which reads every
             # kind with the full token_kind protocol and raises only
             # genuine errors.  That path is not metered.
-            return self.start(keep_tokens=False).feed_all(tokens).accepts(), 0, 0
+            return self.start().feed_all(tokens).accepts(), 0, 0
         table.note_dense_run(hits, fallbacks)
         return accepted, hits, fallbacks
 

@@ -15,10 +15,12 @@ Consequences:
   derivation — warm-cache performance straight from disk.
 * Input that leaves the serialized automaton pays one witness re-derivation
   per state it revives, then proceeds exactly like a live table.
-* A table can only be re-attached to *the grammar it was compiled from*;
-  :func:`load_table` verifies the grammar's structural fingerprint
-  (:func:`repro.core.languages.structural_fingerprint`) and refuses
-  mismatches unless ``strict=False``.
+* A table can only be re-attached to *the grammar it was compiled from*:
+  :func:`load_table` always verifies the grammar's structural fingerprint
+  (:func:`repro.core.languages.structural_fingerprint`, taken over the
+  optimized root) and its kind-purity, and refuses any mismatch.  There is
+  no override: a table attached to another grammar would answer covered
+  input for the saved grammar's language.
 
 Only JSON-representable token data survives serialization: states whose
 witness token has a non-string kind (or a non-scalar value) are dropped,
@@ -126,10 +128,6 @@ def dump_table(table: GrammarTable) -> Dict[str, Any]:
         "format": FORMAT,
         "version": VERSION,
         "fingerprint": table.fingerprint,
-        # Whether the grammar was optimized before compiling: the loader
-        # must rebuild the same way or the fingerprints (taken over the
-        # post-optimization root) can never match.
-        "optimized": table.optimized,
         "pure": table.pure,
         "start": table.start.index,
         "dropped_states": dropped,
@@ -146,36 +144,19 @@ def save_table(table: GrammarTable, path: str) -> None:
 def restore_table(
     data: Dict[str, Any],
     grammar: Any,
-    strict: bool = True,
     metrics: Optional[Metrics] = None,
 ) -> GrammarTable:
     """Rebuild a :class:`GrammarTable` over ``grammar`` from dumped ``data``.
 
-    The grammar is prepared exactly the way it was for the saved table
-    (the dumped ``optimized`` flag), so fingerprints compare like for
-    like.  The returned table is *independent* of the grammar-owned table
+    Raises :class:`~repro.core.errors.ReproError` for a foreign or
+    old-version document, and for a grammar whose structural fingerprint
+    or kind-purity differs from the saved table's.  The returned table is
+    *independent* of the grammar-owned table
     :func:`~repro.compile.automaton.compile_grammar` shares — callers
     decide whether to adopt it (pass it to
     :class:`~repro.compile.CompiledParser` via ``table=``).  ``metrics``
     (optional) becomes the fresh table's engine counter bag, so a cache
     that warm-loads tables can meter them like ones it compiled itself.
-
-    **``strict=False`` semantics.**  ``strict`` controls only the two
-    *identity* guards — the structural-fingerprint match and the
-    kind-purity agreement.  Passing ``strict=False`` attaches the document
-    to ``grammar`` without either check; everything else (format/version
-    validation, state and edge wiring) is identical.  The
-    contract is *the caller vouches for the grammar*: serialized
-    transitions and accepting flags are replayed as saved, so input covered
-    by the saved automaton is answered by the **saved** grammar's automaton,
-    while input that steps off it re-derives through witness chains over
-    the **attached** grammar.  When the attached grammar really is
-    structurally equivalent (the intended use: a fingerprint-algorithm
-    drift between builds, a hand-verified refactor of payload objects the
-    fingerprint cannot see), behaviour is exactly the strict path.  When it
-    is not, covered input silently answers for the wrong language — which
-    is why the guards are on by default and ``strict=False`` is an explicit
-    caller assertion, not a fallback.
     """
     if data.get("format") != FORMAT:
         raise ReproError("not a compiled-table document: {!r}".format(data.get("format")))
@@ -188,19 +169,16 @@ def restore_table(
             )
         )
 
-    table = GrammarTable(
-        grammar, optimize=bool(data.get("optimized", True)), metrics=metrics
-    )
-    if strict and data.get("fingerprint") != table.fingerprint:
+    table = GrammarTable(grammar, metrics=metrics)
+    if data.get("fingerprint") != table.fingerprint:
         raise ReproError(
             "compiled table was built from a structurally different grammar "
-            "(fingerprint mismatch); pass strict=False to attach anyway"
+            "(fingerprint mismatch)"
         )
-    if strict and "pure" in data and bool(data["pure"]) != table.pure:
+    if "pure" in data and bool(data["pure"]) != table.pure:
         raise ReproError(
             "compiled table disagrees with the grammar on kind-purity "
-            "(saved pure={}, grammar pure={}); pass strict=False to attach "
-            "anyway".format(bool(data["pure"]), table.pure)
+            "(saved pure={}, grammar pure={})".format(bool(data["pure"]), table.pure)
         )
 
     entries = data.get("states", [])
@@ -237,16 +215,12 @@ def restore_table(
 
 
 def load_table(
-    path: str,
-    grammar: Any,
-    strict: bool = True,
-    metrics: Optional[Metrics] = None,
+    path: str, grammar: Any, metrics: Optional[Metrics] = None
 ) -> GrammarTable:
     """Read a table from ``path`` and attach it to ``grammar``.
 
-    ``strict``/``metrics`` behave exactly as in :func:`restore_table` (see
-    there for the ``strict=False`` caller-vouches contract).
+    The guards and ``metrics`` behave exactly as in :func:`restore_table`.
     """
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    return restore_table(data, grammar, strict=strict, metrics=metrics)
+    return restore_table(data, grammar, metrics=metrics)

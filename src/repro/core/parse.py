@@ -161,10 +161,9 @@ class ParserState:
     """Incremental (streaming) parsing state over a :class:`DerivativeParser`.
 
     A state starts at the parser's initial grammar and is advanced one token
-    at a time with :meth:`feed` (or in bulk with :meth:`feed_all`), keeping
-    only the current derived language — O(live grammar) memory regardless of
-    how many tokens have been consumed.  This is the API to use for unbounded
-    token streams (sockets, token generators, log tails):
+    at a time with :meth:`feed` (or in bulk with :meth:`feed_all`); it never
+    materializes the consumed tokens as a list, so it suits token streams
+    that arrive in pieces (sockets, token generators, log tails):
 
     >>> state = parser.start()
     >>> for tok in stream:
@@ -188,6 +187,16 @@ class ParserState:
     :meth:`accepts` is always definitive for the tokens consumed so far, and
     the batch :meth:`DerivativeParser.parse_forest` path runs a productivity
     diagnosis to pin failures to their exact position.
+
+    **Memory is not O(live grammar) today.**  The state references only the
+    current derived language, but the parser still retains the derivation
+    history behind it: the deriver's single-null-tree answers (cleared only
+    by :meth:`DerivativeParser.reset`) and stale single-entry memo fields on
+    pristine and live nodes that pin every later generation of derivatives.
+    On PL/0 that is ~48 retained nodes per consumed token, while the live
+    grammar stays near 150 nodes.  Long recognition-only streams should run
+    on the compiled cursor (:meth:`DerivativeParser.compile` then
+    ``start()``), which keeps O(1) memory.
     """
 
     __slots__ = (
@@ -421,7 +430,7 @@ class DerivativeParser:
         # a prune pass runs whenever the uncached derive work since the last
         # pass exceeds a small multiple of the live grammar size, keeping the
         # amortized overhead constant.
-        self.prune_enabled = prune and compaction_config.enabled
+        self._prune = prune and compaction_config.enabled
         self._initial_size = graph_size(self.root)
         self._prune_schedule = AdaptivePruneSchedule(
             self._initial_size, self.metrics.derive_uncached
@@ -508,7 +517,7 @@ class DerivativeParser:
         language = self.deriver.derive(language, tok, position)
         self.metrics.tokens_consumed += 1
         if (
-            self.prune_enabled
+            self._prune
             and not isinstance(language, Empty)
             and self._prune_schedule.due(self.metrics.derive_uncached)
         ):

@@ -227,14 +227,6 @@ class IncrementalDocument:
         return self._parser
 
     def _fresh_state(self) -> Any:
-        if self._compiled:
-            # The document owns the authoritative token buffer; the state
-            # does not need to retain a second copy.
-            return self._parser.start(
-                keep_tokens=False,
-                snapshot_every=self.checkpoint_every,
-                on_snapshot=self._record,
-            )
         return self._parser.start(
             snapshot_every=self.checkpoint_every, on_snapshot=self._record
         )

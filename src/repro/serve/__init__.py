@@ -10,7 +10,7 @@ batches fanned over a worker pool (recognition on the shared table, tree
 extraction on per-worker thread-confined parsers), an asyncio front door
 that coalesces identical in-flight requests (``parse``/``recognize``/
 ``edit``), and checkpointable streaming sessions with idle eviction whose
-token buffers are *editable* — each token-retaining session is an
+token buffers are *editable* — each session is an
 :class:`~repro.incremental.IncrementalDocument` over the shared table, so
 ``apply_edit`` reparses by rewinding a checkpoint trail instead of from
 scratch.

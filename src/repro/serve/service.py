@@ -694,24 +694,18 @@ class ParseService:
 
     # --------------------------------------------------------------- sessions
     def open_session(
-        self,
-        grammar: Any,
-        keep_tokens: bool = True,
-        checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
+        self, grammar: Any, checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
     ) -> ParseSession:
         """Begin a long-lived streaming parse; see :class:`ParseSession`.
 
-        Token-retaining sessions (the default) keep a checkpoint trail —
-        one O(1) snapshot per ``checkpoint_every`` tokens — and support
-        :meth:`ParseSession.apply_edit` / the :meth:`edit` front door.
-        ``keep_tokens=False`` gives O(1) memory per token for
-        recognition-only streams (``tree()``/``apply_edit``/checkpoint
-        token replay become unavailable).
+        Every session owns a token buffer and a checkpoint trail — one
+        O(1) snapshot per ``checkpoint_every`` tokens — so it answers tree
+        queries and supports :meth:`ParseSession.apply_edit` / the
+        :meth:`edit` front door.
         """
         self._require_open()
-        entry = self.table_for(grammar)
         return self.sessions.open(
-            entry, keep_tokens=keep_tokens, checkpoint_every=checkpoint_every
+            self.table_for(grammar), checkpoint_every=checkpoint_every
         )
 
     def restore_session(self, checkpoint: SessionCheckpoint) -> ParseSession:

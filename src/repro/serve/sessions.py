@@ -3,16 +3,18 @@
 A :class:`ParseSession` is the service-side wrapper around one streaming
 parse — the ``create / feed / edit / checkpoint / close`` lifecycle a
 network front-end needs when a client's token stream arrives in pieces
-(and is then *edited*) over minutes.  Under the hood a token-retaining
-session owns an :class:`~repro.incremental.IncrementalDocument` driving a
-:class:`~repro.compile.executor.CompiledState` over the service's shared
-:class:`~repro.compile.automaton.GrammarTable`: warm tokens cost two dict
-probes, cold edges derive once under the table lock, any number of
-sessions stream over one table concurrently, and
-:meth:`ParseSession.apply_edit` rewinds the document's checkpoint trail
-instead of reparsing from scratch.  ``keep_tokens=False`` sessions skip
-the document (no buffer, O(1) memory per token) and are recognition-only:
-``tree()`` and ``apply_edit`` are unavailable.
+(and is then *edited*) over minutes.  Under the hood every session owns an
+:class:`~repro.incremental.IncrementalDocument` — the token buffer plus
+its checkpoint trail — driving a
+:class:`~repro.compile.executor.CompiledState` cursor over the service's
+shared :class:`~repro.compile.automaton.GrammarTable`: warm tokens cost
+two dict probes, cold edges derive once under the table lock, any number
+of sessions stream over one table concurrently, trees re-derive from the
+buffer, and :meth:`ParseSession.apply_edit` rewinds the checkpoint trail
+instead of reparsing from scratch.  A caller that only needs a verdict
+over an unbounded stream uses the cursor itself
+(:meth:`~repro.compile.executor.CompiledParser.start`), which keeps O(1)
+memory.
 
 Lifecycle rules, all asserted by ``tests/serve``:
 
@@ -22,8 +24,7 @@ Lifecycle rules, all asserted by ``tests/serve``:
   evicting the grammar's table from the service's LRU cache mid-stream
   never corrupts the session: it keeps its table until it closes.
 * :meth:`ParseSession.checkpoint` snapshots the automaton position in
-  O(1) (plus the retained token buffer and the O(1)-per-entry checkpoint
-  trail when the session keeps tokens);
+  O(1), plus the token buffer and the O(1)-per-entry checkpoint trail;
   :meth:`SessionManager.restore` rehydrates a new session from the
   snapshot — trail included, so a restored session edits as cheaply as
   the original — for speculative feeding, client retry, "fork the stream
@@ -49,7 +50,7 @@ import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..compile.automaton import AutomatonState
-from ..compile.executor import CompiledParser, CompiledSnapshot, CompiledState
+from ..compile.executor import CompiledParser, CompiledSnapshot
 from ..core.errors import ReproError
 from ..incremental import DEFAULT_CHECKPOINT_EVERY, EditResult, IncrementalDocument
 from ..obs.logging import NULL_LOGGER, StructuredLogger
@@ -67,10 +68,10 @@ class SessionError(ReproError):
 class SessionCheckpoint:
     """An immutable snapshot of a session's progress, restorable later.
 
-    Holds the automaton state reference and the stream position, plus —
-    for token-retaining sessions — the consumed-token buffer and the
-    document's checkpoint trail (every entry an O(1) reference), so a
-    restored session can keep applying edits without rebuilding anything.
+    Holds the automaton state reference and the stream position, plus the
+    consumed-token buffer and the document's checkpoint trail (every entry
+    an O(1) reference, the first at position 0), so a restored session can
+    keep applying edits without rebuilding anything.
     A strong reference to the session's cache entry keeps the table the
     state belongs to alive across any cache eviction.
     """
@@ -91,8 +92,8 @@ class SessionCheckpoint:
         state: AutomatonState,
         position: int,
         failure_position: Optional[int],
-        tokens: Optional[Tuple[Any, ...]],
-        trail: Optional[Tuple[CompiledSnapshot, ...]] = None,
+        tokens: Tuple[Any, ...],
+        trail: Tuple[CompiledSnapshot, ...],
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     ) -> None:
         self.entry = entry
@@ -106,7 +107,7 @@ class SessionCheckpoint:
     def __repr__(self) -> str:
         return "SessionCheckpoint(position={}, trail={}, grammar={}...)".format(
             self.position,
-            len(self.trail) if self.trail is not None else None,
+            len(self.trail),
             self.entry.fingerprint[:12],
         )
 
@@ -117,7 +118,7 @@ class ParseSession:
     Mirrors the :class:`~repro.core.parse.ParserState` streaming surface
     (``feed``/``feed_all``/``accepts``/``failed``) with the service
     lifecycle on top, plus :meth:`apply_edit` for edit-aware incremental
-    reparsing when the session retains tokens.  Like the engine states,
+    reparsing and tree queries over the buffer.  Like the engine states,
     **feed after failure is a no-op** — the failure position is kept, the
     corpse is cheap to feed, and the buffer does not grow (an
     :meth:`apply_edit` that repairs the stream revives it); feed after
@@ -130,7 +131,6 @@ class ParseSession:
         session_id: str,
         entry: CacheEntry,
         manager: "SessionManager",
-        keep_tokens: bool = True,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     ) -> None:
         self.session_id = session_id
@@ -138,14 +138,9 @@ class ParseSession:
         self.checkpoint_every = checkpoint_every
         self._manager = manager
         self._parser = CompiledParser(table=entry.table)
-        self._doc: Optional[IncrementalDocument] = None
-        self._state: Optional[CompiledState] = None
-        if keep_tokens:
-            self._doc = IncrementalDocument(
-                parser=self._parser, checkpoint_every=checkpoint_every
-            )
-        else:
-            self._state = self._parser.start(keep_tokens=False)
+        self._doc = IncrementalDocument(
+            parser=self._parser, checkpoint_every=checkpoint_every
+        )
         self._lock = threading.Lock()
         self.closed = False
         #: Why the session ended: None while live, "closed" or "evicted".
@@ -156,19 +151,17 @@ class ParseSession:
     @property
     def position(self) -> int:
         """Number of tokens consumed so far."""
-        return self._target().position
+        return self._doc.position
 
     @property
     def failed(self) -> bool:
         """True once the automaton entered the ``∅`` sink."""
-        return self._target().failed
+        return self._doc.failed
 
     @property
     def failure_position(self) -> Optional[int]:
         """Index of the token that killed the stream, or None while alive."""
-        if self._doc is not None:
-            return self._doc.structural_failure_position
-        return self._state.failure_position
+        return self._doc.structural_failure_position
 
     def accepts(self) -> bool:
         """True when the tokens consumed so far form a complete parse.
@@ -178,35 +171,26 @@ class ParseSession:
         deregistered session.
         """
         with self._lock:
-            self._require_open()
-            self._touch()
-            return self._target().accepts()
+            self._use()
+            return self._doc.accepts()
 
     # ---------------------------------------------------------------- driving
     def feed(self, token: Any) -> "ParseSession":
         """Consume one token (no-op once failed; raises once closed)."""
         with self._lock:
-            self._require_open()
-            self._touch()
-            if self._doc is not None:
-                if not self._doc.failed:
-                    self._doc.append(token)
-            else:
-                self._state.feed(token)
+            self._use()
+            if not self._doc.failed:
+                self._doc.append(token)
         return self
 
     def feed_all(self, tokens: Iterable[Any]) -> "ParseSession":
         """Consume every token from an iterable (stops pulling on failure)."""
         with self._lock:
-            self._require_open()
-            self._touch()
-            if self._doc is not None:
-                for token in tokens:
-                    if self._doc.failed:
-                        break
-                    self._doc.append(token)
-            else:
-                self._state.feed_all(tokens)
+            self._use()
+            for token in tokens:
+                if self._doc.failed:
+                    break
+                self._doc.append(token)
         return self
 
     # ----------------------------------------------------------------- edits
@@ -217,115 +201,85 @@ class ParseSession:
 
         Rewinds the session's checkpoint trail to the nearest checkpoint
         at or before ``start`` and replays only the changed region (see
-        :meth:`repro.incremental.IncrementalDocument.apply_edit`).  Only
-        token-retaining sessions can edit: a ``keep_tokens=False`` session
-        has no buffer to edit and raises :class:`SessionError`.
+        :meth:`repro.incremental.IncrementalDocument.apply_edit`).
         """
         with self._lock:
-            document = self._buffer("edit")
+            self._use()
             with stage("session_edit"):
-                result = document.apply_edit(start, end, list(new_tokens))
+                result = self._doc.apply_edit(start, end, list(new_tokens))
         self._manager.metrics.inc("edits_applied")
         self._manager.metrics.inc("edit_tokens_refed", result.refed_tokens)
         return result
 
     @property
-    def tokens(self) -> Optional[Tuple[Any, ...]]:
-        """The retained token buffer (None for ``keep_tokens=False`` sessions)."""
+    def tokens(self) -> Tuple[Any, ...]:
+        """The consumed-token buffer."""
         with self._lock:
             self._require_open()
-            if self._doc is None:
-                return None
             return self._doc.tokens
 
     # ---------------------------------------------------------------- results
     def tree(self) -> Any:
-        """One parse tree of the consumed tokens (needs token retention).
+        """One parse tree of the consumed tokens.
 
-        Falls back to interpreted derivation under the table lock (see
-        :class:`~repro.compile.executor.CompiledState`); raises
-        :class:`~repro.core.errors.ParseError` when the consumed prefix is
-        not a complete parse.
+        The document re-derives the buffer through the compiled parser's
+        interpreted fallback under the table lock (see
+        :class:`~repro.compile.executor.CompiledParser`); raises
+        :class:`~repro.core.errors.ParseError` at the exact failing token
+        when the consumed prefix is not a complete parse.
         """
         with self._lock:
-            self._require_open()
-            self._touch()
-            return self._target().tree()
+            self._use()
+            return self._doc.tree()
 
     def trees(self, k: Optional[int] = None, ranking: Any = None) -> List[Any]:
-        """Parse trees of the consumed tokens (needs token retention).
+        """Parse trees of the consumed tokens.
 
         With ``ranking`` set, trees come best-first under that ranking via
         the forest-query layer; ``k`` bounds how many are materialized
-        either way.  Recognition-only sessions have no buffer to re-derive
-        a forest from and raise :class:`SessionError`.
+        either way.
         """
         with self._lock:
-            return self._buffer("enumerate trees from").parse_trees(limit=k, ranking=ranking)
+            self._use()
+            return self._doc.parse_trees(limit=k, ranking=ranking)
 
     def sample(self, rng: Any, n: int = 1) -> List[Any]:
-        """Uniform samples from the session's parse forest (needs tokens).
+        """Uniform samples from the session's parse forest.
 
         ``rng`` is a :class:`random.Random` or an int seed; sampling is
         exact and count-proportional (see
         :func:`repro.core.forest_query.sample_trees`).
         """
         with self._lock:
-            return self._buffer("sample trees from").sample_parses(rng, n)
+            self._use()
+            return self._doc.sample_parses(rng, n)
 
     # ------------------------------------------------------------- lifecycle
     def checkpoint(self) -> SessionCheckpoint:
         """Snapshot the current progress for a later :meth:`SessionManager.restore`.
 
-        Token-retaining sessions capture their buffer and checkpoint trail
-        too (each trail entry is one state reference), so the restored
-        session supports :meth:`apply_edit` at full fidelity.
+        The buffer and checkpoint trail ride along (each trail entry is one
+        state reference), so the restored session supports
+        :meth:`apply_edit` at full fidelity.
         """
         with self._lock:
-            self._require_open()
-            self._touch()
-            if self._doc is not None:
-                snapshot = self._doc.state_snapshot()
-                checkpoint = SessionCheckpoint(
-                    entry=self.entry,
-                    state=snapshot.state,
-                    position=snapshot.position,
-                    failure_position=snapshot.failure_position,
-                    tokens=self._doc.tokens,
-                    trail=self._doc.trail_snapshots(),
-                    checkpoint_every=self.checkpoint_every,
-                )
-            else:
-                state = self._state
-                checkpoint = SessionCheckpoint(
-                    entry=self.entry,
-                    state=state.state,
-                    position=state.position,
-                    failure_position=state.failure_position,
-                    tokens=None,
-                    trail=None,
-                    checkpoint_every=self.checkpoint_every,
-                )
+            self._use()
+            snapshot = self._doc.state_snapshot()
+            checkpoint = SessionCheckpoint(
+                entry=self.entry,
+                state=snapshot.state,
+                position=snapshot.position,
+                failure_position=snapshot.failure_position,
+                tokens=self._doc.tokens,
+                trail=self._doc.trail_snapshots(),
+                checkpoint_every=self.checkpoint_every,
+            )
         self._manager.metrics.inc("checkpoints_taken")
         return checkpoint
 
     def close(self) -> None:
         """End the session and release it from the manager (idempotent)."""
         self._manager.close(self.session_id)
-
-    def _target(self) -> Any:
-        return self._doc if self._doc is not None else self._state
-
-    def _buffer(self, purpose: str) -> Any:
-        """The token buffer's document (lock held); recognition-only sessions refuse."""
-        self._require_open()
-        self._touch()
-        if self._doc is None:
-            raise SessionError(
-                "session {!r} was opened with keep_tokens=False and has no "
-                "token buffer to {}".format(self.session_id, purpose)
-            )
-        return self._doc
 
     def _end(self, reason: str) -> None:
         """Mark the session dead (manager-internal; registry already updated)."""
@@ -348,6 +302,11 @@ class ParseSession:
 
     def _touch(self) -> None:
         self.last_used = self._manager.clock()
+
+    def _use(self) -> None:
+        """Refuse a closed session, else mark it used (lock held)."""
+        self._require_open()
+        self._touch()
 
     def __repr__(self) -> str:
         status = self.end_reason if self.closed else (
@@ -398,18 +357,13 @@ class SessionManager:
     def open(
         self,
         entry: CacheEntry,
-        keep_tokens: bool = True,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     ) -> ParseSession:
         """Create and register a session over ``entry``'s compiled table."""
         self.sweep()
         session_id = "{}-s{}".format(self.tag, next(self._ids))
         session = ParseSession(
-            session_id,
-            entry,
-            self,
-            keep_tokens=keep_tokens,
-            checkpoint_every=checkpoint_every,
+            session_id, entry, self, checkpoint_every=checkpoint_every
         )
         with self._lock:
             self._sessions[session_id] = session
@@ -418,7 +372,6 @@ class SessionManager:
             "session_opened",
             session=session_id,
             grammar=entry.fingerprint[:12],
-            keep_tokens=keep_tokens,
         )
         return session
 
@@ -427,14 +380,12 @@ class SessionManager:
 
         The new session is independent of the one that took the snapshot
         (which may since have advanced, failed or closed): same automaton
-        state, same position, same checkpoint trail when one was captured,
-        its own lifecycle.  It is registered, touched and evictable like
+        state, same position, same buffer and checkpoint trail, its own
+        lifecycle.  It is registered, touched and evictable like
         any freshly opened session, and counted in ``sessions_restored``.
         """
         session = self.open(
-            checkpoint.entry,
-            keep_tokens=checkpoint.tokens is not None,
-            checkpoint_every=checkpoint.checkpoint_every,
+            checkpoint.entry, checkpoint_every=checkpoint.checkpoint_every
         )
         snapshot = CompiledSnapshot(
             checkpoint.state, checkpoint.position, checkpoint.failure_position
@@ -443,28 +394,13 @@ class SessionManager:
             # The session is already published in the registry: mutate its
             # state only under its own lock, like every other session op.
             with session._lock:
-                if checkpoint.tokens is not None:
-                    trail = checkpoint.trail
-                    if not trail:
-                        # A checkpoint built without a trail (the pre-trail
-                        # SessionCheckpoint signature still constructs) is
-                        # restorable too — anchor it at the automaton's
-                        # start state; edits just rewind further.
-                        trail = (
-                            CompiledSnapshot(session._parser.table.start, 0, None),
-                        )
-                    session._doc = IncrementalDocument.restore(
-                        session._parser,
-                        checkpoint.tokens,
-                        trail,
-                        snapshot,
-                        checkpoint_every=checkpoint.checkpoint_every,
-                    )
-                else:
-                    state = session._state
-                    state.state = checkpoint.state
-                    state.position = checkpoint.position
-                    state.failure_position = checkpoint.failure_position
+                session._doc = IncrementalDocument.restore(
+                    session._parser,
+                    checkpoint.tokens,
+                    checkpoint.trail,
+                    snapshot,
+                    checkpoint_every=checkpoint.checkpoint_every,
+                )
         except BaseException:
             # Never leak a half-initialized session in the registry.
             self.close(session.session_id)

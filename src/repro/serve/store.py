@@ -128,19 +128,17 @@ class TableStore:
         self,
         fingerprint: str,
         grammar: Any,
-        strict: bool = True,
         metrics: Optional[Metrics] = None,
     ) -> GrammarTable:
         """Restore the stored table for ``fingerprint`` over ``grammar``.
 
         Raises ``FileNotFoundError`` when the fingerprint is not stored;
-        ``strict``/``metrics`` are forwarded to
-        :func:`repro.compile.restore_table` (strict refuses a grammar whose
-        structure does not match the document).
+        ``metrics`` is forwarded to :func:`repro.compile.restore_table`,
+        which refuses a grammar whose structure does not match the document.
         """
         with open(self.path_for(fingerprint), "r", encoding="utf-8") as handle:
             data = json.load(handle)
-        return restore_table(data, grammar, strict=strict, metrics=metrics)
+        return restore_table(data, grammar, metrics=metrics)
 
     def __len__(self) -> int:
         return len(self.fingerprints())

@@ -1,5 +1,7 @@
 """Unit tests for the compiled derivative automaton (repro.compile)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.compile import (
@@ -19,7 +21,9 @@ from repro.grammars import (
     pl0_grammar,
     sexpr_grammar,
 )
+from repro.incremental import IncrementalDocument
 from repro.lexer.tokens import Tok
+from repro.serve import ParseService
 from repro.workloads import arithmetic_tokens, json_tokens, pl0_tokens, sexpr_tokens
 
 
@@ -203,15 +207,22 @@ class TestStreamingState:
             assert compiled.accepts() == interpreted.accepts()
             assert compiled.failed == interpreted.failed
 
-    def test_keep_tokens_false_streams_without_retention(self):
-        state = CompiledParser(arithmetic_grammar()).start(keep_tokens=False)
-        state.feed(Tok("NUMBER", "1")).feed(Tok("+")).feed(Tok("NUMBER", "2"))
-        assert state.tokens is None  # nothing retained
-        assert state.accepts() is True
-        with pytest.raises(ValueError, match="keep_tokens=False"):
-            state.tree()
-        with pytest.raises(ValueError, match="keep_tokens=False"):
-            state.forest()
+    def test_cursor_keeps_constant_memory(self):
+        # The cursor is a recognizer: one state reference and two integers,
+        # however long the stream.  On a warm table every token is an edge
+        # hit, so feeding allocates nothing that outlives the call.
+        parser = CompiledParser(pl0_grammar())
+        tokens = pl0_tokens(20000, seed=4)
+        assert parser.recognize(tokens)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            state = parser.start().feed_all(tokens)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert state.accepts()
+        assert grown < 4096
 
     def test_feed_all_stops_pulling_on_failure(self):
         state = CompiledParser(balanced_parens_grammar()).start()
@@ -222,12 +233,19 @@ class TestStreamingState:
         assert next(stream).kind == "("  # unconsumed remainder survives
 
     def test_forest_and_tree_via_fallback(self):
-        state = CompiledParser(arithmetic_grammar()).start()
-        state.feed_all([Tok("NUMBER", "1"), Tok("+"), Tok("NUMBER", "2")])
-        tree = state.tree()
-        assert tree[0] == "expr"
+        # A compiled stream that needs trees is a document (or a session,
+        # which owns one): it keeps the buffer and re-derives it through
+        # the compiled parser's interpreted fallback.
+        grammar = arithmetic_grammar()
+        stream = [Tok("NUMBER", "1"), Tok("+"), Tok("NUMBER", "2")]
+        document = IncrementalDocument(grammar, stream, engine="compiled")
+        assert document.tree()[0] == "expr"
+        with ParseService(workers=1) as service:
+            session = service.open_session(grammar)
+            session.feed_all(stream)
+            assert session.tree() == document.tree()
         with pytest.raises(ParseError):
-            CompiledParser(arithmetic_grammar()).start().feed(Tok("@")).forest()
+            IncrementalDocument(grammar, [Tok("@")], engine="compiled").forest()
 
 
 class TestParseFallback:
@@ -362,16 +380,23 @@ class TestTableLifetime:
 
     def test_streaming_tree_reports_exact_semantic_position(self):
         # The automaton's structural failure can lag the semantic death;
-        # tree()/forest() must re-diagnose through the fallback and report
-        # the same position as the interpreted parser's parse().
+        # a compiled document's and a session's tree() must re-diagnose
+        # through the fallback and report the same position as the
+        # interpreted parser's parse().
         grammar = arithmetic_grammar()
         stream = [Tok("NUMBER", "1"), Tok("+"), Tok("*"), Tok("NUMBER", "2")]
-        state = CompiledParser(grammar).start().feed_all(stream)
-        with pytest.raises(ParseError) as compiled_err:
-            state.tree()
         with pytest.raises(ParseError) as interpreted_err:
             DerivativeParser(grammar.to_language()).parse(stream)
-        assert compiled_err.value.position == interpreted_err.value.position == 2
+        with pytest.raises(ParseError) as document_err:
+            IncrementalDocument(grammar, stream, engine="compiled").tree()
+        with ParseService(workers=1) as service:
+            session = service.open_session(grammar)
+            session.feed_all(stream)
+            with pytest.raises(ParseError) as session_err:
+                session.tree()
+        assert interpreted_err.value.position == 2
+        assert document_err.value.position == 2
+        assert session_err.value.position == 2
 
     def test_engine_dispatch_rejects_interpreted_knobs(self):
         grammar = arithmetic_grammar()

@@ -99,7 +99,7 @@ def _consumed(stream, failure):
 
 def _edge_run(parser, stream):
     """Acceptance + structural failure position through the edge probes."""
-    state = parser.start(keep_tokens=False)
+    state = parser.start()
     state.feed_all(stream)
     accepted, hits, fallbacks = parser.recognize_with_stats(stream)  # batch loop
     if not state.failed:

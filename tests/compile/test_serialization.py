@@ -141,19 +141,6 @@ class TestRoundTrip:
 
         assert structural_fingerprint(build()) == structural_fingerprint(build())
 
-    def test_unoptimized_table_round_trips(self, tmp_path):
-        # The dump records the optimize flag; the loader must rebuild the
-        # grammar the same way or the fingerprints can never match.
-        grammar = arithmetic_grammar()
-        tokens = arithmetic_tokens(40, seed=9)
-        table = GrammarTable(grammar.language(), optimize=False)
-        CompiledParser(table=table).recognize(tokens)
-        path = str(tmp_path / "unopt.table.json")
-        save_table(table, path)
-        loaded = load_table(path, arithmetic_grammar())
-        assert loaded.optimized is False
-        assert CompiledParser(table=loaded).recognize(tokens) is True
-
 
 class TestGuards:
     def test_wrong_grammar_is_refused(self):
@@ -162,16 +149,22 @@ class TestGuards:
         with pytest.raises(ReproError):
             restore_table(data, sexpr_grammar())
 
-    def test_strict_false_attaches_anyway(self):
-        # Without strict checking the table attaches, and unknown territory
-        # falls back to live derivation — wrong tables degrade to slow, not
-        # to wrong answers, only when the *caller* vouches for the grammar.
-        table = warmed_table(arithmetic_grammar(), arithmetic_tokens(30, seed=0))
-        data = dump_table(table)
-        loaded = restore_table(data, arithmetic_grammar(), strict=False)
-        assert CompiledParser(table=loaded).recognize(
-            arithmetic_tokens(30, seed=0)
-        ) is True
+    def test_unoptimized_document_is_refused(self):
+        # Tables always compile the optimized root, so a document saved
+        # from an unoptimized one (an older build's ``optimized: false``)
+        # carries a fingerprint this grammar no longer produces.
+        from repro.core import Ref, epsilon, token
+        from repro.core.languages import structural_fingerprint
+
+        def build():
+            return Ref("L").set((token("a") + epsilon()) | token("b"))
+
+        data = dump_table(GrammarTable(build()))
+        unoptimized = structural_fingerprint(build())
+        assert unoptimized != data["fingerprint"]
+        data.update(fingerprint=unoptimized, optimized=False)
+        with pytest.raises(ReproError, match="fingerprint"):
+            restore_table(data, build())
 
     def test_rejects_foreign_documents(self):
         with pytest.raises(ReproError):
@@ -202,63 +195,6 @@ class TestGuards:
             )
         assert "version 2" in str(excinfo.value)
         assert "version 3" in str(excinfo.value)
-
-
-class TestStrictFalseSemantics:
-    """``strict=False``: the caller-vouches contract, pinned as regression tests.
-
-    ``strict`` gates only the two identity guards (fingerprint,
-    kind-purity).  Attached anyway, serialized transitions replay as
-    saved — covered input answers for the *saved* grammar's automaton —
-    while input that steps off them re-derives through witness chains
-    over the *attached* grammar.
-    """
-
-    def test_same_grammar_strict_false_equals_strict(self, tmp_path):
-        from repro.core.metrics import Metrics
-
-        grammar = arithmetic_grammar()
-        tokens = arithmetic_tokens(80, seed=1)
-        table = warmed_table(grammar, tokens)
-        path = str(tmp_path / "same.json")
-        save_table(table, path)
-        metrics = Metrics()
-        loaded = load_table(path, arithmetic_grammar(), strict=False, metrics=metrics)
-        # Structurally equivalent grammar: behaviour is exactly the strict
-        # path — warm from disk, zero derivations on the covered stream.
-        assert CompiledParser(table=loaded).recognize(tokens) is True
-        assert loaded.transitions_derived == 0
-        assert metrics.derive_calls == 0
-
-    def test_covered_input_answers_for_the_saved_grammar(self):
-        # The sharp edge the docstring warns about: attach arithmetic's
-        # table to the s-expression grammar and walk a stream the saved
-        # automaton covers.  The serialized transitions replay as saved,
-        # so the verdict is the *saved* grammar's — even though the
-        # attached grammar rejects the stream outright.
-        tokens = arithmetic_tokens(60, seed=0)
-        data = dump_table(warmed_table(arithmetic_grammar(), tokens))
-        cross = restore_table(data, sexpr_grammar(), strict=False)
-        oracle = DerivativeParser(sexpr_grammar().to_language())
-        assert oracle.recognize(tokens) is False
-        assert CompiledParser(table=cross).recognize(tokens) is True
-
-    def test_uncovered_input_rederives_through_the_attached_grammar(self):
-        from repro.core.metrics import Metrics
-
-        warm = arithmetic_tokens(40, seed=2)
-        data = dump_table(warmed_table(arithmetic_grammar(), warm))
-        metrics = Metrics()
-        loaded = restore_table(
-            data, arithmetic_grammar(), strict=False, metrics=metrics
-        )
-        parser = CompiledParser(table=loaded)
-        oracle = DerivativeParser(arithmetic_grammar().to_language())
-        fresh = arithmetic_tokens(50, seed=9)
-        assert parser.recognize(fresh) is oracle.recognize(fresh)
-        # Divergence forced live derivation — metered into the bag the
-        # caller attached at load time.
-        assert metrics.derive_calls > 0
 
 
 class TestMaterialization:

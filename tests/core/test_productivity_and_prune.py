@@ -125,9 +125,13 @@ class TestPruneEmpty:
     def test_prune_disabled_with_compaction_disabled(self):
         grammar = Ref("E")
         grammar.set((grammar + token("+") + grammar) | token("n"))
+        tokens = list("n" + "+n" * 10)
+        pruning = DerivativeParser(grammar)
+        assert pruning.recognize(tokens) is True
+        assert pruning.prune_passes > 0
         parser = DerivativeParser(grammar, compaction=CompactionConfig.disabled())
-        assert parser.prune_enabled is False
-        assert parser.recognize(list("n+n")) is True
+        assert parser.recognize(tokens) is True
+        assert parser.prune_passes == 0
 
     def test_prune_passes_counted_on_long_inputs(self):
         grammar = Ref("L")

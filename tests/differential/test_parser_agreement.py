@@ -78,7 +78,7 @@ def assert_recognition_agreement(grammar, streams):
         # means no completion exists, and accepts() must agree with the
         # batch oracle.
         interpreted_state = derivative.start().feed_all(stream)
-        compiled_state = compiled.start(keep_tokens=False).feed_all(stream)
+        compiled_state = compiled.start().feed_all(stream)
         assert compiled_state.accepts() == interpreted_state.accepts() == expected, (
             "streaming accepts() disagrees on {!r}".format(stream)
         )

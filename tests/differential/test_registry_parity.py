@@ -90,7 +90,7 @@ def _failure_position(parser, stream):
 def _table_failure_position(parser, stream):
     """Where the compiled automaton itself fails (no fallback derivation):
     the token whose edge reached the dead sink, or the end of input."""
-    state = parser.start(keep_tokens=False)
+    state = parser.start()
     state.feed_all(stream)
     if state.failed:
         return state.failure_position

@@ -64,9 +64,7 @@ class TestSnapshotHooks:
     def test_compiled_hook_stops_at_failure(self):
         parser = CompiledParser(pl0_grammar())
         seen = []
-        state = parser.start(
-            keep_tokens=False, snapshot_every=5, on_snapshot=seen.append
-        )
+        state = parser.start(snapshot_every=5, on_snapshot=seen.append)
         tokens = pl0_tokens(60, seed=0)
         state.feed_all(tokens)  # complete program
         state.feed(tokens[0])  # kills the automaton

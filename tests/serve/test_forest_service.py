@@ -12,8 +12,7 @@ Pins the serve-layer half of the forest-query contract:
 * stream ``i`` of ``sample_many`` draws from ``random.Random(seed + i)``
   — the arithmetic the pool replays per shard, making pooled results
   byte-identical to in-process ones (asserted here over pickled bytes);
-* sessions expose ``trees`` / ``sample`` over their incremental buffer,
-  refusing on ``keep_tokens=False``;
+* sessions expose ``trees`` / ``sample`` over their incremental buffer;
 * an infinitely ambiguous input ends promptly: trees still come out, and
   ranking and sampling fail with a typed outcome that names the cycle.
 """
@@ -30,14 +29,9 @@ from repro.core import DerivativeParser
 from repro.core.errors import ParseError
 from repro.core.forest import count_trees, first_tree, iter_trees
 from repro.core.forest_query import ForestQuery, TreeSizeRanking
-from repro.grammars import catalan_grammar, pl0_grammar
+from repro.grammars import catalan_grammar
 from repro.lexer.tokens import Tok
-from repro.serve import (
-    ForestOutcome,
-    ParseService,
-    PooledParseService,
-    SessionError,
-)
+from repro.serve import ForestOutcome, ParseService, PooledParseService
 from repro.serve.service import DEFAULT_TREE_BUDGET
 from repro.workloads import catalan_count, catalan_tokens
 
@@ -225,13 +219,6 @@ class TestSessionForestOps:
         session = service.open_session(catalan_grammar())
         session.feed_all(catalan_tokens(5))
         assert len(session.trees()) == catalan_count(5)
-
-    def test_recognition_only_sessions_refuse(self, service):
-        session = service.open_session(pl0_grammar(), keep_tokens=False)
-        with pytest.raises(SessionError, match="keep_tokens"):
-            session.trees()
-        with pytest.raises(SessionError, match="keep_tokens"):
-            session.sample(0)
 
 
 class TestPooledForestParity:

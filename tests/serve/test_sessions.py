@@ -47,13 +47,6 @@ class TestSessionLifecycle:
         with pytest.raises(SessionError):
             session.accepts()  # liveness probes must not answer from a corpse
 
-    def test_keep_tokens_false_disables_tree(self, service):
-        session = service.open_session(pl0_grammar(), keep_tokens=False)
-        session.feed_all(pl0_tokens(60))
-        assert session.accepts()
-        with pytest.raises(ValueError):
-            session.tree()
-
     def test_rejected_prefix_tree_raises_parse_error(self, service):
         tokens = pl0_tokens(60)
         session = service.open_session(pl0_grammar())
@@ -150,13 +143,6 @@ class TestSessionEdits:
         session.apply_edit(50, 51, [tokens[50]])
         assert session.accepts()
 
-    def test_keep_tokens_false_sessions_cannot_edit(self, service):
-        session = service.open_session(pl0_grammar(), keep_tokens=False)
-        session.feed_all(pl0_tokens(60))
-        assert session.tokens is None
-        with pytest.raises(SessionError):
-            session.apply_edit(0, 1, [Tok(".")])
-
     def test_restored_session_keeps_its_trail_for_cheap_edits(self, service):
         tokens = pl0_tokens(400, seed=13)
         session = service.open_session(pl0_grammar(), checkpoint_every=32)
@@ -193,35 +179,6 @@ class TestRestore:
             assert restored.closed and restored.end_reason == "evicted"
             assert not session.closed
 
-    def test_restore_of_legacy_trail_less_checkpoint(self):
-        # The pre-trail SessionCheckpoint signature (tokens but no trail)
-        # still constructs; restoring it must neither raise nor leak a
-        # half-initialized session — it anchors a fresh trail at the
-        # automaton's start state and edits simply rewind further.
-        from repro.serve.sessions import SessionCheckpoint
-
-        manager = SessionManager()
-        with ParseService(workers=1) as service:
-            entry = service.table_for(pl0_grammar())
-            tokens = pl0_tokens(120, seed=17)
-            session = manager.open(entry)
-            session.feed_all(tokens)
-            modern = session.checkpoint()
-            legacy = SessionCheckpoint(
-                modern.entry,
-                modern.state,
-                modern.position,
-                modern.failure_position,
-                modern.tokens,
-            )
-            assert legacy.trail is None
-            restored = manager.restore(legacy)
-            assert restored.accepts()
-            edit = value_edit_at(tokens, 60, seed=0)
-            restored.apply_edit(edit.start, edit.end, edit.tokens)
-            assert restored.accepts()
-            assert len(manager) == 2  # original + restored, nothing leaked
-
     def test_failed_restore_does_not_leak_a_session(self):
         # A checkpoint whose trail is malformed must fail cleanly: the
         # freshly opened session is closed and deregistered, not leaked.
@@ -249,18 +206,6 @@ class TestRestore:
                 manager.restore(bad)
             assert len(manager) == live_before
             assert manager.metrics.get("sessions_restored") == 0
-
-    def test_restore_of_stateless_checkpoint(self):
-        manager = SessionManager()
-        with ParseService(workers=1) as service:
-            entry = service.table_for(pl0_grammar())
-            tokens = pl0_tokens(100, seed=3)
-            session = manager.open(entry, keep_tokens=False)
-            session.feed_all(tokens[:50])
-            restored = manager.restore(session.checkpoint())
-            assert restored.position == 50
-            restored.feed_all(tokens[50:])
-            assert restored.accepts()
 
 
 class TestManagerScopedIds:
