@@ -60,7 +60,7 @@ def test_complexity_bounds(run_once):
     print("python workload growth exponent: {:.2f} (paper: ~1, linear in practice)".format(python_exponent))
 
     # The raw construction counter includes a constant number of bookkeeping
-    # nodes per derivative (discarded placeholders, δ factors), hence the
+    # nodes per derivative (cycle placeholders, δ factors), hence the
     # slack factor; the exact Theorem 8 bound on *distinct names* is audited
     # in bench_naming_audit.py and the naming property tests.  The fitted
     # exponent over such small inputs overshoots the asymptotic 3 because of

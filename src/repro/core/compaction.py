@@ -163,9 +163,10 @@ class CompactionConfig:
 def _structure_known(node: Optional[Language]) -> bool:
     """True when a node's children may safely be inspected by a rule.
 
-    Partially-constructed placeholder nodes (created by ``derive`` before
-    recurring, to break cycles) advertise ``under_construction``; inspecting
-    them "would result in a cycle" in the paper's words, so rules punt.
+    Partially-constructed placeholder nodes (built by ``derive`` when a
+    cycle looks up a node whose derivative is still in progress) advertise
+    ``under_construction``; inspecting them "would result in a cycle" in the
+    paper's words, so rules punt.
     """
     return node is not None and not node.under_construction
 

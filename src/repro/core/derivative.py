@@ -11,17 +11,20 @@ rules of Figure 2:
 * ``Dc(L1 ◦ L2) = (Dc(L1) ◦ L2) ∪ Dc(L2)``           when ``L1`` is nullable
 * ``Dc(L ↪→ f) = Dc(L) ↪→ f``
 
-Cycles are handled exactly as described in Section 2.5.2: before descending
-into a node's children, ``derive`` installs a *partially constructed* result
-node in the memo table; any child lookup caused by a cycle finds and uses
-that placeholder.  After the children's derivatives are available, either
+Cycles are handled as described in Section 2.5.2, with the partially
+constructed node built lazily: before descending into a composite node's
+children, ``derive`` writes an *in-progress frame* into the memo table.  A
+child lookup that finds the frame is the cycle; only then is a placeholder
+node built, kept in the frame and returned to every later lookup of the
+step.  After the children's derivatives are available, either
 
-* the placeholder was **observed** by a cyclic lookup (there really was a
-  cycle) — its children are filled in place and no compaction is attempted
-  (the "punt on cycle" rule of Section 4.3.3), or
-* the placeholder was **not observed** — it is discarded, the result is built
-  through the compaction smart constructors (Section 4.3), and the memo entry
-  is replaced by the compacted node.
+* the frame holds a placeholder (there really was a cycle) — its children
+  are filled in place and no compaction is attempted (the "punt on cycle"
+  rule of Section 4.3.3), or
+* it holds none — the result is built through the compaction smart
+  constructors (Section 4.3), and no placeholder was ever allocated.
+
+Either way the result replaces the frame in the memo.
 
 The traversal itself is **iterative**: grammar graphs derived from long
 inputs can be as deep as the input (hundreds of thousands of nodes on a
@@ -118,17 +121,18 @@ class Deriver:
         affect the computed language.
 
         The computation is fully iterative: an explicit stack holds, for each
-        suspended composite node, its installed placeholder and the result
-        slots its children's derivatives are delivered into.  Left children
-        are always expanded to completion before right children, matching the
-        order (and therefore the memoization, naming and metrics behaviour)
-        of the recursive formulation.
+        suspended composite node, its in-progress frame (the memo entry that
+        a cyclic lookup finds, holding the children's result slots).  Left
+        children are always expanded to completion before right children,
+        matching the order (and therefore the memoization, naming and
+        metrics behaviour) of the recursive formulation.
         """
         memo = self.memo
         metrics = self.metrics
         root_slot: List[Optional[Language]] = [None]
         # Each stack entry is (opcode, node, out, slot) for _DERIVE or
-        # (opcode, node, placeholder, results, out, slot) for _FINISH_*.
+        # (opcode, node, frame, out, slot) for _FINISH_*.  A frame is
+        # [placeholder-or-None, opcode, left result, right result].
         stack: List[Tuple] = [(_DERIVE, node, root_slot, 0)]
 
         while stack:
@@ -141,10 +145,13 @@ class Deriver:
                 cached = memo.get(current, token)
                 if cached is not MISS:
                     metrics.derive_cache_hits += 1
-                    if isinstance(cached, Language) and cached.under_construction:
-                        # A lookup that finds a partially constructed result
-                        # is exactly the cycle case of Section 2.5.2.
-                        cached.observed = True
+                    if cached.__class__ is list:
+                        # A lookup that finds an in-progress frame is exactly
+                        # the cycle case of Section 2.5.2.
+                        frame = cached
+                        cached = frame[0]
+                        if cached is None:
+                            cached = self._cycle_placeholder(current, frame)
                     out[slot] = cached
                     continue
                 metrics.derive_uncached += 1
@@ -170,13 +177,11 @@ class Deriver:
                         raise GrammarError(
                             "derivative of an incomplete ∪ node: {!r}".format(current)
                         )
-                    placeholder = self.compactor.raw_alt()
-                    placeholder.under_construction = True
-                    memo.put(current, token, placeholder)
-                    results: List[Optional[Language]] = [None, None]
-                    stack.append((_FINISH_ALT, current, placeholder, results, out, slot))
-                    stack.append((_DERIVE, current.right, results, 1))
-                    stack.append((_DERIVE, current.left, results, 0))
+                    frame = [None, _FINISH_ALT, None, None]
+                    memo.put(current, token, frame)
+                    stack.append((_FINISH_ALT, current, frame, out, slot))
+                    stack.append((_DERIVE, current.right, frame, 3))
+                    stack.append((_DERIVE, current.left, frame, 2))
                     continue
 
                 if isinstance(current, Cat):
@@ -186,30 +191,21 @@ class Deriver:
                         )
                     if not self.nullability.nullable(current.left):
                         # Dc(L1 ◦ L2) = Dc(L1) ◦ L2
-                        cat_placeholder = self.compactor.raw_cat()
-                        cat_placeholder.under_construction = True
-                        cat_placeholder.right = current.right
-                        memo.put(current, token, cat_placeholder)
-                        results = [None]
-                        stack.append(
-                            (_FINISH_CAT, current, cat_placeholder, results, out, slot)
-                        )
-                        stack.append((_DERIVE, current.left, results, 0))
+                        frame = [None, _FINISH_CAT, None]
+                        memo.put(current, token, frame)
+                        stack.append((_FINISH_CAT, current, frame, out, slot))
+                        stack.append((_DERIVE, current.left, frame, 2))
                         continue
                     # Dc(L1 ◦ L2) = (Dc(L1) ◦ L2) ∪ (δ(L1) ◦ Dc(L2)) — the
                     # duplication case tracked by the naming argument (Rule
                     # 5b) with the • symbol.  The δ(L1) factor keeps L1's
                     # null-parse trees; Figure 2 presents the recognizer form,
                     # which drops it.
-                    placeholder = self.compactor.raw_alt()
-                    placeholder.under_construction = True
-                    memo.put(current, token, placeholder)
-                    results = [None, None]
-                    stack.append(
-                        (_FINISH_CAT_NULLABLE, current, placeholder, results, out, slot)
-                    )
-                    stack.append((_DERIVE, current.right, results, 1))
-                    stack.append((_DERIVE, current.left, results, 0))
+                    frame = [None, _FINISH_CAT_NULLABLE, None, None]
+                    memo.put(current, token, frame)
+                    stack.append((_FINISH_CAT_NULLABLE, current, frame, out, slot))
+                    stack.append((_DERIVE, current.right, frame, 3))
+                    stack.append((_DERIVE, current.left, frame, 2))
                     continue
 
                 if isinstance(current, Reduce):
@@ -217,14 +213,10 @@ class Deriver:
                         raise GrammarError(
                             "derivative of an incomplete ↪→ node: {!r}".format(current)
                         )
-                    reduce_placeholder = self.compactor.raw_reduce(current.fn)
-                    reduce_placeholder.under_construction = True
-                    memo.put(current, token, reduce_placeholder)
-                    results = [None]
-                    stack.append(
-                        (_FINISH_REDUCE, current, reduce_placeholder, results, out, slot)
-                    )
-                    stack.append((_DERIVE, current.lang, results, 0))
+                    frame = [None, _FINISH_REDUCE, None]
+                    memo.put(current, token, frame)
+                    stack.append((_FINISH_REDUCE, current, frame, out, slot))
+                    stack.append((_DERIVE, current.lang, frame, 2))
                     continue
 
                 if isinstance(current, Ref):
@@ -234,105 +226,98 @@ class Deriver:
                                 current.ref_name
                             )
                         )
-                    ref_placeholder = self.compactor.raw_ref(current.ref_name)
-                    ref_placeholder.under_construction = True
-                    memo.put(current, token, ref_placeholder)
-                    results = [None]
-                    stack.append(
-                        (_FINISH_REF, current, ref_placeholder, results, out, slot)
-                    )
-                    stack.append((_DERIVE, current.target, results, 0))
+                    frame = [None, _FINISH_REF, None]
+                    memo.put(current, token, frame)
+                    stack.append((_FINISH_REF, current, frame, out, slot))
+                    stack.append((_DERIVE, current.target, frame, 2))
                     continue
 
                 raise GrammarError("cannot derive unknown node type: {!r}".format(current))
 
             # ---------------------------------------------------- _FINISH_*
-            _, current, placeholder, results, out, slot = entry
+            # A frame that a cycle looked up holds its placeholder, which is
+            # filled in place (no compaction: the "punt on cycle" rule of
+            # Section 4.3.3); otherwise the smart constructors build the
+            # result.  Either way the result replaces the frame in the memo.
+            _, current, frame, out, slot = entry
+            placeholder = frame[0]
 
             if op == _FINISH_ALT:
-                left, right = results
-                if placeholder.observed:
-                    placeholder.left = left
-                    placeholder.right = right
+                if placeholder is None:
+                    result = self.compactor.make_alt(frame[2], frame[3])
+                else:
+                    placeholder.left = frame[2]
+                    placeholder.right = frame[3]
                     placeholder.under_construction = False
-                    self._name(current, placeholder, position, with_bullet=False)
-                    out[slot] = placeholder
-                    continue
-                metrics.placeholders_discarded += 1
-                result = self.compactor.make_alt(left, right)
-                self._name(current, result, position, with_bullet=False)
-                memo.put(current, token, result)
-                out[slot] = result
-                continue
+                    result = placeholder
 
-            if op == _FINISH_CAT:
-                left = results[0]
-                if placeholder.observed:
-                    placeholder.left = left
+            elif op == _FINISH_CAT:
+                if placeholder is None:
+                    result = self.compactor.make_cat(frame[2], current.right)
+                else:
+                    placeholder.left = frame[2]
                     placeholder.under_construction = False
-                    self._name(current, placeholder, position, with_bullet=False)
-                    out[slot] = placeholder
-                    continue
-                metrics.placeholders_discarded += 1
-                result = self.compactor.make_cat(left, current.right)
-                self._name(current, result, position, with_bullet=False)
-                memo.put(current, token, result)
-                out[slot] = result
-                continue
+                    result = placeholder
 
-            if op == _FINISH_CAT_NULLABLE:
-                left_derivative, right_derivative = results
-                if placeholder.observed:
-                    cat_node = self.compactor.make_cat(left_derivative, current.right)
-                    self._name(current, cat_node, position, with_bullet=False)
-                    null_branch = self._null_branch(current.left, right_derivative)
+            elif op == _FINISH_CAT_NULLABLE:
+                cat_node = self.compactor.make_cat(frame[2], current.right)
+                self._name(current, cat_node, position, with_bullet=False)
+                null_branch = self._null_branch(current.left, frame[3])
+                if placeholder is None:
+                    result = self.compactor.make_alt(cat_node, null_branch)
+                else:
                     placeholder.left = cat_node
                     placeholder.right = null_branch
                     placeholder.under_construction = False
-                    self._name(current, placeholder, position, with_bullet=True)
-                    out[slot] = placeholder
-                    continue
-                metrics.placeholders_discarded += 1
-                cat_node = self.compactor.make_cat(left_derivative, current.right)
-                self._name(current, cat_node, position, with_bullet=False)
-                null_branch = self._null_branch(current.left, right_derivative)
-                result = self.compactor.make_alt(cat_node, null_branch)
-                self._name(current, result, position, with_bullet=True)
-                memo.put(current, token, result)
-                out[slot] = result
-                continue
+                    result = placeholder
 
-            if op == _FINISH_REDUCE:
-                child = results[0]
-                if placeholder.observed:
-                    placeholder.lang = child
+            elif op == _FINISH_REDUCE:
+                if placeholder is None:
+                    result = self.compactor.make_reduce(frame[2], current.fn)
+                else:
+                    placeholder.lang = frame[2]
                     placeholder.under_construction = False
-                    self._name(current, placeholder, position, with_bullet=False)
-                    out[slot] = placeholder
-                    continue
-                metrics.placeholders_discarded += 1
-                result = self.compactor.make_reduce(child, current.fn)
-                self._name(current, result, position, with_bullet=False)
-                memo.put(current, token, result)
-                out[slot] = result
-                continue
+                    result = placeholder
 
-            # _FINISH_REF
-            target = results[0]
-            if placeholder.observed:
-                placeholder.target = target
-                placeholder.under_construction = False
-                self._name(current, placeholder, position, with_bullet=False)
-                out[slot] = placeholder
-                continue
-            # No cycle went through the reference itself: drop the wrapper
-            # and memoize the target's derivative directly.
-            metrics.placeholders_discarded += 1
-            self._name(current, target, position, with_bullet=False)
-            memo.put(current, token, target)
-            out[slot] = target
+            else:  # _FINISH_REF
+                if placeholder is None:
+                    # No cycle went through the reference itself: drop the
+                    # wrapper and memoize the target's derivative directly.
+                    result = frame[2]
+                else:
+                    placeholder.target = frame[2]
+                    placeholder.under_construction = False
+                    result = placeholder
+
+            self._name(current, result, position, with_bullet=op == _FINISH_CAT_NULLABLE)
+            memo.put(current, token, result)
+            out[slot] = result
 
         return root_slot[0]
+
+    def _cycle_placeholder(self, current: Language, frame: list) -> Language:
+        """Build the placeholder a cyclic lookup of ``current`` returns.
+
+        Its kind follows the frame's opcode: ``∪`` (also for a nullable
+        ``◦``, whose derivative is a union), ``◦`` with its right child
+        preset, ``↪→`` or ``Ref``.  The frame keeps it, so every later
+        lookup in this step returns the same node, and ``_FINISH_*`` fills
+        it in place.
+        """
+        compactor = self.compactor
+        op = frame[1]
+        if op == _FINISH_CAT:
+            placeholder: Language = compactor.raw_cat()
+            placeholder.right = current.right
+        elif op == _FINISH_REDUCE:
+            placeholder = compactor.raw_reduce(current.fn)
+        elif op == _FINISH_REF:
+            placeholder = compactor.raw_ref(current.ref_name)
+        else:
+            placeholder = compactor.raw_alt()
+        placeholder.under_construction = True
+        frame[0] = placeholder
+        return placeholder
 
     def _null_branch(self, left: Language, right_derivative: Language) -> Language:
         """Build ``δ(left) ◦ Dc(right)`` for the nullable-left sequence case.

@@ -22,8 +22,8 @@ Paper form     Class                  Meaning
 Nodes are *mutable in a restricted way*: the children of :class:`Alt`,
 :class:`Cat`, :class:`Reduce` and the target of :class:`Ref` may be assigned
 after construction.  This is how cyclic grammars are tied together and how the
-derivative function installs partially-constructed results in its memo table
-before recurring (Section 2.5.2 of the paper).
+derivative function fills in the partially-constructed result a cycle looked
+up (Section 2.5.2 of the paper).
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class Language:
     Every node carries:
 
     * ``node_id`` — a monotonically increasing identifier (used for stable
-      ordering, debugging and as a hash key),
+      ordering and debugging; nodes hash and compare by identity),
     * ``name`` — an optional :class:`repro.core.naming.NodeName` assigned by
       the naming instrumentation of Definition 5,
     * private slots used by the nullability analysis and the single-entry
@@ -86,7 +86,6 @@ class Language:
         "node_id",
         "name",
         "under_construction",
-        "observed",
         # the compiled-automaton table (repro.compile), anchored on the
         # grammar root in the node-resident idiom of the memo fields below:
         # the grammar owns its table, every parser built over this root
@@ -115,7 +114,6 @@ class Language:
         self.node_id = next(_NODE_IDS)
         self.name = None
         self.under_construction = False
-        self.observed = False
         self.compiled_table = None
         self.memo_epoch = -1
         self.memo_token = None
@@ -147,13 +145,6 @@ class Language:
     def map(self, fn: Callable[[Any], Any]) -> "Reduce":
         """Return ``self ↪→ fn`` — apply ``fn`` to every parse tree."""
         return Reduce(self, fn)
-
-    # -- identity-based hashing --------------------------------------------
-    def __hash__(self) -> int:
-        return self.node_id
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return "{}#{}".format(type(self).__name__, self.node_id)

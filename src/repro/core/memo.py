@@ -115,6 +115,12 @@ class SingleEntryMemo(DeriveMemo):
     monotonic counter**: every instance (and every ``clear``) gets an epoch
     no other instance has ever used, so a second parser built over the same
     grammar graph can never read derivatives memoized by the first.
+
+    The stored token is tested with ``is`` before ``==``: within a step every
+    lookup passes the same token object, so the common hit skips a
+    Python-level ``__eq__`` (dataclass tokens define one).  During a step
+    an entry may hold ``derive``'s in-progress frame instead of a node; the
+    memo stores it like any other value.
     """
 
     name = "single"
@@ -129,13 +135,19 @@ class SingleEntryMemo(DeriveMemo):
 
     def get(self, node: Language, token: Any) -> Any:
         """Return the node-resident entry when epoch and token match, else MISS."""
-        if node.memo_epoch == self.epoch and node.memo_token == token:
+        if node.memo_epoch == self.epoch and (
+            node.memo_token is token or node.memo_token == token
+        ):
             return node.memo_result
         return MISS
 
     def put(self, node: Language, token: Any, result: Language) -> None:
         """Write the node's single entry, evicting any other token's result."""
-        if node.memo_epoch == self.epoch and node.memo_token != token:
+        if (
+            node.memo_epoch == self.epoch
+            and node.memo_token is not token
+            and node.memo_token != token
+        ):
             self.metrics.memo_evictions += 1
         node.memo_epoch = self.epoch
         node.memo_token = token

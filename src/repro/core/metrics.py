@@ -67,10 +67,12 @@ class Metrics:
     Attributes
     ----------
     nodes_created:
-        Total grammar nodes constructed, including placeholder nodes that are
-        later discarded by compaction (``g`` in Section 3 counts constructed
-        nodes, so discarded placeholders are included and also reported
-        separately as ``placeholders_discarded``).
+        Total grammar nodes constructed (``g`` in Section 3), including the
+        cycle placeholders counted by ``placeholders_created``.
+    placeholders_created:
+        Partially constructed nodes ``derive`` built because a cycle looked
+        up a derivative still in progress (Section 2.5.2); acyclic derives
+        build none.
     derive_calls:
         Every invocation of ``derive`` (cached or not).
     derive_cache_hits / derive_uncached:
@@ -119,7 +121,6 @@ class Metrics:
 
     nodes_created: int = 0
     placeholders_created: int = 0
-    placeholders_discarded: int = 0
     derive_calls: int = 0
     derive_cache_hits: int = 0
     derive_uncached: int = 0

@@ -191,10 +191,12 @@ class TestPlaceholderBehaviour:
         # Both branches die, so compaction collapses the result to ∅.
         assert isinstance(result, Empty)
 
-    def test_placeholders_discarded_metric(self):
+    def test_acyclic_derive_builds_no_placeholder(self):
         deriver = make_deriver()
         deriver.derive(Alt(token("a"), token("b")), "a")
-        assert deriver.metrics.placeholders_discarded >= 1
+        assert deriver.metrics.placeholders_created == 0
+        # Only ε_a is built: the ∪ collapses onto it and ∅ is shared.
+        assert deriver.metrics.nodes_created == 1
 
     def test_cyclic_placeholder_children_filled(self):
         deriver = make_deriver(CompactionConfig.disabled())
@@ -207,6 +209,87 @@ class TestPlaceholderBehaviour:
             assert not node.under_construction
             if isinstance(node, (Alt, Cat)):
                 assert node.left is not None and node.right is not None
+
+
+def _alt_cycle():
+    # L = (L ◦ c) ∪ c: the cycle re-enters at the ∪.
+    alt = Alt(None, token("c"))
+    alt.left = Cat(alt, token("c"))
+    return alt, Alt, "cc", {"L": [["L", "c"], ["c"]]}
+
+
+def _cat_cycle():
+    # L = (L ∪ c) ◦ c: the cycle re-enters at a ◦ whose left is not nullable.
+    cat = Cat(None, token("c"))
+    cat.left = Alt(cat, token("c"))
+    return cat, Cat, "ccc", {"L": [["L", "c"], ["c", "c"]]}
+
+
+def _nullable_cat_cycle():
+    # L = (ε ∪ a) ◦ (L ∪ b): the cycle re-enters at a ◦ with a nullable left.
+    cat = Cat(Alt(epsilon(), token("a")), None)
+    cat.right = Alt(cat, token("b"))
+    return cat, Alt, "aab", {"L": [["A", "L"], ["A", "b"]], "A": [[], ["a"]]}
+
+
+def _reduce_cycle():
+    # L = ((L ◦ a) ∪ c) ↪ f: the cycle re-enters at the ↪.
+    reduce = Reduce(None, lambda tree: ("r", tree))
+    reduce.lang = Alt(Cat(reduce, token("a")), token("c"))
+    return reduce, Reduce, "caa", {"L": [["L", "a"], ["c"]]}
+
+
+def _ref_cycle():
+    # <L> = (<L> ◦ c) ∪ c: the cycle re-enters at the reference.
+    ref = Ref("L")
+    ref.set(Alt(Cat(ref, token("c")), token("c")))
+    return ref, Ref, "ccc", {"L": [["L", "c"], ["c"]]}
+
+
+class TestCyclePlaceholders:
+    """A placeholder is built only where a cycle finds a derive in progress."""
+
+    INPUTS = ["", "c", "cc", "ccc", "a", "b", "ab", "aab", "ca", "caa", "cac", "bb"]
+
+    @staticmethod
+    def assert_complete(root):
+        from repro.core.languages import reachable_nodes
+
+        for node in reachable_nodes(root):
+            assert not node.under_construction, node
+            if isinstance(node, (Alt, Cat)):
+                assert node.left is not None and node.right is not None, node
+            elif isinstance(node, (Reduce, Delta)):
+                assert node.lang is not None, node
+            elif isinstance(node, Ref):
+                assert node.target is not None, node
+
+    @pytest.mark.parametrize(
+        "build",
+        [_alt_cycle, _cat_cycle, _nullable_cat_cycle, _reduce_cycle, _ref_cycle],
+        ids=["alt", "cat", "nullable-cat", "reduce", "ref"],
+    )
+    def test_cycle_builds_placeholder_of_frame_kind(self, build):
+        from repro.cfg.grammar import grammar_from_rules
+        from repro.earley import EarleyParser
+
+        root, placeholder_kind, accepted, rules = build()
+        first = make_deriver(CompactionConfig.disabled())
+        result = first.derive(root, accepted[0])
+        # The root's own frame was looked up, so the result is its placeholder.
+        assert first.metrics.placeholders_created >= 1
+        assert type(result) is placeholder_kind
+        self.assert_complete(result)
+
+        earley = EarleyParser(grammar_from_rules("L", rules))
+        assert earley.recognize(list(accepted))
+        for word in self.INPUTS:
+            deriver = make_deriver(CompactionConfig.disabled())
+            language = root
+            for position, symbol in enumerate(word):
+                language = deriver.derive(language, symbol, position)
+                self.assert_complete(language)
+            assert deriver.nullability.nullable(language) == earley.recognize(list(word)), word
 
 
 class TestNullTreeFold:

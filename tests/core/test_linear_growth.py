@@ -13,6 +13,12 @@ The fixed-point work per token is gated too: nodes built over final
 children are settled at construction, so the nullability/productivity
 kernel only runs on cyclic regions (~21 evaluations per token on PL/0,
 none on JSON; re-solving every derived node cost ~77 and ~30).
+
+So is allocation: ``derive`` builds a placeholder node only where a cycle
+looks up a derive in progress, so PL/0 builds ~50 nodes per token of which
+~4 are placeholders, and JSON ~19 with none.  Building a placeholder before
+every composite node, and discarding it when no cycle came, cost ~101 and
+~44 nodes per token (~56 and ~25 of them placeholders).
 """
 
 import pytest
@@ -27,6 +33,10 @@ WINDOW = 500
 LENGTH = 2000
 #: Fixed-point evaluations per token allowed in the last window.
 MAX_EVALUATIONS_PER_TOKEN = {"pl0": 30, "json-documents": 2}
+#: Grammar nodes, and cycle placeholders among them, built per token in the
+#: last window.
+MAX_NODES_PER_TOKEN = {"pl0": 60, "json-documents": 25}
+MAX_PLACEHOLDERS_PER_TOKEN = {"pl0": 6, "json-documents": 0}
 
 
 @pytest.mark.parametrize(
@@ -39,6 +49,7 @@ def test_tree_path_work_and_live_size_stay_flat(cell_id, generator):
     state = parser.start()
     uncached = [parser.metrics.derive_uncached]
     evaluations = [parser.metrics.fixpoint_node_evaluations]
+    built = [(parser.metrics.nodes_created, parser.metrics.placeholders_created)]
     live_at = {}
     for position, token in enumerate(tokens, 1):
         state.feed(token)
@@ -46,6 +57,7 @@ def test_tree_path_work_and_live_size_stay_flat(cell_id, generator):
         if position % WINDOW == 0:
             uncached.append(parser.metrics.derive_uncached)
             evaluations.append(parser.metrics.fixpoint_node_evaluations)
+            built.append((parser.metrics.nodes_created, parser.metrics.placeholders_created))
             live_at[position] = len(live_nodes(state.language))
     first = uncached[1] - uncached[0]
     last = uncached[-1] - uncached[-2]
@@ -53,3 +65,7 @@ def test_tree_path_work_and_live_size_stay_flat(cell_id, generator):
     assert live_at[LENGTH] <= 1.5 * live_at[WINDOW], live_at
     last_evaluations = (evaluations[-1] - evaluations[-2]) / WINDOW
     assert last_evaluations <= MAX_EVALUATIONS_PER_TOKEN[cell_id], evaluations
+    nodes = (built[-1][0] - built[-2][0]) / WINDOW
+    placeholders = (built[-1][1] - built[-2][1]) / WINDOW
+    assert nodes <= MAX_NODES_PER_TOKEN[cell_id], built
+    assert placeholders <= MAX_PLACEHOLDERS_PER_TOKEN[cell_id], built
