@@ -35,9 +35,10 @@ def test_fig11_uncached_derive_ratio(run_once):
 
     for _tokens, single_uncached, full_uncached, ratio in rows:
         assert single_uncached >= full_uncached * 0.99
-        # Generous ceiling: the paper sees ≤ 1.048; allow modest slack for a
-        # different grammar and workload mix.
-        assert ratio < 1.5
+        # The paper sees ≤ 1.048.  The grammar's own nodes keep every token
+        # (repro.core.memo), so the extra derives come from derived nodes
+        # alone; allow modest slack for a different grammar and workload mix.
+        assert ratio < 1.1
 
     grammar = python_grammar()
     tokens = python_workload(120)

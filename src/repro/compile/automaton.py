@@ -91,7 +91,6 @@ from ..core.languages import (
     Alt,
     Cat,
     Delta,
-    Empty,
     Epsilon,
     Language,
     Reduce,
@@ -105,7 +104,6 @@ from ..core.memo import PersistentDictMemo
 from ..core.metrics import Metrics
 from ..core.nullability import NullabilityAnalyzer
 from ..core.parse import validate_grammar
-from ..core.productivity import ProductivityAnalyzer
 from ..core.prune import AdaptivePruneSchedule, prune_empty
 from .classes import TokenClassifier
 
@@ -234,14 +232,12 @@ class GrammarTable:
         A :class:`Language` root or an object convertible via
         ``language()``/``to_language()``.  The table always runs the
         initial-grammar compaction of Section 4.3.1 on it first (as
-        :class:`~repro.core.parse.DerivativeParser` does by default), and
-        always prunes provably-empty branches from freshly derived states
-        before interning them, on the interpreted parser's adaptive
-        schedule: without pruning, "zombie" cores accumulate in the derived
-        graphs and cold compilation degrades to quadratic.
-        :func:`~repro.core.prune.prune_empty` rewrites child pointers in
-        place and is semantics-preserving, so already-interned states
-        sharing the pruned nodes stay valid.
+        :class:`~repro.core.parse.DerivativeParser` does by default).  Its
+        deriver cuts the dead branches each step builds, and returns ``∅``
+        for a dead successor, which goes to the sink; the safety-net
+        prune pass runs on the interpreted parser's adaptive schedule.
+        Both rewrite child pointers in place and preserve languages, so
+        already-interned states sharing the rewritten nodes stay valid.
     max_states:
         Optional cap on interned states.  Derivation past the cap still
         works (and is still memoized by the persistent derive memo) but the
@@ -279,15 +275,6 @@ class GrammarTable:
         #: identical result node, for the lifetime of this table).
         self.memo = PersistentDictMemo(self.metrics)
         self.nullability = NullabilityAnalyzer(self.metrics)
-        #: The shared emptiness analysis (the productivity declaration on the
-        #: unified fixed-point kernel).  Routing dead successors through it —
-        #: rather than through a structural ∅ check — lets the automaton send
-        #: semantically dead derivatives to the ∅ sink even when compaction
-        #: has not structurally collapsed them yet.  Its final values live on
-        #: the nodes (``prod_state``), sound for the table's lifetime: after
-        #: construction a node's children change only via the
-        #: semantics-preserving prune pass.
-        self.productivity = ProductivityAnalyzer(self.nullability, self.metrics)
         self.deriver = Deriver(
             memo=self.memo,
             compactor=self.compactor,
@@ -405,8 +392,8 @@ class GrammarTable:
         from the root before any derivation) are named by identity.  It
         is abandoned rather than visit more than ``budget`` derived nodes,
         which keeps keying within a constant factor of the derivation
-        that built the state.  One productivity solve then decides the
-        walked region, and the key lists the nodes in discovery order:
+        that built the state.  Every derived node is settled by the step
+        that built it, and the key lists the nodes in discovery order:
 
         * a dead node is ``∅``, and a ``∪`` with a dead side is its other
           side;
@@ -417,7 +404,6 @@ class GrammarTable:
         """
         pristine = self._pristine
         seen: set = set()
-        undecided: List[Language] = []
         stack = [language]
         while stack:
             node = stack.pop()
@@ -429,8 +415,6 @@ class GrammarTable:
                 self.metrics.keys_skipped += 1
                 return None
             seen.add(id(node))
-            if node.prod_state is None:
-                undecided.append(node)
             if isinstance(node, (Alt, Cat)):
                 stack.append(node.right)
                 stack.append(node.left)
@@ -439,8 +423,6 @@ class GrammarTable:
             elif isinstance(node, Ref):
                 stack.append(node.target)
         self.key_nodes_walked += len(seen)
-        if undecided:
-            self.productivity.settle(undecided)
 
         def canonical(node: Language) -> Language:
             # Every skip lands on a node of equal language; a loop of skips
@@ -523,16 +505,20 @@ class GrammarTable:
                 self.transitions_derived += 1
                 uncached = self.metrics.derive_uncached
                 derived = self.deriver.derive(state.language, tok)
-                if not isinstance(derived, Empty) and self._prune_schedule.due(
+                if derived is not EMPTY and self._prune_schedule.due(
                     self.metrics.derive_uncached
                 ):
+                    rewrites = self.metrics.compaction_rewrites
                     derived, live_size = prune_empty(derived, self.nullability, self.metrics)
                     self.prune_passes += 1
-                    self._prune_schedule.ran(self.metrics.derive_uncached, live_size)
-                if isinstance(derived, Empty) or self.productivity.is_empty(derived):
-                    # Dead either structurally (the ∅ node) or semantically
-                    # (the emptiness analysis proves no completion exists):
-                    # route to the sink instead of interning a zombie state.
+                    self._prune_schedule.ran(
+                        self.metrics.derive_uncached,
+                        live_size,
+                        self.metrics.compaction_rewrites > rewrites,
+                    )
+                if derived is EMPTY:
+                    # The deriver returns ∅ for every dead language: route
+                    # to the sink instead of interning a zombie state.
                     successor = self.dead
                 else:
                     successor = self._intern(
@@ -619,7 +605,7 @@ class GrammarTable:
         for entry in reversed(chain):
             uncached = self.metrics.derive_uncached
             language = self.deriver.derive(language, entry.via)
-            if language is EMPTY or isinstance(language, Empty):
+            if language is EMPTY:
                 raise ReproError(
                     "corrupt compiled table: the witness chain for state #{} "
                     "derives to the empty language".format(entry.index)

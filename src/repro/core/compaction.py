@@ -48,13 +48,21 @@ The smart constructors also **settle** what they build (:func:`_settle`):
 a node whose children already carry final nullability and productivity
 gets its own at construction — ``∪`` is the or of its children, ``◦`` the
 and, ``↪`` copies its child, ``δ(L)`` is nullable iff ``L`` is and
-productive iff ``L`` is nullable.  A value computed from final children is
-exact, so the fixed-point kernel (Section 4.2) only ever sees what really
-needs a fixed point: the cyclic placeholders the deriver fills in place and
-the nodes built over them.  The raw constructors never settle: a
-placeholder or a hand-built grammar node may still gain children, and an
-eagerly final parent would hide the unsolved region below it from the
-solver.
+productive iff ``L`` is nullable, and a nullable node is productive.  A
+value computed from final children is exact, so the fixed-point kernel
+(Section 4.2) only ever sees what really needs a fixed point: the cyclic
+placeholders the deriver fills in place and the nodes built over them.  The
+raw constructors never settle: a placeholder or a hand-built grammar node
+may still gain children, and an eagerly final parent would hide the
+unsolved region below it from the solver.
+
+What the constructors cannot decide they log (:attr:`Compactor.undecided`):
+every placeholder, every node left undecided and every node built over a
+child whose productivity is undecided.  The deriver settles the log when
+its step ends and cuts the dead children it finds
+(:mod:`repro.core.derivative`).  A child already settled dead counts as
+``∅`` in every rule: ``∅ ∪ p``, ``∅ ◦ p``, ``∅ ↪→ f`` and ``δ(∅)`` fold
+it away.
 """
 
 from __future__ import annotations
@@ -181,13 +189,15 @@ def _either(left: Any, right: Any, dominant: Any, other: Any) -> Any:
     return None
 
 
-def _settle(node: Language) -> Language:
+def _settle(node: Language, log: list) -> Language:
     """Give a node the smart constructors just built its final nullability
     and productivity, wherever they follow from its children's final values
     (the rules are in the module docstring).
 
-    An undecided child that the answer needs leaves the field None, for the
-    fixed-point kernel to decide on first query.
+    An undecided child that the answer needs leaves the field None.  The
+    node goes on ``log`` — the deriver settles it when the step ends — when
+    it is left undecided or sits over a child whose productivity is
+    undecided (a child that may yet prove dead).
     """
     if isinstance(node, Alt):
         left, right = node.left, node.right
@@ -195,19 +205,27 @@ def _settle(node: Language) -> Language:
             left.null_state, right.null_state, NULLABLE, DEFINITELY_NOT_NULLABLE
         )
         node.prod_state = _either(left.prod_state, right.prod_state, True, False)
+        undecided = left.prod_state is None or right.prod_state is None
     elif isinstance(node, Cat):
         left, right = node.left, node.right
         node.null_state = _either(
             left.null_state, right.null_state, DEFINITELY_NOT_NULLABLE, NULLABLE
         )
         node.prod_state = _either(left.prod_state, right.prod_state, False, True)
+        undecided = left.prod_state is None or right.prod_state is None
     elif isinstance(node, Reduce):
         node.null_state = node.lang.null_state
         node.prod_state = node.lang.prod_state
+        undecided = node.prod_state is None
     else:  # Delta
         node.null_state = node.lang.null_state
         if node.null_state is not None:
             node.prod_state = node.null_state == NULLABLE
+        undecided = False
+    if node.null_state == NULLABLE:
+        node.prod_state = True
+    if undecided or node.null_state is None:
+        log.append(node)
     return node
 
 
@@ -224,6 +242,10 @@ class Compactor:
     ) -> None:
         self.config = config if config is not None else CompactionConfig.full()
         self.metrics = metrics if metrics is not None else Metrics()
+        #: Nodes built since the deriver last settled a step that may still
+        #: be undecided or sit over a child that may prove dead (:func:`_settle`
+        #: and the placeholders of the raw builders).
+        self.undecided: list = []
 
     # ----------------------------------------------------------- primitives
     def _count_node(self) -> None:
@@ -244,10 +266,10 @@ class Compactor:
         cfg = self.config
         if cfg.enabled:
             if cfg.null_rules:
-                if left is EMPTY or isinstance(left, Empty):
+                if left.prod_state is False:
                     self._count_rewrite()
                     return right
-                if right is EMPTY or isinstance(right, Empty):
+                if right.prod_state is False:
                     self._count_rewrite()
                     return left
             if (
@@ -261,7 +283,7 @@ class Compactor:
                 self._count_rewrite()
                 return self.make_epsilon(_merge_trees(left.trees, right.trees))
         self._count_node()
-        return _settle(Alt(left, right))
+        return _settle(Alt(left, right), self.undecided)
 
     # ------------------------------------------------------------------ cat
     def make_cat(self, left: Language, right: Language) -> Language:
@@ -273,7 +295,7 @@ class Compactor:
         """
         cfg = self.config
         if cfg.enabled:
-            if cfg.null_rules and (left is EMPTY or isinstance(left, Empty)):
+            if cfg.null_rules and left.prod_state is False:
                 # ∅ ◦ p ⇒ ∅
                 self._count_rewrite()
                 return EMPTY
@@ -303,14 +325,14 @@ class Compactor:
                 inner = self.make_cat(left.right, right)
                 return self.make_reduce(self.make_cat(left.left, inner), ReassocToLeft())
         self._count_node()
-        return _settle(Cat(left, right))
+        return _settle(Cat(left, right), self.undecided)
 
     # --------------------------------------------------------------- reduce
     def make_reduce(self, lang: Language, fn: Callable[[Any], Any]) -> Language:
         """Construct ``lang ↪→ fn``, applying the reduction-node rules."""
         cfg = self.config
         if cfg.enabled:
-            if cfg.new_rules and (lang is EMPTY or isinstance(lang, Empty)):
+            if cfg.new_rules and lang.prod_state is False:
                 # ∅ ↪→ f ⇒ ∅ (one of the paper's added rules)
                 self._count_rewrite()
                 return EMPTY
@@ -330,7 +352,7 @@ class Compactor:
             if isinstance(fn, Identity):
                 return lang
         self._count_node()
-        return _settle(Reduce(lang, fn))
+        return _settle(Reduce(lang, fn), self.undecided)
 
     # ---------------------------------------------------------------- delta
     def make_delta(self, lang: Language) -> Language:
@@ -348,36 +370,35 @@ class Compactor:
             if isinstance(lang, Delta) and _structure_known(lang):
                 self._count_rewrite()
                 return lang
-            if cfg.null_rules and (lang is EMPTY or isinstance(lang, Empty)):
+            if cfg.null_rules and lang.prod_state is False:
                 self._count_rewrite()
                 return EMPTY
         self._count_node()
-        return _settle(Delta(lang))
+        return _settle(Delta(lang), self.undecided)
 
     # ---------------------------------------------------------- raw builders
     def raw_alt(self) -> Alt:
         """Construct an empty (placeholder) ``∪`` node without compaction."""
-        self._count_node()
-        self.metrics.placeholders_created += 1
-        return Alt(None, None)
+        return self._placeholder(Alt(None, None))
 
     def raw_cat(self) -> Cat:
         """Construct an empty (placeholder) ``◦`` node without compaction."""
-        self._count_node()
-        self.metrics.placeholders_created += 1
-        return Cat(None, None)
+        return self._placeholder(Cat(None, None))
 
     def raw_reduce(self, fn: Callable[[Any], Any]) -> Reduce:
         """Construct a placeholder ``↪→`` node without compaction."""
-        self._count_node()
-        self.metrics.placeholders_created += 1
-        return Reduce(None, fn)
+        return self._placeholder(Reduce(None, fn))
 
     def raw_ref(self, ref_name: str) -> Ref:
         """Construct a placeholder non-terminal reference without compaction."""
+        return self._placeholder(Ref(ref_name, None))
+
+    def _placeholder(self, node: Language) -> Any:
+        """Count a placeholder and log it: it is undecided until settled."""
         self._count_node()
         self.metrics.placeholders_created += 1
-        return Ref(ref_name, None)
+        self.undecided.append(node)
+        return node
 
 
 #: The one tree every :class:`TreeFreeCompactor` ε carries.
@@ -404,7 +425,7 @@ class TreeFreeCompactor(Compactor):
 
     def make_reduce(self, lang: Language, fn: Callable[[Any], Any]) -> Language:
         """``lang`` itself: ``∅ ↪→ f ⇒ ∅``, and otherwise the reduction is dropped."""
-        if lang is EMPTY or isinstance(lang, Empty):
+        if lang.prod_state is False:
             self._count_rewrite()
             return EMPTY
         return lang
@@ -479,6 +500,8 @@ def optimize_initial_grammar(
                         changed = True
         if not changed:
             break
+    # Grammar nodes are decided on first query, not at a derive step's end.
+    compactor.undecided.clear()
     return root
 
 

@@ -26,6 +26,20 @@ step.  After the children's derivatives are available, either
 
 Either way the result replaces the frame in the memo.
 
+**Each step settles where it ends.**  The smart constructors give most nodes
+their final nullability and productivity at birth (:mod:`repro.core.compaction`).
+They log the rest — a node left undecided, a node built over a child whose
+productivity is undecided, and every cycle placeholder — and when the
+outermost ``derive`` finishes, :meth:`Deriver._settle_step` runs one
+nullability solve and one productivity solve over that log.  With compaction
+on it then cuts each logged node's dead children to ``∅``, so a branch that
+died in this step ("zombie" in :mod:`repro.core.prune`) is never derived
+again, and every later ``nullable()`` query reads a final value.  A step
+whose result is dead returns ``∅`` itself, even when it built nothing (a
+memo hit on a derivative an earlier parse already settled dead), so a
+stream fails at exactly the token that killed it.  A step that builds only
+nodes final at birth logs nothing and solves nothing.
+
 The traversal itself is **iterative**: grammar graphs derived from long
 inputs can be as deep as the input (hundreds of thousands of nodes on a
 right-recursive chain), so ``derive`` runs a small virtual machine over an
@@ -65,6 +79,8 @@ from .memo import MISS, DeriveMemo, SingleEntryMemo
 from .metrics import Metrics
 from .naming import NamingScheme
 from .nullability import NullabilityAnalyzer
+from .productivity import ProductivityAnalyzer
+from .prune import cut_dead_children
 
 __all__ = ["Deriver"]
 
@@ -103,6 +119,7 @@ class Deriver:
         self.nullability = (
             nullability if nullability is not None else NullabilityAnalyzer(self.metrics)
         )
+        self.productivity = ProductivityAnalyzer(self.nullability, self.metrics)
         self.naming = naming
         #: ``id(node) -> (node, answer)`` for :meth:`null_trees`; the node is
         #: held so its id cannot be reused while the entry lives.
@@ -293,7 +310,31 @@ class Deriver:
             memo.put(current, token, result)
             out[slot] = result
 
-        return root_slot[0]
+        return self._settle_step(root_slot[0])
+
+    def _settle_step(self, result: Language) -> Language:
+        """Settle the nodes this step left undecided; ∅ if ``result`` is dead.
+
+        The compactor logged every node it built undecided or over a child
+        that may prove dead, and every placeholder.  One nullability and one
+        productivity solve decide them, and with compaction on their dead
+        children are cut to ``∅`` (:func:`repro.core.prune.cut_dead_children`),
+        so a dead branch is never derived again.  ``result`` itself may be
+        a node settled dead by an earlier step (a memo hit), hence the last
+        check even when the step built nothing.
+        """
+        log = self.compactor.undecided
+        if result.prod_state is None:
+            log.append(result)  # a grammar node nothing has decided yet
+        if log:
+            self.nullability.settle([node for node in log if node.null_state is None])
+            self.productivity.settle([node for node in log if node.prod_state is None])
+            if self.compactor.config.enabled:
+                self.metrics.compaction_rewrites += cut_dead_children(log)
+            log.clear()
+        if result.prod_state is False:
+            return EMPTY
+        return result
 
     def _cycle_placeholder(self, current: Language, frame: list) -> Language:
         """Build the placeholder a cyclic lookup of ``current`` returns.
@@ -329,9 +370,9 @@ class Deriver:
         ``δ(left)`` as its unit ``ε`` outright, so the :meth:`null_trees`
         walk (and its memo) is skipped.
         """
-        if right_derivative is EMPTY or isinstance(right_derivative, Empty):
-            # The freshly computed derivative is known to be ∅, so the whole
-            # branch contributes nothing (this does not violate the
+        if right_derivative.prod_state is False:
+            # The freshly computed derivative is known to be dead, so the
+            # whole branch contributes nothing (this does not violate the
             # Section 4.3.1 rule about right children: no inspection of a
             # pre-existing grammar node is involved).
             return EMPTY

@@ -200,77 +200,94 @@ class FixpointSolver:
         final.  The table is a fresh dictionary owned by the caller.
         """
         analysis = self.analysis
-        metrics = self.metrics
-        key_of = analysis.key
         final_of = analysis.final
+        dependencies = analysis.dependencies
+        # The default key is the node itself: skip the call, not the meaning.
+        key_of = None if type(analysis).key is FixpointAnalysis.key else analysis.key
         self.generation = next(FixpointSolver._generations)
 
         # Discovery sweep: every reachable node without a final value,
         # recording reverse dependencies (child -> dependents) along the way.
         # ``pending`` holds strong references, which is what makes id-based
-        # keys (see FixpointAnalysis.key) stable for the run.
+        # keys (see FixpointAnalysis.key) stable for the run.  Only nodes
+        # that are not final are ever pushed, and discovery evaluates
+        # nothing, so a popped node is still not final.
         pending: List[Any] = []
         dependents: Dict[Any, List[Any]] = {}
         discovered: set = set()
         values: Dict[Any, Any] = {}
         stack: List[Any] = []
         for root in roots:
-            if final_of(root) is not NOT_FINAL:
-                values[key_of(root)] = final_of(root)
-                continue
-            stack.append(root)
+            cached = final_of(root)
+            if cached is NOT_FINAL:
+                stack.append(root)
+            else:
+                values[root if key_of is None else key_of(root)] = cached
         while stack:
             node = stack.pop()
-            node_key = key_of(node)
+            node_key = node if key_of is None else key_of(node)
             if node_key in discovered:
                 continue
             discovered.add(node_key)
-            if final_of(node) is not NOT_FINAL:
-                continue
             pending.append(node)
-            for child in analysis.dependencies(node):
-                child_key = key_of(child)
-                dependents.setdefault(child_key, []).append(node)
-                if child_key not in discovered and final_of(child) is NOT_FINAL:
-                    stack.append(child)
+            for child in dependencies(node):
+                # A final child never changes, so it needs no dependents.
+                if final_of(child) is NOT_FINAL:
+                    child_key = child if key_of is None else key_of(child)
+                    dependents.setdefault(child_key, []).append(node)
+                    if child_key not in discovered:
+                        stack.append(child)
 
         if not pending:
             return values
 
         # Tentative phase: seed every unknown node at lattice bottom and
         # propagate monotonically until the worklist drains.
-        for node in pending:
-            values[key_of(node)] = analysis.bottom(node)
+        bottom = analysis.bottom
+        if key_of is None:
+            for node in pending:
+                values[node] = bottom(node)
+        else:
+            for node in pending:
+                values[key_of(node)] = bottom(node)
 
         def get(other: Any) -> Any:
             cached = final_of(other)
             if cached is not NOT_FINAL:
                 return cached
-            other_key = key_of(other)
+            other_key = other if key_of is None else key_of(other)
             if other_key in values:
                 return values[other_key]
-            return analysis.bottom(other)
+            return bottom(other)
 
-        worklist = deque(pending)
-        in_worklist = {key_of(node) for node in pending}
+        # Seeded in reverse discovery order: the sweep discovers a node
+        # before its children, so children are evaluated first and most
+        # parents see their children's grown values on their first visit.
+        transfer = analysis.transfer
+        on_evaluate = analysis.on_evaluate
+        worklist = deque(reversed(pending))
+        in_worklist = set(discovered)
+        evaluations = 0
         while worklist:
             node = worklist.popleft()
-            node_key = key_of(node)
+            node_key = node if key_of is None else key_of(node)
             in_worklist.discard(node_key)
-            metrics.fixpoint_node_evaluations += 1
-            analysis.on_evaluate(node)
-            new_value = analysis.transfer(node, get)
+            evaluations += 1
+            on_evaluate(node)
+            new_value = transfer(node, get)
             if new_value != values[node_key]:
                 values[node_key] = new_value
                 for parent in dependents.get(node_key, ()):
-                    parent_key = key_of(parent)
-                    if parent_key not in in_worklist and parent_key in values:
+                    parent_key = parent if key_of is None else key_of(parent)
+                    if parent_key not in in_worklist:
                         worklist.append(parent)
                         in_worklist.add(parent_key)
 
         # Promotion phase: the worklist drained, so the fixed point over the
         # discovered region is complete and every tentative value is exact.
+        finalize = analysis.finalize
         for node in pending:
-            analysis.finalize(node, values[key_of(node)])
-        metrics.fixpoint_solves += 1
+            finalize(node, values[node if key_of is None else key_of(node)])
+        self.metrics.fixpoint_node_evaluations += evaluations
+        self.metrics.fixpoint_solves += 1
         return values

@@ -98,6 +98,9 @@ class Language:
         "memo_epoch",
         "memo_token",
         "memo_result",
+        # the grammar's own nodes keep every token's derivative
+        # (repro.core.memo.SingleEntryMemo); None on derived nodes
+        "memo_tokens",
         # per-node dict memo (the "full hash table" strategy of Section 4.4);
         # holds an owner→table dict so memo instances sharing the graph keep
         # disjoint entries and never evict each other
@@ -118,6 +121,7 @@ class Language:
         self.memo_epoch = -1
         self.memo_token = None
         self.memo_result = None
+        self.memo_tokens = None
         self.memo_table = None
         self.null_state = None
         self.prod_state = None

@@ -9,6 +9,18 @@ old entry when a second token arrives.  The eviction makes the memo
 "forgetful", causing a small number of extra uncached ``derive`` calls
 (Figure 11, ~4.2 % on average) in exchange for a ~2× speedup (Figure 12).
 
+Figure 10 also says *which* nodes receive several entries: the grammar's
+own nodes.  A derived node exists for one position of the input and is
+derived by the tokens that follow it, while a grammar node is derived anew
+at every position where its non-terminal starts, by whichever token stands
+there.  Forgetting those entries is what the single-entry memo's extra
+derives mostly are: with one field per node, the grammar's nodes took 43 %
+of the uncached derives of a 2k-token PL/0 parse.  :class:`SingleEntryMemo`
+therefore gives each node reachable from a parser's optimized root
+(:meth:`DeriveMemo.adopt_grammar`) an epoch-tagged ``{token: result}``
+table, and keeps the single field for every derived node.  The tables hold at most (grammar nodes × distinct
+tokens of one parse) entries, and ``clear`` empties them.
+
 Three interchangeable strategies are provided so the benchmarks can compare
 them directly:
 
@@ -18,7 +30,8 @@ them directly:
 * :class:`NestedDictMemo` — the original strategy: a global table of tables.
 
 All strategies implement the same tiny interface: :meth:`get`, :meth:`put`
-and :meth:`clear`, plus :meth:`entry_distribution` used by the Figure 10
+and :meth:`clear`, plus :meth:`adopt_grammar` (a no-op except for the
+single-entry memo) and :meth:`entry_distribution` used by the Figure 10
 benchmark.
 
 **Concurrency contract.**  Memo entries live in fields *on the grammar
@@ -41,7 +54,7 @@ import itertools
 import weakref
 from typing import Any, Dict, List, Optional
 
-from .languages import Language
+from .languages import Language, reachable_nodes
 from .metrics import Metrics
 
 __all__ = [
@@ -94,6 +107,13 @@ class DeriveMemo:
         """Forget every memo entry (the paper clears tables between parses)."""
         raise NotImplementedError
 
+    def adopt_grammar(self, root: Language) -> None:
+        """Learn the grammar's own nodes: those reachable from ``root``.
+
+        ``root`` is a parser's optimized initial grammar.  Only the
+        single-entry strategy treats these nodes differently.
+        """
+
     def entry_distribution(self) -> Dict[int, int]:
         """Map ``number of entries per node`` → ``number of nodes``.
 
@@ -103,12 +123,28 @@ class DeriveMemo:
         return {}
 
 
+class _TokenTable(dict):
+    """A grammar node's memo: every token's derivative, for one epoch."""
+
+    __slots__ = ("epoch",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.epoch = -1
+
+
 class SingleEntryMemo(DeriveMemo):
     """The improved, forgetful single-entry memo of Section 4.4.
 
     Each node stores at most one ``(token, result)`` pair directly in its
     ``memo_token`` / ``memo_result`` fields.  An ``epoch`` counter implements
-    ``clear`` in O(1): entries written under an older epoch are ignored.
+    ``clear``: entries written under an older epoch are ignored.
+
+    The grammar's own nodes (:meth:`adopt_grammar`) also keep a
+    ``{token: result}`` table in their ``memo_tokens`` field, tagged with
+    the epoch that wrote it, so they are derived once per distinct token
+    (module docstring).  The single field stays their first probe: within a
+    step every lookup passes the same token.
 
     Because the entries live on the grammar nodes themselves — which may be
     shared by several parsers — epochs are drawn from a **class-level
@@ -132,6 +168,14 @@ class SingleEntryMemo(DeriveMemo):
     def __init__(self, metrics: Optional[Metrics] = None) -> None:
         super().__init__(metrics)
         self.epoch = next(SingleEntryMemo._epochs)
+        #: The per-token tables written under the current epoch.
+        self._tables: List[_TokenTable] = []
+
+    def adopt_grammar(self, root: Language) -> None:
+        """Give every node reachable from ``root`` a per-token table."""
+        for node in reachable_nodes(root):
+            if node.memo_tokens is None:
+                node.memo_tokens = _TokenTable()
 
     def get(self, node: Language, token: Any) -> Any:
         """Return the node-resident entry when epoch and token match, else MISS."""
@@ -139,11 +183,25 @@ class SingleEntryMemo(DeriveMemo):
             node.memo_token is token or node.memo_token == token
         ):
             return node.memo_result
+        table = node.memo_tokens
+        if table is not None and table.epoch == self.epoch:
+            return table.get(token, MISS)
         return MISS
 
     def put(self, node: Language, token: Any, result: Language) -> None:
-        """Write the node's single entry, evicting any other token's result."""
-        if (
+        """Write the node's single entry, and its per-token table if it has one.
+
+        Overwriting another token's entry counts as an eviction only on a
+        node without a table, which keeps every entry.
+        """
+        table = node.memo_tokens
+        if table is not None:
+            if table.epoch != self.epoch:
+                table.clear()
+                table.epoch = self.epoch
+                self._tables.append(table)
+            table[token] = result
+        elif (
             node.memo_epoch == self.epoch
             and node.memo_token is not token
             and node.memo_token != token
@@ -154,7 +212,16 @@ class SingleEntryMemo(DeriveMemo):
         node.memo_result = result
 
     def clear(self) -> None:
-        """Forget every entry in O(1) by advancing to a fresh epoch."""
+        """Forget every entry by advancing to a fresh epoch.
+
+        The single fields are forgotten in O(1).  The per-token tables this
+        epoch wrote are emptied, so the derived graphs they hold are
+        released now rather than at the grammar node's next derive.
+        """
+        for table in self._tables:
+            if table.epoch == self.epoch:  # not taken over by another memo
+                table.clear()
+        self._tables = []
         self.epoch = next(SingleEntryMemo._epochs)
 
 

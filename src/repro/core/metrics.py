@@ -95,7 +95,9 @@ class Metrics:
         Completed fixed points run by the kernel (each one promotes its
         tentative values to final).
     compaction_rewrites:
-        Number of times a smart constructor applied a reduction rule.
+        Number of times a smart constructor applied a reduction rule, plus
+        the dead children cut to ``∅`` at a derive step's end or by a prune
+        pass.
     parse_null_calls:
         Non-cached invocations of ``parse_null``.
     edits_applied / edit_tokens_refed / edit_splices:

@@ -33,14 +33,22 @@ constructors of :mod:`repro.core.compaction` settle every node they build
 whose children are already final (``∪`` is the or of its children, ``◦``
 the and, ``↪`` and ``δ`` copy their child), so a derived node is final from
 birth unless it sits over a cyclic placeholder.  The kernel therefore only
-runs on the regions that really need a fixed point: the placeholders the
-deriver fills in place on a cycle, the nodes built over them, and grammars
-assembled by hand with the raw constructors.
+runs on the regions that really need a fixed point, and it has two
+triggers:
+
+* the end of a derive step, where the deriver solves once over the nodes
+  the step left undecided — the placeholders it filled in place on a cycle
+  and the nodes built over them (:mod:`repro.core.derivative`);
+* a query on a node nothing has decided yet — in practice a grammar
+  assembled by hand with the plain constructors, solved on first use.
+
+Promotion also records that a nullable node is productive, so the
+productivity solve that follows skips it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from .fixpoint import NOT_FINAL, FixpointAnalysis, FixpointSolver
 from .languages import (
@@ -137,8 +145,13 @@ class NullabilityAnalysis(FixpointAnalysis):
         """Promote a fixed-point value into the node's cache fields."""
         # Nodes still at False are promoted from assumed- to
         # definitely-not-nullable; this is what lets later derive steps
-        # answer nullability in O(1).
-        node.null_state = NULLABLE if value else DEFINITELY_NOT_NULLABLE
+        # answer nullability in O(1).  A nullable node is productive (it
+        # has the empty word), which spares the productivity solve it.
+        if value:
+            node.null_state = NULLABLE
+            node.prod_state = True
+        else:
+            node.null_state = DEFINITELY_NOT_NULLABLE
 
     # ------------------------------------------------------------------ hooks
     def on_evaluate(self, node: Language) -> None:
@@ -165,6 +178,11 @@ class NullabilityAnalyzer:
             return False
         self.metrics.nullable_fixed_points += 1
         return self._solver.value(node)
+
+    def settle(self, nodes: List[Language]) -> None:
+        """Decide every undecided node in ``nodes`` with one fixed point."""
+        if nodes:
+            self._solver.solve(nodes)
 
     def invalidate(self, node: Language) -> None:
         """Drop the cached nullability of a single node (used by tests)."""

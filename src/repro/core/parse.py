@@ -74,7 +74,6 @@ from .memo import DeriveMemo, make_memo
 from .metrics import Metrics
 from .naming import NamingScheme, grammar_label
 from .nullability import NullabilityAnalyzer
-from .productivity import ProductivityAnalyzer
 from .prune import AdaptivePruneSchedule, prune_empty
 
 __all__ = [
@@ -180,20 +179,17 @@ class ParserState:
     the stream.  Driving loops therefore never need to special-case dead
     streams — feeding a corpse is free and changes nothing.
 
-    ``failed`` reports *structural* death — the derived language collapsed to
-    the ``∅`` node.  A semantically dead language can survive structurally
-    for a while (cyclic cores that compaction cannot collapse until a prune
-    pass runs), so ``failed=False`` does not promise a completion exists;
-    :meth:`accepts` is always definitive for the tokens consumed so far, and
-    the batch :meth:`DerivativeParser.parse_forest` path runs a productivity
-    diagnosis to pin failures to their exact position.
+    ``failed`` is exact: the deriver settles each step as it ends and
+    returns ``∅`` for a language that no completion can reach, so a stream
+    fails at the very token that killed it (the position Earley reports),
+    and ``failed=False`` promises that some completion exists.
 
     **Memory is not O(live grammar) today.**  The state references only the
     current derived language, but the parser still retains the derivation
     history behind it: the deriver's single-null-tree answers (cleared only
-    by :meth:`DerivativeParser.reset`) and stale single-entry memo fields on
-    pristine and live nodes that pin every later generation of derivatives.
-    On PL/0 that is ~48 retained nodes per consumed token, while the live
+    by :meth:`DerivativeParser.reset`) and stale memo entries on pristine
+    and live nodes that pin every later generation of derivatives.  On
+    PL/0 that is ~21 retained nodes per consumed token, while the live
     grammar stays near 150 nodes.  Long recognition-only streams should run
     on the compiled cursor (:meth:`DerivativeParser.compile` then
     ``start()``), which keeps O(1) memory.
@@ -254,7 +250,7 @@ class ParserState:
             return self
         language = self.parser._derive_step(self.language, token, self.position)
         self.position += 1
-        if language is EMPTY or isinstance(language, Empty):
+        if language is EMPTY:
             self.failure_position = self.position - 1
             self.language = EMPTY
         else:
@@ -290,19 +286,8 @@ class ParserState:
                 "unexpected token", position=self.failure_position, token=None
             )
         if not self.parser.nullability.nullable(self.language):
-            # Distinguish "more input could still complete this" from "the
-            # language is semantically dead but has not structurally collapsed
-            # yet" — a streaming caller must not be told to supply more input
-            # when an earlier token already killed the parse.  (The state does
-            # not retain consumed tokens, so the exact offending position is
-            # only available from the batch path's re-derivation diagnosis.)
-            diagnoser = ProductivityAnalyzer(self.parser.nullability)
-            if not diagnoser.productive(self.language):
-                raise ParseError(
-                    "invalid token earlier in the stream (the remaining "
-                    "language is empty)",
-                    position=None,
-                )
+            # A live language is productive (a dead one is ∅ at the token
+            # that killed it), so more input could still complete it.
             raise ParseError("unexpected end of input", position=self.position, token=None)
         return self.parser.parse_null(self.language)
 
@@ -346,9 +331,10 @@ class DerivativeParser:
     naming:
         Enable the Definition 5 naming instrumentation (default False).
     prune:
-        Periodically replace provably-empty sub-grammars with ``∅`` so that
-        structural compaction can collapse them (see :mod:`repro.core.prune`).
-        On by default; disable to measure the structural-rules-only behaviour.
+        Run the safety-net pass that replaces provably-empty sub-grammars
+        with ``∅`` on its adaptive schedule (see :mod:`repro.core.prune`).
+        On by default.  Either way each derive step cuts the dead branches
+        it builds itself.
     metrics:
         An optional shared :class:`~repro.core.metrics.Metrics` instance.
     recursion_limit:
@@ -414,6 +400,7 @@ class DerivativeParser:
         if optimize_grammar and compaction_config.enabled:
             grammar = optimize_initial_grammar(grammar, self.compactor)
         self.root = grammar
+        self.memo.adopt_grammar(self.root)
 
         if self.naming is not None:
             self.naming.assign_initial(self.root)
@@ -426,10 +413,9 @@ class DerivativeParser:
             naming=self.naming,
         )
 
-        # Adaptive pruning of semantically-empty branches (repro.core.prune):
-        # a prune pass runs whenever the uncached derive work since the last
-        # pass exceeds a small multiple of the live grammar size, keeping the
-        # amortized overhead constant.
+        # The safety-net prune pass (repro.core.prune): it runs whenever the
+        # uncached derive work since the last pass exceeds a small multiple
+        # of the live grammar size, and backs off while it finds nothing.
         self._prune = prune and compaction_config.enabled
         self._initial_size = graph_size(self.root)
         self._prune_schedule = AdaptivePruneSchedule(
@@ -513,17 +499,21 @@ class DerivativeParser:
         return graph_size(self.root)
 
     def _derive_step(self, language: Language, tok: Any, position: int) -> Language:
-        """Derive by one token and run the adaptive empty-branch prune."""
+        """Derive by one token and run the prune pass when it is due."""
+        metrics = self.metrics
         language = self.deriver.derive(language, tok, position)
-        self.metrics.tokens_consumed += 1
+        metrics.tokens_consumed += 1
         if (
             self._prune
-            and not isinstance(language, Empty)
-            and self._prune_schedule.due(self.metrics.derive_uncached)
+            and language is not EMPTY
+            and self._prune_schedule.due(metrics.derive_uncached)
         ):
-            language, live_size = prune_empty(language, self.nullability, self.metrics)
+            rewrites = metrics.compaction_rewrites
+            language, live_size = prune_empty(language, self.nullability, metrics)
             self.prune_passes += 1
-            self._prune_schedule.ran(self.metrics.derive_uncached, live_size)
+            self._prune_schedule.ran(
+                metrics.derive_uncached, live_size, metrics.compaction_rewrites > rewrites
+            )
         return language
 
     def derive_all(self, tokens: Iterable[Any]) -> Language:
@@ -553,36 +543,25 @@ class DerivativeParser:
         """Parse and return the shared parse forest (with ambiguity nodes)."""
         state = self.start().feed_all(tokens)
         if state.failed or not self.nullability.nullable(state.language):
-            raise self._failure_error(tokens)
+            raise self._failure_error(tokens, state.failure_position)
         return self.parse_null(state.language)
 
-    def _failure_error(self, tokens: Sequence[Any]) -> ParseError:
-        """Build a :class:`ParseError` that points at the earliest bad token.
+    @staticmethod
+    def _failure_error(tokens: Sequence[Any], position: Optional[int]) -> ParseError:
+        """The :class:`ParseError` of a rejected input.
 
-        Deriving by a token may leave a grammar that is structurally non-empty
-        but denotes the empty language (compaction cannot always collapse it,
-        especially around cycles), so the position at which the language
-        finally collapses to the ``∅`` node can lag the token that actually
-        killed it.  On the error path — and only there — the input is
-        re-derived with a productivity check after each token so the error
-        message reports the position where the language semantically died
-        (matching what chart parsers like Earley report).  The re-derivation
-        hits the warm memo, so the diagnosis costs one cached pass.
+        ``position`` is the failed state's ``failure_position``: the deriver
+        returns ``∅`` at the very token that leaves the language empty (it
+        settles every step, :mod:`repro.core.derivative`), which is the
+        position chart parsers like Earley report.  None means the input
+        ended while a completion still existed.
         """
-        diagnoser = ProductivityAnalyzer(self.nullability)
-        language = self.root
-        for position, tok in enumerate(tokens):
-            language = self.deriver.derive(language, tok, position)
-            if (
-                language is EMPTY
-                or isinstance(language, Empty)
-                or not diagnoser.productive(language)
-            ):
-                return ParseError(
-                    "unexpected token", position=position, token=tok, tokens=tokens
-                )
+        if position is None:
+            return ParseError(
+                "unexpected end of input", position=len(tokens), token=None, tokens=tokens
+            )
         return ParseError(
-            "unexpected end of input", position=len(tokens), token=None, tokens=tokens
+            "unexpected token", position=position, token=tokens[position], tokens=tokens
         )
 
     def parse(self, tokens: Sequence[Any]) -> Any:

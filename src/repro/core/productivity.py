@@ -1,11 +1,10 @@
 """Productivity (non-emptiness) analysis of language nodes.
 
 A language node is *productive* when it generates at least one word.  The
-derivative parser uses this in two places: as the error-path diagnostic that
-pinpoints the earliest token at which the remaining language became empty,
-and — through :mod:`repro.core.prune` and the compiled automaton's
-dead-state routing — as the *emptiness analysis* that lets provably-dead
-sub-grammars be collapsed to ``∅``.
+derivative parser uses it as the *emptiness analysis* that lets provably-dead
+sub-grammars be collapsed to ``∅``: at the end of every derive step
+(:mod:`repro.core.derivative`), which also makes a stream fail at exactly
+the token that left its language empty, and in :mod:`repro.core.prune`.
 
 Productivity is a least fixed point over the boolean lattice, exactly dual to
 nullability (Section 2.4):
@@ -23,8 +22,10 @@ function, and the shared kernel supplies dependency tracking, tentative
 values and final promotion.  Final values live on the node, in its
 ``prod_state`` field, next to ``null_state``; leaves are born final and the
 smart constructors of :mod:`repro.core.compaction` settle every node they
-build over final children, so the kernel only runs on cyclic regions and
-hand-built grammars.
+build over final children (a nullable node is productive outright).  The
+kernel runs at the end of a derive step, over the nodes the step left
+undecided — whose dead children the deriver then cuts to ``∅`` — and in
+the safety-net prune pass; a hand-built grammar is decided on first query.
 
 A persistent value is sound for graphs mutated only by derivation and
 pruning, because both are semantics-preserving on already-constructed
@@ -143,8 +144,9 @@ class ProductivityAnalyzer:
         return not self.productive(node)
 
     def settle(self, nodes: List[Language]) -> None:
-        """Decide every node in ``nodes`` with one fixed point."""
-        self._solver.solve(nodes)
+        """Decide every undecided node in ``nodes`` with one fixed point."""
+        if nodes:
+            self._solver.solve(nodes)
 
 
 def settle_graph(root: Language, nullability: Optional[NullabilityAnalyzer] = None) -> None:

@@ -5,36 +5,42 @@ Structural compaction (Section 4.3) removes a dead alternative only when it is
 produce sub-graphs that denote the empty language without being the ``∅``
 node — for example, after a statement has ended, the derivative of a
 left-recursive expression non-terminal is a small cyclic core none of whose
-token leaves can ever match again.  Such "zombie" cores are re-derived on
-every subsequent token and, worse, every failed context leaves one behind, so
-the live grammar grows linearly and overall parsing degrades to quadratic.
+token leaves can ever match again.  Such "zombie" cores, left in place, are
+re-derived on every subsequent token and, worse, every failed context leaves
+one behind, so the live grammar grows linearly and overall parsing degrades
+to quadratic.
 
 Racket implementations of parsing with derivatives (including the ``derp``
 family this paper builds on) handle this with an *emptiness* fixed point used
 during compaction: a child that provably generates no words is replaced by
-``∅`` so the ordinary ``∅``-rules can collapse its parents.  This module
-implements that as a standalone pass:
+``∅`` so the ordinary ``∅``-rules can collapse its parents.
 
-* :func:`prune_empty` decides productivity (non-emptiness) for every node
-  reachable from the current grammar — treating ``δ(L)`` as a leaf whose
-  emptiness is decided by ``L``'s nullability — and rewrites child pointers
-  of unproductive children to the canonical ``∅`` in place.
+**Zombies die at birth.**  Every zombie is built by the derive step that
+makes it dead, and that step decides it: :meth:`Deriver.derive
+<repro.core.derivative.Deriver.derive>` settles, when it ends, every node it
+built undecided, and :func:`cut_dead_children` points their dead children at
+``∅``.  The smart constructors treat an already-dead child as ``∅``.  So the
+branch is cut in the step that builds it and never derived again.
+
+**Prune is the safety net.**  :func:`prune_empty` decides productivity
+(non-emptiness) for every node reachable from the current grammar — treating
+``δ(L)`` as a leaf whose emptiness is decided by ``L``'s nullability — and
+runs :func:`cut_dead_children` over all of them.  It still catches what no
+step logged, such as dead branches of the initial grammar itself.  The
+adaptive schedule (:class:`AdaptivePruneSchedule`) runs it when the uncached
+derive work since the last pass exceeds a small multiple of the live grammar
+size, and doubles that interval after every pass that found nothing, so a
+stream whose steps leave nothing behind pays for a few passes, not hundreds.
 
 The emptiness computation itself is not implemented here: it is the shared
 :class:`~repro.core.productivity.ProductivityAnalysis` declaration on the
 unified fixed-point kernel (:mod:`repro.core.fixpoint`), whose final values
-live on the nodes (``prod_state``).  Most live nodes were settled when they
-were built, so a pass solves only from the live nodes still undecided —
-every one of them, not the root alone: a root settled productive at
-construction would stop the solver's sweep before the dead cyclic cores
-below it.  The rewrite keeps those values exact, because an unproductive
-child is also non-nullable and ``∅`` has the same nullability and
-productivity as the child it replaces.
-
-:class:`repro.core.parse.DerivativeParser` invokes the pass adaptively (when
-the number of uncached ``derive`` calls since the last prune exceeds a small
-multiple of the live grammar size), so its amortized cost is a constant factor
-on top of derivation.
+live on the nodes (``prod_state``).  A pass solves only from the live nodes
+still undecided — every one of them, not the root alone: a root settled
+productive at construction would stop the solver's sweep before a dead
+cyclic core below it.  The rewrite keeps those values exact, because an
+unproductive child is also non-nullable and ``∅`` has the same nullability
+and productivity as the child it replaces.
 
 The reachability sweep (:func:`live_nodes`) and the kernel's solve both run
 on explicit worklists — like every other traversal in the core, they must
@@ -44,7 +50,7 @@ leaning on the interpreter call stack.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .fixpoint import FixpointSolver
 from .languages import EMPTY, Alt, Cat, Delta, Empty, Language, Reduce, Ref
@@ -52,7 +58,7 @@ from .metrics import Metrics
 from .nullability import NullabilityAnalyzer
 from .productivity import ProductivityAnalysis
 
-__all__ = ["prune_empty", "live_nodes", "AdaptivePruneSchedule"]
+__all__ = ["prune_empty", "cut_dead_children", "live_nodes", "AdaptivePruneSchedule"]
 
 
 class AdaptivePruneSchedule:
@@ -60,7 +66,8 @@ class AdaptivePruneSchedule:
 
     A prune pass is *due* once the uncached ``derive`` work since the last
     pass exceeds a small multiple of the live grammar size, which keeps the
-    amortized pruning overhead a constant factor on top of derivation.
+    amortized pruning overhead a constant factor on top of derivation; each
+    pass that rewrites nothing doubles the interval (:meth:`ran`).
     Both :class:`repro.core.parse.DerivativeParser` and the compiled
     :class:`repro.compile.automaton.GrammarTable` drive their pruning off
     this one implementation — the schedule arithmetic has already produced
@@ -86,10 +93,18 @@ class AdaptivePruneSchedule:
         """True when enough uncached derive work has accrued to prune."""
         return uncached - self.marker > self.interval
 
-    def ran(self, uncached: int, live_size: int) -> None:
-        """Record a completed pass over a live grammar of ``live_size`` nodes."""
+    def ran(self, uncached: int, live_size: int, rewrote: bool) -> None:
+        """Record a completed pass over a live grammar of ``live_size`` nodes.
+
+        A pass that ``rewrote`` nothing doubles the interval: the derive
+        step already cuts the dead branches it builds, so an empty pass
+        says the next one is likely empty too.
+        """
         self.marker = uncached
-        self.interval = max(self._floor, 2 * live_size)
+        interval = max(self._floor, 2 * live_size)
+        if not rewrote:
+            interval = max(interval, 2 * self.interval)
+        self.interval = interval
 
     def reanchor(self, uncached: int) -> None:
         """Re-anchor to the *current* counter (the owner's caches restarted)."""
@@ -122,6 +137,40 @@ def live_nodes(root: Language) -> List[Language]:
     return order
 
 
+def cut_dead_children(nodes: Iterable[Language]) -> int:
+    """Point every dead child of ``nodes`` at ``∅``; return how many moved.
+
+    A child is dead when its productivity is final and False.  A ``δ``
+    keeps its child: ``δ(L)`` of a dead ``L`` is dead itself, and is cut
+    from its own parent.  The rewrite keeps every value exact, because a
+    dead child is also non-nullable and ``∅`` has the same nullability and
+    productivity as the child it replaces.
+    """
+
+    rewrites = 0
+    for node in nodes:
+        if isinstance(node, (Alt, Cat)):
+            child = node.left
+            if child.prod_state is False and child.__class__ is not Empty:
+                node.left = EMPTY
+                rewrites += 1
+            child = node.right
+            if child.prod_state is False and child.__class__ is not Empty:
+                node.right = EMPTY
+                rewrites += 1
+        elif isinstance(node, Reduce):
+            child = node.lang
+            if child.prod_state is False and child.__class__ is not Empty:
+                node.lang = EMPTY
+                rewrites += 1
+        elif isinstance(node, Ref):
+            child = node.target
+            if child.prod_state is False and child.__class__ is not Empty:
+                node.target = EMPTY
+                rewrites += 1
+    return rewrites
+
+
 def prune_empty(
     root: Language,
     nullability: Optional[NullabilityAnalyzer] = None,
@@ -142,28 +191,7 @@ def prune_empty(
         metrics if metrics is not None else nullability.metrics,
     )
     solver.solve([node for node in nodes if node.prod_state is None])
-
-    def is_dead(child: Optional[Language]) -> bool:
-        return child is not None and child.prod_state is False and not isinstance(child, Empty)
-
-    rewrites = 0
-    for node in nodes:
-        if isinstance(node, (Alt, Cat)):
-            if is_dead(node.left):
-                node.left = EMPTY
-                rewrites += 1
-            if is_dead(node.right):
-                node.right = EMPTY
-                rewrites += 1
-        elif isinstance(node, Reduce):
-            if is_dead(node.lang):
-                node.lang = EMPTY
-                rewrites += 1
-        elif isinstance(node, Ref):
-            if is_dead(node.target):
-                node.target = EMPTY
-                rewrites += 1
-
+    rewrites = cut_dead_children(nodes)
     if metrics is not None:
         metrics.compaction_rewrites += rewrites
 

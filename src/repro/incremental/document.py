@@ -265,21 +265,20 @@ class IncrementalDocument:
 
     @property
     def failed(self) -> bool:
-        """True once the parse died *structurally*.
+        """True once the parse died: no completion of the buffer exists.
 
-        Structural death can lag the token that semantically killed the
-        parse (engine prune cadence decides when a dead language collapses
-        to ``∅``), so the definitive answers are :meth:`recognize` and
-        :meth:`failure_position`.
+        Exact on both engines — a dead language is ``∅`` at the token that
+        killed it — so :meth:`failure_position` only adds the
+        "unexpected end of input" case.
         """
         return self._state.failed
 
     @property
     def structural_failure_position(self) -> Optional[int]:
-        """Where the parse died *structurally*, or None while alive.
+        """The token that killed the parse, or None while alive.
 
-        Cheap (a field read), but can lag the semantically killing token;
-        :meth:`failure_position` is the exact, engine-diagnosed answer.
+        A field read, and exact; :meth:`failure_position` also reports an
+        input that ended early (at ``len(self)``).
         """
         return self._state.failure_position
 
@@ -487,7 +486,7 @@ class IncrementalDocument:
             return self._parser.parse_forest(list(self._tokens))
         state = self._state
         if state.failed or not self._parser.nullability.nullable(state.language):
-            raise self._parser._failure_error(list(self._tokens))
+            raise self._parser._failure_error(list(self._tokens), state.failure_position)
         return self._parser.parse_null(state.language)
 
     def tree(self) -> Any:
@@ -518,9 +517,8 @@ class IncrementalDocument:
     def diagnose(self) -> Optional[ParseError]:
         """The exact :class:`ParseError` for the current buffer, or None.
 
-        Error-path API: on a failed buffer this re-derives with the
-        engine's positional diagnosis (one warm pass), exactly as the
-        batch ``parse()`` error path does.
+        Error-path API: the error the batch ``parse()`` raises on the same
+        buffer.
         """
         if self._state.accepts():
             return None

@@ -40,6 +40,15 @@ def classic_expression():
     return e
 
 
+def failure_position(parser, stream):
+    """The position of the error ``parser.parse`` raises, or None."""
+    try:
+        parser.parse(stream)
+    except ParseError as err:
+        return err.position
+    return None
+
+
 class TestParserState:
     def test_start_returns_fresh_state(self):
         parser = DerivativeParser(right_recursive_list())
@@ -76,13 +85,12 @@ class TestParserState:
         assert state.accepts() is False
 
     def test_semantic_failure_reported_by_accepts(self):
-        # Deriving by a bad token can leave a language that is structurally
-        # non-empty yet denotes ∅ (cyclic cores that compaction cannot
-        # collapse immediately); `failed` tracks the *structural* death while
-        # accepts() is always definitive.
+        # Deriving "n+" by "*" leaves a cyclic core that denotes ∅ although
+        # compaction cannot collapse it; the step settles it and fails there.
         state = DerivativeParser(classic_expression()).start()
         state.feed_all(list("n+*n"))
         assert state.accepts() is False
+        assert state.failure_position == 2
 
     def test_feed_all_accepts_generators(self):
         state = DerivativeParser(right_recursive_list()).start()
@@ -109,6 +117,41 @@ class TestParserState:
         with pytest.raises(ParseError) as err:
             state.forest()
         assert "end of input" not in str(err.value)
+        assert err.value.position == 2
+
+    def test_state_forest_reports_earley_position_on_corrupted_pl0(self):
+        # Each stream repeats one token: the language dies at the repeat, or
+        # a few tokens later when the repeat itself still fits.  The stream
+        # fails at exactly the token Earley reports, with no re-derivation.
+        from repro.earley import EarleyParser
+        from repro.grammars import pl0_grammar
+        from repro.workloads import pl0_tokens
+
+        grammar = pl0_grammar()
+        tokens = pl0_tokens(80, seed=3)
+        earley = EarleyParser(grammar)
+        parser = DerivativeParser(grammar.to_language())
+        for position in range(3, 60, 6):
+            stream = tokens[:position] + [tokens[position - 1]] + tokens[position:]
+            expected = failure_position(earley, stream)
+            state = parser.start().feed_all(stream)
+            if expected is None:
+                assert state.accepts()
+                continue
+            with pytest.raises(ParseError) as err:
+                state.forest()
+            assert err.value.position == expected, (position, stream[position])
+
+    def test_reused_parser_rejects_plus_first_stream_at_zero(self):
+        # The second stream's first step is a memo hit on a derivative the
+        # first stream already settled dead: it must still fail at 0.
+        from repro.grammars import binary_sum_grammar
+        from repro.lexer.tokens import Tok
+
+        parser = DerivativeParser(binary_sum_grammar().to_language())
+        for stream in ([Tok("+")], [Tok("+"), Tok("n")], [Tok("+"), Tok("n")]):
+            assert parser.start().feed_all(stream).failure_position == 0
+            assert failure_position(parser, stream) == 0
 
     def test_state_forest_raises_on_incomplete_input(self):
         state = DerivativeParser(classic_expression()).start()

@@ -10,6 +10,9 @@ Cyclic grammars come from hypothesis, with ε leaves carrying either the
 unit tree or a payload so that a wrongly merged ε shows in the trees; the
 evaluation grammars run on valid and corrupted streams.
 
+A third property needs no twin: every derive step settles what it built, so
+a prune pass run after any step finds no dead branch left to cut.
+
 Two things are deliberately *not* compared.  On an infinite forest the two
 graphs walk different finite cores, so their first few trees differ: on
 ``S = (a | S)(ε | S)`` with input ``aaaaaa`` each parser yields its own
@@ -34,6 +37,7 @@ from repro.core import (
 )
 from repro.core.forest import count_trees, iter_trees
 from repro.core.languages import Alt, Cat
+from repro.core.prune import prune_empty
 from repro.grammars import arithmetic_grammar, binary_sum_grammar, pl0_grammar
 from repro.lexer.tokens import Tok
 from repro.workloads import ambiguous_sum_tokens, arithmetic_tokens, pl0_tokens
@@ -116,6 +120,28 @@ def test_compaction_never_changes_results_on_random_grammars(case):
         assert observable(compacted, tokens) == observable(plain, tokens), (
             "compaction changed the result on {!r} for spec {!r}".format(text, spec)
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(grammar_and_inputs())
+def test_prune_finds_nothing_after_any_step(case):
+    """Each derive step cuts the dead branches it builds, so a prune pass
+    after every feed rewrites no child and keeps the root.  The grammar's
+    own dead branches are not a step's to cut: one pass removes them first.
+    """
+    spec, inputs = case
+    parser = DerivativeParser(build_grammar(spec))
+    prune_empty(parser.root, parser.nullability, parser.metrics)
+    for text in inputs:
+        state = parser.start()
+        for tok in text:
+            state.feed(tok)
+            if state.failed:
+                break
+            before = parser.metrics.compaction_rewrites
+            root, _live = prune_empty(state.language, parser.nullability, parser.metrics)
+            assert root is state.language, (spec, text)
+            assert parser.metrics.compaction_rewrites == before, (spec, text)
 
 
 @pytest.mark.parametrize(
