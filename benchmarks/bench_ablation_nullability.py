@@ -4,7 +4,9 @@ Compares the number of nullability node evaluations performed by the improved
 dependency-tracking fixed point against the naive re-traversal used by the
 original implementation, on identical workloads.  This isolates the Section
 4.2 improvement from the memoization and compaction changes (Figure 7 shows
-the combined effect)."""
+the combined effect).  The improved parser's evaluations decide emptiness
+along with nullability (one analysis, :mod:`repro.core.nullability`), so
+its count includes work the naive sweep never does."""
 
 from repro.bench import emit_json, format_table, nullability_ablation, tiny_python_workload
 from repro.core import DerivativeParser

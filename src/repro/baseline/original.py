@@ -27,13 +27,11 @@ evaluation does by writing both parsers in Racket.
 Like the improved parser, the traversals here are iterative (explicit
 worklists rather than interpreter recursion) so no ``sys.setrecursionlimit``
 escape hatch is needed; recursion-versus-iteration is a host-language detail
-that the paper's comparison deliberately does not measure.  The
-``recursion_limit`` constructor argument is retained as a deprecated no-op.
+that the paper's comparison deliberately does not measure.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..core.compaction import CompactionConfig, Compactor, optimize_initial_grammar
@@ -125,7 +123,6 @@ class OriginalParser:
         grammar: Union[Language, Any],
         compaction: bool = True,
         metrics: Optional[Metrics] = None,
-        recursion_limit: Optional[int] = None,
     ) -> None:
         if hasattr(grammar, "to_language"):
             grammar = grammar.to_language()
@@ -136,13 +133,6 @@ class OriginalParser:
                 )
             )
         validate_grammar(grammar)
-        if recursion_limit is not None:
-            warnings.warn(
-                "recursion_limit is deprecated and ignored: the traversals "
-                "are iterative and never call sys.setrecursionlimit",
-                DeprecationWarning,
-                stacklevel=2,
-            )
 
         self.metrics = metrics if metrics is not None else Metrics()
         self.compaction_enabled = compaction

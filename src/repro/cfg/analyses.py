@@ -10,7 +10,7 @@ serve two purposes in the reproduction:
 All three were originally hand-rolled ``while changed`` sweeps over every
 production; they are now declarations on the unified fixed-point kernel
 (:mod:`repro.core.fixpoint`), the same solver that powers the derivative
-engine's nullability and productivity analyses.  The nodes are non-terminal
+engine's nullability and emptiness analysis.  The nodes are non-terminal
 *names*, the lattices are the boolean lattice (nullability) and the
 subset lattice of terminal symbols (FIRST, FOLLOW), and the dependency
 functions are read off the productions once per call — so the solver

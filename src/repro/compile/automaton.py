@@ -87,6 +87,7 @@ from ..core.compaction import (
 from ..core.derivative import Deriver
 from ..core.errors import GrammarError, ReproError
 from ..core.languages import (
+    DEAD,
     EMPTY,
     Alt,
     Cat,
@@ -427,18 +428,18 @@ class GrammarTable:
         def canonical(node: Language) -> Language:
             # Every skip lands on a node of equal language; a loop of skips
             # would be a language equal only to itself, which is dead.
-            while node.prod_state is not False and id(node) not in pristine:
+            while node.state != DEAD and id(node) not in pristine:
                 if isinstance(node, Reduce):
                     node = node.lang
                 elif isinstance(node, Ref):
                     node = node.target
-                elif isinstance(node, Alt) and node.left.prod_state is False:
+                elif isinstance(node, Alt) and node.left.state == DEAD:
                     node = node.right
-                elif isinstance(node, Alt) and node.right.prod_state is False:
+                elif isinstance(node, Alt) and node.right.state == DEAD:
                     node = node.left
                 else:
                     return node
-            return EMPTY if node.prod_state is False else node
+            return EMPTY if node.state == DEAD else node
 
         entries: List[Any] = []
         numbers: Dict[int, int] = {}
@@ -509,7 +510,7 @@ class GrammarTable:
                     self.metrics.derive_uncached
                 ):
                     rewrites = self.metrics.compaction_rewrites
-                    derived, live_size = prune_empty(derived, self.nullability, self.metrics)
+                    derived, live_size = prune_empty(derived, self.nullability)
                     self.prune_passes += 1
                     self._prune_schedule.ran(
                         self.metrics.derive_uncached,

@@ -75,14 +75,13 @@ from .memo import (
 from .metrics import Metrics, MetricsSnapshot
 from .naming import NamingAuditResult, NamingScheme, NodeName
 from .nullability import (
-    DEFINITELY_NOT_NULLABLE,
+    DEAD,
+    LIVE,
     NULLABLE,
     NullabilityAnalysis,
     NullabilityAnalyzer,
 )
-from .productivity import ProductivityAnalysis, ProductivityAnalyzer
 from .parse import (
-    DEFAULT_RECURSION_LIMIT,
     DerivativeParser,
     ParserSnapshot,
     ParserState,
@@ -134,7 +133,6 @@ __all__ = [
     "recognize",
     "validate_grammar",
     "Deriver",
-    "DEFAULT_RECURSION_LIMIT",
     # forests
     "ForestNode",
     "ForestEmpty",
@@ -174,13 +172,12 @@ __all__ = [
     "FixpointAnalysis",
     "FixpointSolver",
     "NOT_FINAL",
-    # nullability
+    # nullability and emptiness
     "NullabilityAnalyzer",
     "NullabilityAnalysis",
+    "DEAD",
+    "LIVE",
     "NULLABLE",
-    "DEFINITELY_NOT_NULLABLE",
-    "ProductivityAnalyzer",
-    "ProductivityAnalysis",
     # instrumentation
     "Metrics",
     "MetricsSnapshot",

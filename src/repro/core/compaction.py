@@ -45,22 +45,25 @@ structurally identical nodes are shared there, by
 :class:`repro.compile.automaton.GrammarTable`, and nowhere else.
 
 The smart constructors also **settle** what they build (:func:`_settle`):
-a node whose children already carry final nullability and productivity
-gets its own at construction — ``∪`` is the or of its children, ``◦`` the
-and, ``↪`` copies its child, ``δ(L)`` is nullable iff ``L`` is and
-productive iff ``L`` is nullable, and a nullable node is productive.  A
-value computed from final children is exact, so the fixed-point kernel
-(Section 4.2) only ever sees what really needs a fixed point: the cyclic
-placeholders the deriver fills in place and the nodes built over them.  The
-raw constructors never settle: a placeholder or a hand-built grammar node
-may still gain children, and an eagerly final parent would hide the
-unsolved region below it from the solver.
+a node whose children already carry a final ``state`` gets its own at
+construction, on the chain ``DEAD < LIVE < NULLABLE`` of
+:mod:`repro.core.nullability` — ``∪`` is the max of its children, ``◦``
+the min, ``↪`` copies its child, and ``δ(L)`` is NULLABLE when ``L`` is
+and DEAD otherwise.  An undecided child leaves the node undecided, unless
+the other side decides it: ``∪`` with a NULLABLE side is NULLABLE, and
+``◦`` with a DEAD side is DEAD.  A value computed from final children is
+exact, so the fixed-point kernel (Section 4.2) only ever sees what really
+needs a fixed point: the cyclic placeholders the deriver fills in place and
+the nodes built over them.  The raw constructors never settle: a
+placeholder or a hand-built grammar node may still gain children, and an
+eagerly final parent would hide the unsolved region below it from the
+solver.
 
 What the constructors cannot decide they log (:attr:`Compactor.undecided`):
-every placeholder, every node left undecided and every node built over a
-child whose productivity is undecided.  The deriver settles the log when
-its step ends and cuts the dead children it finds
-(:mod:`repro.core.derivative`).  A child already settled dead counts as
+every placeholder, every node left undecided and every node built over an
+undecided child (a child that may yet prove dead).  The deriver settles
+the log when its step ends and cuts the dead children it finds
+(:mod:`repro.core.derivative`).  A child already settled DEAD counts as
 ``∅`` in every rule: ``∅ ∪ p``, ``∅ ◦ p``, ``∅ ↪→ f`` and ``δ(∅)`` fold
 it away.
 """
@@ -71,7 +74,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 from .languages import (
-    DEFINITELY_NOT_NULLABLE,
+    DEAD,
     EMPTY,
     NULLABLE,
     Alt,
@@ -179,53 +182,27 @@ def _structure_known(node: Optional[Language]) -> bool:
     return node is not None and not node.under_construction
 
 
-def _either(left: Any, right: Any, dominant: Any, other: Any) -> Any:
-    """A connective over final values: ``dominant`` when either side is,
-    ``other`` when both sides are, and None (undecided) otherwise."""
-    if left == dominant or right == dominant:
-        return dominant
-    if left == other and right == other:
-        return other
-    return None
-
-
 def _settle(node: Language, log: list) -> Language:
-    """Give a node the smart constructors just built its final nullability
-    and productivity, wherever they follow from its children's final values
-    (the rules are in the module docstring).
-
-    An undecided child that the answer needs leaves the field None.  The
-    node goes on ``log`` — the deriver settles it when the step ends — when
-    it is left undecided or sits over a child whose productivity is
-    undecided (a child that may yet prove dead).
-    """
-    if isinstance(node, Alt):
-        left, right = node.left, node.right
-        node.null_state = _either(
-            left.null_state, right.null_state, NULLABLE, DEFINITELY_NOT_NULLABLE
-        )
-        node.prod_state = _either(left.prod_state, right.prod_state, True, False)
-        undecided = left.prod_state is None or right.prod_state is None
-    elif isinstance(node, Cat):
-        left, right = node.left, node.right
-        node.null_state = _either(
-            left.null_state, right.null_state, DEFINITELY_NOT_NULLABLE, NULLABLE
-        )
-        node.prod_state = _either(left.prod_state, right.prod_state, False, True)
-        undecided = left.prod_state is None or right.prod_state is None
-    elif isinstance(node, Reduce):
-        node.null_state = node.lang.null_state
-        node.prod_state = node.lang.prod_state
-        undecided = node.prod_state is None
-    else:  # Delta
-        node.null_state = node.lang.null_state
-        if node.null_state is not None:
-            node.prod_state = node.null_state == NULLABLE
-        undecided = False
-    if node.null_state == NULLABLE:
-        node.prod_state = True
-    if undecided or node.null_state is None:
-        log.append(node)
+    """Give a node the smart constructors just built its final ``state``,
+    wherever it follows from its children's (the rules are in the module
+    docstring), and log it when it or a child is still undecided."""
+    if isinstance(node, (Alt, Cat)):
+        # ∪ is max and ◦ is min, so one side at the top (∪) or at the
+        # bottom (◦) of the chain decides the node on its own.
+        pick, decisive = (max, NULLABLE) if isinstance(node, Alt) else (min, DEAD)
+        left, right = node.left.state, node.right.state
+        if left is None or right is None:
+            state = decisive if decisive in (left, right) else None
+            log.append(node)
+        else:
+            state = pick(left, right)
+    else:
+        state = node.lang.state
+        if state is None:
+            log.append(node)
+        elif node.__class__ is Delta and state != NULLABLE:
+            state = DEAD
+    node.state = state
     return node
 
 
@@ -242,9 +219,9 @@ class Compactor:
     ) -> None:
         self.config = config if config is not None else CompactionConfig.full()
         self.metrics = metrics if metrics is not None else Metrics()
-        #: Nodes built since the deriver last settled a step that may still
-        #: be undecided or sit over a child that may prove dead (:func:`_settle`
-        #: and the placeholders of the raw builders).
+        #: Nodes built since the deriver last settled a step that are
+        #: undecided or sit over an undecided child (:func:`_settle`), and
+        #: the placeholders of the raw builders.
         self.undecided: list = []
 
     # ----------------------------------------------------------- primitives
@@ -266,10 +243,10 @@ class Compactor:
         cfg = self.config
         if cfg.enabled:
             if cfg.null_rules:
-                if left.prod_state is False:
+                if left.state == DEAD:
                     self._count_rewrite()
                     return right
-                if right.prod_state is False:
+                if right.state == DEAD:
                     self._count_rewrite()
                     return left
             if (
@@ -295,7 +272,7 @@ class Compactor:
         """
         cfg = self.config
         if cfg.enabled:
-            if cfg.null_rules and left.prod_state is False:
+            if cfg.null_rules and left.state == DEAD:
                 # ∅ ◦ p ⇒ ∅
                 self._count_rewrite()
                 return EMPTY
@@ -332,7 +309,7 @@ class Compactor:
         """Construct ``lang ↪→ fn``, applying the reduction-node rules."""
         cfg = self.config
         if cfg.enabled:
-            if cfg.new_rules and lang.prod_state is False:
+            if cfg.new_rules and lang.state == DEAD:
                 # ∅ ↪→ f ⇒ ∅ (one of the paper's added rules)
                 self._count_rewrite()
                 return EMPTY
@@ -370,7 +347,7 @@ class Compactor:
             if isinstance(lang, Delta) and _structure_known(lang):
                 self._count_rewrite()
                 return lang
-            if cfg.null_rules and lang.prod_state is False:
+            if cfg.null_rules and lang.state == DEAD:
                 self._count_rewrite()
                 return EMPTY
         self._count_node()
@@ -425,7 +402,7 @@ class TreeFreeCompactor(Compactor):
 
     def make_reduce(self, lang: Language, fn: Callable[[Any], Any]) -> Language:
         """``lang`` itself: ``∅ ↪→ f ⇒ ∅``, and otherwise the reduction is dropped."""
-        if lang.prod_state is False:
+        if lang.state == DEAD:
             self._count_rewrite()
             return EMPTY
         return lang

@@ -27,11 +27,11 @@ step.  After the children's derivatives are available, either
 Either way the result replaces the frame in the memo.
 
 **Each step settles where it ends.**  The smart constructors give most nodes
-their final nullability and productivity at birth (:mod:`repro.core.compaction`).
-They log the rest — a node left undecided, a node built over a child whose
-productivity is undecided, and every cycle placeholder — and when the
-outermost ``derive`` finishes, :meth:`Deriver._settle_step` runs one
-nullability solve and one productivity solve over that log.  With compaction
+their final ``state`` — emptiness and nullability in one value — at birth
+(:mod:`repro.core.compaction`).  They log the rest — a node left undecided,
+a node built over an undecided child, and every cycle placeholder — and
+when the outermost ``derive`` finishes, :meth:`Deriver._settle_step` runs
+one solve of :mod:`repro.core.nullability` over that log.  With compaction
 on it then cuts each logged node's dead children to ``∅``, so a branch that
 died in this step ("zombie" in :mod:`repro.core.prune`) is never derived
 again, and every later ``nullable()`` query reads a final value.  A step
@@ -63,6 +63,7 @@ from typing import Any, List, Optional, Tuple
 from .compaction import Compactor
 from .errors import GrammarError
 from .languages import (
+    DEAD,
     EMPTY,
     Alt,
     Cat,
@@ -79,7 +80,6 @@ from .memo import MISS, DeriveMemo, SingleEntryMemo
 from .metrics import Metrics
 from .naming import NamingScheme
 from .nullability import NullabilityAnalyzer
-from .productivity import ProductivityAnalyzer
 from .prune import cut_dead_children
 
 __all__ = ["Deriver"]
@@ -119,7 +119,6 @@ class Deriver:
         self.nullability = (
             nullability if nullability is not None else NullabilityAnalyzer(self.metrics)
         )
-        self.productivity = ProductivityAnalyzer(self.nullability, self.metrics)
         self.naming = naming
         #: ``id(node) -> (node, answer)`` for :meth:`null_trees`; the node is
         #: held so its id cannot be reused while the entry lives.
@@ -315,24 +314,23 @@ class Deriver:
     def _settle_step(self, result: Language) -> Language:
         """Settle the nodes this step left undecided; ∅ if ``result`` is dead.
 
-        The compactor logged every node it built undecided or over a child
-        that may prove dead, and every placeholder.  One nullability and one
-        productivity solve decide them, and with compaction on their dead
-        children are cut to ``∅`` (:func:`repro.core.prune.cut_dead_children`),
-        so a dead branch is never derived again.  ``result`` itself may be
-        a node settled dead by an earlier step (a memo hit), hence the last
-        check even when the step built nothing.
+        The compactor logged every node it built undecided or over an
+        undecided child, and every placeholder.  One solve decides them, and
+        with compaction on their dead children are cut to ``∅``
+        (:func:`repro.core.prune.cut_dead_children`), so a dead branch is
+        never derived again.  ``result`` itself may be a node settled dead
+        by an earlier step (a memo hit), hence the last check even when the
+        step built nothing.
         """
         log = self.compactor.undecided
-        if result.prod_state is None:
+        if result.state is None:
             log.append(result)  # a grammar node nothing has decided yet
         if log:
-            self.nullability.settle([node for node in log if node.null_state is None])
-            self.productivity.settle([node for node in log if node.prod_state is None])
+            self.nullability.settle(log)
             if self.compactor.config.enabled:
                 self.metrics.compaction_rewrites += cut_dead_children(log)
             log.clear()
-        if result.prod_state is False:
+        if result.state == DEAD:
             return EMPTY
         return result
 
@@ -370,7 +368,7 @@ class Deriver:
         ``δ(left)`` as its unit ``ε`` outright, so the :meth:`null_trees`
         walk (and its memo) is skipped.
         """
-        if right_derivative.prod_state is False:
+        if right_derivative.state == DEAD:
             # The freshly computed derivative is known to be dead, so the
             # whole branch contributes nothing (this does not violate the
             # Section 4.3.1 rule about right children: no inspection of a
@@ -397,7 +395,7 @@ class Deriver:
         and None reaches every node above it.  Answers are memoized until
         :meth:`clear_null_trees`; they stay valid because derivation never
         changes an existing node's nullable region (pruning only rewrites
-        unproductive, hence non-nullable, children).
+        DEAD, hence non-nullable, children).
         """
         memo = self._null_trees
         nullable = self.nullability.nullable

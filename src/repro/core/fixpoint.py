@@ -9,7 +9,9 @@ algorithm four separate times (nullability, productivity, the classical
 nullable/FIRST/FOLLOW computations, and the regex recognizer's nullability);
 now each of those is a :class:`FixpointAnalysis` declaration — a lattice
 bottom, a dependency function and a transfer function, typically ~30 lines —
-executed by the one :class:`FixpointSolver` below.
+executed by the one :class:`FixpointSolver` below, and the grammar's
+nullability and productivity share one declaration over one chain
+(:mod:`repro.core.nullability`).
 
 The solver's contract, in the paper's vocabulary:
 

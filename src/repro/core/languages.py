@@ -24,6 +24,11 @@ Nodes are *mutable in a restricted way*: the children of :class:`Alt`,
 after construction.  This is how cyclic grammars are tied together and how the
 derivative function fills in the partially-constructed result a cycle looked
 up (Section 2.5.2 of the paper).
+
+Each node also has one analysis field, ``state``: where its language sits on
+the chain ``DEAD < LIVE < NULLABLE`` (no word, some words but not the empty
+one, the empty word).  Leaves are born with it; composites get it from the
+smart constructors or the fixed-point kernel (:mod:`repro.core.nullability`).
 """
 
 from __future__ import annotations
@@ -57,10 +62,12 @@ __all__ = [
 
 _NODE_IDS = itertools.count()
 
-#: Final ``null_state``: the node's language contains the empty word.
-NULLABLE = "nullable"
-#: Final ``null_state``: the node's language does not contain the empty word.
-DEFINITELY_NOT_NULLABLE = "not-nullable"
+#: Final ``state`` values, on the chain ``DEAD < LIVE < NULLABLE``
+#: (:mod:`repro.core.nullability`): the node's language has no word, has
+#: words but not the empty one, or has the empty word.
+DEAD = 0
+LIVE = 1
+NULLABLE = 2
 
 
 class Language:
@@ -75,11 +82,11 @@ class Language:
     * private slots used by the nullability analysis and the single-entry
       memoization of ``derive`` (Section 4.4 stores memo results in node
       fields rather than hash tables; those fields live here),
-    * ``null_state`` / ``prod_state`` — the final nullability and
-      productivity of the node, or None while undecided.  Leaves are born
-      final; the smart constructors of :mod:`repro.core.compaction` settle
-      composites whose children are final, and the fixed-point kernel
-      promotes the rest (Section 4.2).
+    * ``state`` — the node's final place on the ``DEAD < LIVE < NULLABLE``
+      chain (emptiness and nullability in one value), or None while
+      undecided.  Leaves are born final; the smart constructors of
+      :mod:`repro.core.compaction` settle composites whose children are
+      final, and the fixed-point kernel promotes the rest (Section 4.2).
     """
 
     __slots__ = (
@@ -105,9 +112,8 @@ class Language:
         # holds an owner→table dict so memo instances sharing the graph keep
         # disjoint entries and never evict each other
         "memo_table",
-        # final nullability and productivity (Section 4.2)
-        "null_state",
-        "prod_state",
+        # final emptiness and nullability (Section 4.2)
+        "state",
         # parse-null memo
         "null_parse_epoch",
         "null_parse_result",
@@ -123,8 +129,7 @@ class Language:
         self.memo_result = None
         self.memo_tokens = None
         self.memo_table = None
-        self.null_state = None
-        self.prod_state = None
+        self.state = None
         self.null_parse_epoch = -1
         self.null_parse_result = None
 
@@ -169,8 +174,7 @@ class Empty(Language):
 
     def __init__(self) -> None:
         super().__init__()
-        self.null_state = DEFINITELY_NOT_NULLABLE
-        self.prod_state = False
+        self.state = DEAD
 
     def describe(self) -> str:
         """Render the paper's ``∅`` symbol."""
@@ -197,8 +201,7 @@ class Epsilon(Language):
     def __init__(self, trees: Iterable[Any] = ((),)) -> None:
         super().__init__()
         self.trees = tuple(trees)
-        self.null_state = NULLABLE
-        self.prod_state = True
+        self.state = NULLABLE
 
     def describe(self) -> str:
         """Render ``ε`` with its parse-tree annotations."""
@@ -234,8 +237,7 @@ class Token(Language):
         label: Optional[str] = None,
     ) -> None:
         super().__init__()
-        self.null_state = DEFINITELY_NOT_NULLABLE
-        self.prod_state = True
+        self.state = LIVE
         self.kind = kind
         self.predicate = predicate
         self.label = label if label is not None else (str(kind) if kind is not None else "<any>")
@@ -570,9 +572,9 @@ def clone_graph(root: Language) -> Language:
     :func:`structural_fingerprint`, same recognized language, shared token
     predicates, reduction functions and ε-tree payloads — but every node is
     a new object with pristine memo/parse-null fields and no anchored
-    compiled table.  Final nullability and productivity are copied: the
-    clone denotes the same languages, so a clone of a settled grammar
-    starts settled.  Cycles are preserved.
+    compiled table.  Final states are copied: the clone denotes the same
+    languages, so a clone of a settled grammar starts settled.  Cycles are
+    preserved.
 
     This is the isolation primitive behind concurrent serving
     (:mod:`repro.serve`): node-resident caches make a grammar graph
@@ -604,8 +606,7 @@ def clone_graph(root: Language) -> Language:
             clone = Ref(node.ref_name)
         else:
             raise TypeError("cannot clone unknown node type: {!r}".format(node))
-        clone.null_state = node.null_state
-        clone.prod_state = node.prod_state
+        clone.state = node.state
         clones[id(node)] = clone
     for node in order:
         clone = clones[id(node)]

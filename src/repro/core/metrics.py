@@ -81,15 +81,16 @@ class Metrics:
         Number of single-entry memo evictions (Section 4.4's "forgetful"
         memoization replacing an old token entry with a new one).
     nullable_calls:
-        Number of node visits performed by the nullability computation; this
-        is the quantity plotted in Figure 7.
+        Number of node evaluations performed by the nullability and
+        emptiness analysis (:mod:`repro.core.nullability`); this is the
+        quantity plotted in Figure 7.
     nullable_fixed_points:
         Number of times a cyclic dependency forced a full fixed-point
         computation rather than a direct recursive evaluation.
     fixpoint_node_evaluations:
         Transfer-function evaluations performed by the unified fixed-point
         kernel (:mod:`repro.core.fixpoint`) across *every* analysis sharing
-        this Metrics instance — nullability, productivity/emptiness, the
+        this Metrics instance — grammar nullability and emptiness, the
         classical CFG analyses and regex nullability all count here.
     fixpoint_solves:
         Completed fixed points run by the kernel (each one promotes its

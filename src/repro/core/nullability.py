@@ -1,58 +1,62 @@
-"""Nullability (``δ(L)``, Figure 3) as an accelerated least fixed point.
+"""Nullability and emptiness (``δ(L)``, Figure 3) as one least fixed point.
 
 Whether a language accepts the empty word is needed by the derivative of a
-concatenation (Figure 2) and by ``parse-null``.  Because grammars are cyclic
-graphs, nullability is a least-fixed-point problem over the boolean lattice
-(Section 2.4 / 2.5 of the paper).
+concatenation (Figure 2) and by ``parse-null``.  Whether it accepts any word
+at all — its *productivity* — is the emptiness analysis that lets the
+deriver and :mod:`repro.core.prune` collapse provably-dead sub-grammars to
+``∅``, so a stream fails at exactly the token that emptied its language.
+
+A nullable language is never empty, so both answers fit in one value on the
+chain ``DEAD < LIVE < NULLABLE``, stored in the node's ``state`` field:
+
+* ``∅`` is DEAD, a token is LIVE and ``ε`` is NULLABLE,
+* ``L1 ∪ L2`` is the max of its children and ``L1 ◦ L2`` the min,
+* ``L ↪→ f`` and references copy their child,
+* ``δ(L)`` is NULLABLE when ``L`` is, and DEAD otherwise.
+
+Every equation is monotone, so one least fixed point over the chain gives
+exactly the pair of booleans the two classical analyses give.  Because
+grammars are cyclic graphs, it is a least-fixed-point problem (Sections
+2.4 and 2.5 of the paper).
 
 The original 2011 implementation recomputes nullability by repeatedly
 re-traversing every reachable node until nothing changes — quadratic in the
-number of nodes (Section 4.2).  The paper's improved algorithm:
-
-* tracks dependencies between nodes Kildall-style, so only the nodes affected
-  by a change are revisited, and
-* distinguishes *assumed-not-nullable* (still tentative, inside an unfinished
-  fixed point) from *definitely-not-nullable* (final), promoting the former to
-  the latter once a fixed point completes, so later nullability queries from
-  later ``derive`` calls can reuse the answers.
-
-That mechanism — dependency tracking, tentative values, final promotion,
-generation labels — is exactly what the unified kernel in
-:mod:`repro.core.fixpoint` provides for *every* analysis, so this module is
-now a declaration, not an algorithm: :class:`NullabilityAnalysis` states the
-boolean lattice (bottom ``False``), the dependency function (a node's
-relevant children) and the transfer function (Figure 3's equations), and
-stores final values in the ``null_state`` node field so later queries are
-O(1).  :class:`NullabilityAnalyzer` wraps a solver over that declaration
-behind the same public API as before.  The number of node evaluations is
-recorded in ``Metrics.nullable_calls`` — the quantity compared against the
-original implementation in Figure 7.
+number of nodes (Section 4.2).  The paper's improved algorithm tracks
+dependencies between nodes Kildall-style, so only the nodes affected by a
+change are revisited, and promotes tentative values to final once a fixed
+point completes, so later queries from later ``derive`` calls reuse them.
+That mechanism is the unified kernel of :mod:`repro.core.fixpoint`, so this
+module is a declaration: :class:`NullabilityAnalysis` states the chain
+(bottom DEAD), the dependencies (a node's children) and the equations above.
+:class:`NullabilityAnalyzer` wraps a solver over it.  Every evaluation is
+counted in ``Metrics.nullable_calls``, the quantity Figure 7 compares with
+the original implementation; it includes the emptiness half, which the 2011
+parser never computed.
 
 Most nodes never reach the solver.  Leaves are born final, and the smart
 constructors of :mod:`repro.core.compaction` settle every node they build
-whose children are already final (``∪`` is the or of its children, ``◦``
-the and, ``↪`` and ``δ`` copy their child), so a derived node is final from
-birth unless it sits over a cyclic placeholder.  The kernel therefore only
-runs on the regions that really need a fixed point, and it has two
-triggers:
+over final children, so a derived node is final from birth unless it sits
+over a cyclic placeholder.  The kernel runs in three places:
 
 * the end of a derive step, where the deriver solves once over the nodes
-  the step left undecided — the placeholders it filled in place on a cycle
-  and the nodes built over them (:mod:`repro.core.derivative`);
+  the step left undecided (:mod:`repro.core.derivative`);
+* a prune pass, over the live nodes still undecided (:mod:`repro.core.prune`);
 * a query on a node nothing has decided yet — in practice a grammar
   assembled by hand with the plain constructors, solved on first use.
 
-Promotion also records that a nullable node is productive, so the
-productivity solve that follows skips it.
+A final value stays exact because derivation never changes the children of
+a finished node, and pruning only points a DEAD child at ``∅``, which is
+DEAD too.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, Optional
 
 from .fixpoint import NOT_FINAL, FixpointAnalysis, FixpointSolver
 from .languages import (
-    DEFINITELY_NOT_NULLABLE,
+    DEAD,
+    LIVE,
     NULLABLE,
     Alt,
     Cat,
@@ -63,67 +67,61 @@ from .languages import (
     Reduce,
     Ref,
     Token,
+    reachable_nodes,
 )
 from .metrics import Metrics
 
 __all__ = [
+    "DEAD",
+    "LIVE",
     "NULLABLE",
-    "DEFINITELY_NOT_NULLABLE",
     "NullabilityAnalysis",
     "NullabilityAnalyzer",
+    "settle_graph",
 ]
 
 
 class NullabilityAnalysis(FixpointAnalysis):
-    """δ as a lattice declaration for the unified fixed-point kernel.
+    """The ``DEAD < LIVE < NULLABLE`` chain as a kernel declaration.
 
-    Boolean lattice, bottom ``False`` (assumed-not-nullable); transfer
-    implements Figure 3; final values live in the ``null_state`` field of the
-    nodes themselves (the Section 4.2 promotion, expressed as the kernel's
-    ``finalize`` hook).
+    Final values live in the ``state`` field of the nodes themselves (the
+    Section 4.2 promotion, expressed as the kernel's ``finalize`` hook).
     """
 
     def __init__(self, metrics: Metrics) -> None:
         self.metrics = metrics
 
     # ------------------------------------------------------------- the lattice
-    def bottom(self, node: Language) -> bool:
-        """Start every node at the lattice bottom: not (yet) nullable."""
-        return False
+    def bottom(self, node: Language) -> int:
+        """Start every node at the bottom of the chain: DEAD."""
+        return DEAD
 
     def dependencies(self, node: Language) -> tuple:
-        """Children whose nullability the node's own nullability depends on."""
-        if isinstance(node, (Alt, Cat)):
-            children = []
-            if node.left is not None:
-                children.append(node.left)
-            if node.right is not None:
-                children.append(node.right)
-            return tuple(children)
-        if isinstance(node, (Reduce, Delta)):
-            return (node.lang,) if node.lang is not None else ()
-        if isinstance(node, Ref):
-            return (node.target,) if node.target is not None else ()
-        return ()
+        """The children whose state the node's own state depends on."""
+        return node.children()
 
-    def transfer(self, node: Language, get) -> bool:
-        """Evaluate δ for ``node`` using current (possibly tentative) values."""
-        if isinstance(node, Epsilon):
-            return True
-        if isinstance(node, (Empty, Token)):
-            return False
+    def transfer(self, node: Language, get) -> int:
+        """Evaluate the module docstring's equations with current values."""
         if isinstance(node, Alt):
-            return self._child(node.left, get) or self._child(node.right, get)
+            return max(self._child(node.left, get), self._child(node.right, get))
         if isinstance(node, Cat):
-            return self._child(node.left, get) and self._child(node.right, get)
-        if isinstance(node, (Reduce, Delta)):
+            return min(self._child(node.left, get), self._child(node.right, get))
+        if isinstance(node, Reduce):
             return self._child(node.lang, get)
         if isinstance(node, Ref):
             return self._child(node.target, get)
+        if isinstance(node, Delta):
+            return NULLABLE if self._child(node.lang, get) == NULLABLE else DEAD
+        if isinstance(node, Epsilon):
+            return NULLABLE
+        if isinstance(node, Token):
+            return LIVE
+        if isinstance(node, Empty):
+            return DEAD
         raise TypeError("unknown language node type: {!r}".format(node))
 
     @staticmethod
-    def _child(child: Optional[Language], get) -> bool:
+    def _child(child: Optional[Language], get) -> int:
         if child is None:
             raise ValueError(
                 "nullability queried on a node with an unset child; "
@@ -133,25 +131,13 @@ class NullabilityAnalysis(FixpointAnalysis):
 
     # --------------------------------------------------------- final promotion
     def final(self, node: Language):
-        """Read a previously promoted per-node result, if any."""
-        state = node.null_state
-        if state == NULLABLE:
-            return True
-        if state == DEFINITELY_NOT_NULLABLE:
-            return False
-        return NOT_FINAL
+        """Read a previously promoted state, if any."""
+        state = node.state
+        return NOT_FINAL if state is None else state
 
-    def finalize(self, node: Language, value: bool) -> None:
-        """Promote a fixed-point value into the node's cache fields."""
-        # Nodes still at False are promoted from assumed- to
-        # definitely-not-nullable; this is what lets later derive steps
-        # answer nullability in O(1).  A nullable node is productive (it
-        # has the empty word), which spares the productivity solve it.
-        if value:
-            node.null_state = NULLABLE
-            node.prod_state = True
-        else:
-            node.null_state = DEFINITELY_NOT_NULLABLE
+    def finalize(self, node: Language, value: int) -> None:
+        """Promote a fixed-point value into the node's ``state`` field."""
+        node.state = value
 
     # ------------------------------------------------------------------ hooks
     def on_evaluate(self, node: Language) -> None:
@@ -160,30 +146,45 @@ class NullabilityAnalysis(FixpointAnalysis):
 
 
 class NullabilityAnalyzer:
-    """Compute ``δ(L)`` with dependency tracking and final-value caching."""
+    """Decide a node's state with dependency tracking and final caching."""
 
     def __init__(self, metrics: Optional[Metrics] = None) -> None:
         self.metrics = metrics if metrics is not None else Metrics()
         self._solver = FixpointSolver(NullabilityAnalysis(self.metrics), self.metrics)
 
     # ------------------------------------------------------------------ API
+    def state(self, node: Language) -> int:
+        """The final ``DEAD`` / ``LIVE`` / ``NULLABLE`` state of ``node``."""
+        state = node.state
+        if state is None:
+            self.metrics.nullable_fixed_points += 1
+            return self._solver.value(node)
+        self.metrics.nullable_cache_hits += 1
+        return state
+
     def nullable(self, node: Language) -> bool:
-        """Return True when the language of ``node`` contains the empty word."""
-        state = node.null_state
-        if state == NULLABLE:
-            self.metrics.nullable_cache_hits += 1
-            return True
-        if state == DEFINITELY_NOT_NULLABLE:
-            self.metrics.nullable_cache_hits += 1
-            return False
-        self.metrics.nullable_fixed_points += 1
-        return self._solver.value(node)
+        """True when the language of ``node`` contains the empty word."""
+        return self.state(node) == NULLABLE
 
-    def settle(self, nodes: List[Language]) -> None:
+    def productive(self, node: Language) -> bool:
+        """True when the language of ``node`` contains at least one word."""
+        return self.state(node) != DEAD
+
+    def settle(self, nodes: Iterable[Language]) -> None:
         """Decide every undecided node in ``nodes`` with one fixed point."""
-        if nodes:
-            self._solver.solve(nodes)
+        undecided = [node for node in nodes if node.state is None]
+        if undecided:
+            self._solver.solve(undecided)
 
-    def invalidate(self, node: Language) -> None:
-        """Drop the cached nullability of a single node (used by tests)."""
-        node.null_state = None
+
+def settle_graph(root: Language, analyzer: Optional[NullabilityAnalyzer] = None) -> None:
+    """Decide the state of every node under ``root`` with one solve.
+
+    Every reachable node is a root of the solve, not only ``root``: a node
+    settled by a smart constructor may sit above a child nobody has decided
+    yet.  The serve layer settles the seed its worker clones copy
+    (:class:`repro.serve.cache.CacheEntry`), so a worker parser built at
+    any time starts with no fixed point left to solve.
+    """
+    analyzer = analyzer if analyzer is not None else NullabilityAnalyzer()
+    analyzer.settle(reachable_nodes(root))

@@ -15,14 +15,11 @@ naming instrumentation — and exposes ``recognize``, ``parse``,
 
 Two engineering properties of this module are worth calling out:
 
-* **No recursion-limit games.**  Earlier revisions raised
-  ``sys.setrecursionlimit`` to 200 000 because ``derive`` and ``parse-null``
-  recursed over grammar graphs whose depth grows with the input.  Every hot
-  traversal is now iterative (:mod:`repro.core.derivative`,
-  :meth:`DerivativeParser.parse_null`, :mod:`repro.core.forest`,
-  :mod:`repro.core.prune`, :mod:`repro.core.nullability`), so inputs of any
-  length parse under the default interpreter limit.  The old
-  ``recursion_limit`` constructor argument is retained as a deprecated no-op.
+* **No recursion-limit games.**  Every hot traversal is iterative
+  (:mod:`repro.core.derivative`, :meth:`DerivativeParser.parse_null`,
+  :mod:`repro.core.forest`, :mod:`repro.core.prune`,
+  :mod:`repro.core.nullability`), so inputs of any length parse under the
+  default interpreter limit, which is never touched.
 
 * **Streaming.**  :meth:`DerivativeParser.start` returns a
   :class:`ParserState` whose ``feed(token)`` / ``feed_all(tokens)`` methods
@@ -39,7 +36,6 @@ never mistake another parser's cached results for its own.
 from __future__ import annotations
 
 import itertools
-import warnings
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Union
 
 from .compaction import CompactionConfig, Compactor, optimize_initial_grammar
@@ -84,15 +80,7 @@ __all__ = [
     "recognize",
     "validate_grammar",
     "forest_answer",
-    "DEFAULT_RECURSION_LIMIT",
 ]
-
-
-#: Deprecated.  Earlier revisions raised ``sys.setrecursionlimit`` to this
-#: value because the core traversals were recursive.  They are now iterative,
-#: no interpreter limit is ever touched, and this constant is kept only so
-#: that code importing it keeps working.
-DEFAULT_RECURSION_LIMIT = 200_000
 
 
 #: ``parse-null`` results are cached on (possibly shared) grammar nodes; the
@@ -337,10 +325,6 @@ class DerivativeParser:
         it builds itself.
     metrics:
         An optional shared :class:`~repro.core.metrics.Metrics` instance.
-    recursion_limit:
-        Deprecated and ignored.  The engine is iterative and never calls
-        ``sys.setrecursionlimit``; the parameter is accepted so that existing
-        callers keep working.
     """
 
     def __init__(
@@ -352,7 +336,6 @@ class DerivativeParser:
         naming: bool = False,
         prune: bool = True,
         metrics: Optional[Metrics] = None,
-        recursion_limit: Optional[int] = None,
     ) -> None:
         # Remember the caller's grammar object: compile() resolves the
         # shared table through it, so a cfg.Grammar lands on its cached
@@ -368,14 +351,6 @@ class DerivativeParser:
                 )
             )
         validate_grammar(grammar)
-
-        if recursion_limit is not None:
-            warnings.warn(
-                "recursion_limit is deprecated and ignored: the engine is "
-                "iterative and never calls sys.setrecursionlimit",
-                DeprecationWarning,
-                stacklevel=2,
-            )
 
         self.metrics = metrics if metrics is not None else Metrics()
 
@@ -509,7 +484,7 @@ class DerivativeParser:
             and self._prune_schedule.due(metrics.derive_uncached)
         ):
             rewrites = metrics.compaction_rewrites
-            language, live_size = prune_empty(language, self.nullability, metrics)
+            language, live_size = prune_empty(language, self.nullability)
             self.prune_passes += 1
             self._prune_schedule.ran(
                 metrics.derive_uncached, live_size, metrics.compaction_rewrites > rewrites

@@ -22,25 +22,23 @@ built undecided, and :func:`cut_dead_children` points their dead children at
 ``∅``.  The smart constructors treat an already-dead child as ``∅``.  So the
 branch is cut in the step that builds it and never derived again.
 
-**Prune is the safety net.**  :func:`prune_empty` decides productivity
-(non-emptiness) for every node reachable from the current grammar — treating
-``δ(L)`` as a leaf whose emptiness is decided by ``L``'s nullability — and
-runs :func:`cut_dead_children` over all of them.  It still catches what no
-step logged, such as dead branches of the initial grammar itself.  The
-adaptive schedule (:class:`AdaptivePruneSchedule`) runs it when the uncached
-derive work since the last pass exceeds a small multiple of the live grammar
-size, and doubles that interval after every pass that found nothing, so a
-stream whose steps leave nothing behind pays for a few passes, not hundreds.
+**Prune is the safety net.**  :func:`prune_empty` decides the state of
+every node reachable from the current grammar — without descending into
+``δ`` histories except where a ``δ`` node's own state needs it — and runs
+:func:`cut_dead_children` over all of them.  It still catches what no step
+logged, such as dead branches of the initial grammar itself.  The adaptive
+schedule (:class:`AdaptivePruneSchedule`) runs it when the uncached derive
+work since the last pass exceeds a small multiple of the live grammar size,
+and doubles that interval after every pass that found nothing, so a stream
+whose steps leave nothing behind pays for a few passes, not hundreds.
 
-The emptiness computation itself is not implemented here: it is the shared
-:class:`~repro.core.productivity.ProductivityAnalysis` declaration on the
-unified fixed-point kernel (:mod:`repro.core.fixpoint`), whose final values
-live on the nodes (``prod_state``).  A pass solves only from the live nodes
-still undecided — every one of them, not the root alone: a root settled
-productive at construction would stop the solver's sweep before a dead
-cyclic core below it.  The rewrite keeps those values exact, because an
-unproductive child is also non-nullable and ``∅`` has the same nullability
-and productivity as the child it replaces.
+The emptiness computation itself is not implemented here: it is the one
+analysis of :mod:`repro.core.nullability`, whose ``DEAD < LIVE < NULLABLE``
+states live on the nodes.  A pass settles, through the parser's analyzer,
+every live node still undecided — not the root alone: a root settled at
+construction would stop the solver's sweep before a dead cyclic core below
+it.  The rewrite keeps every state exact, because ``∅`` is DEAD like the
+child it replaces.
 
 The reachability sweep (:func:`live_nodes`) and the kernel's solve both run
 on explicit worklists — like every other traversal in the core, they must
@@ -52,11 +50,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
-from .fixpoint import FixpointSolver
-from .languages import EMPTY, Alt, Cat, Delta, Empty, Language, Reduce, Ref
-from .metrics import Metrics
+from .languages import DEAD, EMPTY, Alt, Cat, Delta, Empty, Language, Reduce, Ref
 from .nullability import NullabilityAnalyzer
-from .productivity import ProductivityAnalysis
 
 __all__ = ["prune_empty", "cut_dead_children", "live_nodes", "AdaptivePruneSchedule"]
 
@@ -140,41 +135,38 @@ def live_nodes(root: Language) -> List[Language]:
 def cut_dead_children(nodes: Iterable[Language]) -> int:
     """Point every dead child of ``nodes`` at ``∅``; return how many moved.
 
-    A child is dead when its productivity is final and False.  A ``δ``
-    keeps its child: ``δ(L)`` of a dead ``L`` is dead itself, and is cut
-    from its own parent.  The rewrite keeps every value exact, because a
-    dead child is also non-nullable and ``∅`` has the same nullability and
-    productivity as the child it replaces.
+    A child is dead when its state is final and DEAD.  A ``δ`` keeps its
+    child: ``δ(L)`` of a dead ``L`` is dead itself, and is cut from its own
+    parent.  The rewrite keeps every state exact, because ``∅`` is DEAD
+    like the child it replaces.
     """
 
     rewrites = 0
     for node in nodes:
         if isinstance(node, (Alt, Cat)):
             child = node.left
-            if child.prod_state is False and child.__class__ is not Empty:
+            if child.state == DEAD and child.__class__ is not Empty:
                 node.left = EMPTY
                 rewrites += 1
             child = node.right
-            if child.prod_state is False and child.__class__ is not Empty:
+            if child.state == DEAD and child.__class__ is not Empty:
                 node.right = EMPTY
                 rewrites += 1
         elif isinstance(node, Reduce):
             child = node.lang
-            if child.prod_state is False and child.__class__ is not Empty:
+            if child.state == DEAD and child.__class__ is not Empty:
                 node.lang = EMPTY
                 rewrites += 1
         elif isinstance(node, Ref):
             child = node.target
-            if child.prod_state is False and child.__class__ is not Empty:
+            if child.state == DEAD and child.__class__ is not Empty:
                 node.target = EMPTY
                 rewrites += 1
     return rewrites
 
 
 def prune_empty(
-    root: Language,
-    nullability: Optional[NullabilityAnalyzer] = None,
-    metrics: Optional[Metrics] = None,
+    root: Language, nullability: Optional[NullabilityAnalyzer] = None
 ) -> Tuple[Language, int]:
     """Replace provably-empty children with ``∅`` throughout the live grammar.
 
@@ -182,19 +174,14 @@ def prune_empty(
     whole grammar is empty (the input can no longer be completed) and
     ``live_size`` is the number of live nodes remaining after the rewrite.
     The rewrite mutates child pointers in place, so every memoized reference
-    to an existing node stays valid; no new nodes are created.
+    to an existing node stays valid; no new nodes are created.  The solve
+    and the rewrites are counted in ``nullability.metrics``.
     """
     nullability = nullability if nullability is not None else NullabilityAnalyzer()
     nodes = live_nodes(root)
-    solver = FixpointSolver(
-        ProductivityAnalysis(nullability),
-        metrics if metrics is not None else nullability.metrics,
-    )
-    solver.solve([node for node in nodes if node.prod_state is None])
-    rewrites = cut_dead_children(nodes)
-    if metrics is not None:
-        metrics.compaction_rewrites += rewrites
+    nullability.settle(nodes)
+    nullability.metrics.compaction_rewrites += cut_dead_children(nodes)
 
-    if root.prod_state is False:
+    if root.state == DEAD:
         return EMPTY, 1
     return root, len(live_nodes(root))

@@ -19,7 +19,7 @@ makes :func:`to_dfa` terminate.
 Like the grammar engine (PR 1), the hot traversals here are **iterative**:
 :func:`nullable` is one more declaration on the unified fixed-point kernel
 (:mod:`repro.core.fixpoint`) — the same solver behind the grammar
-nullability/productivity analyses — with its final values cached directly on
+nullability and emptiness analysis — with its final values cached directly on
 the (immutable) regex nodes, and :func:`derive` runs on an explicit stack
 with per-call sharing-aware memoization.  Regexes nested thousands of levels
 deep (machine-generated literals, deeply parenthesized alternations) are

@@ -41,8 +41,7 @@ from ..compile.automaton import GrammarTable, as_root
 from ..compile.serialize import restore_table
 from ..core.languages import Language, clone_graph, structural_fingerprint
 from ..core.metrics import Metrics
-from ..core.nullability import NullabilityAnalyzer
-from ..core.productivity import settle_graph
+from ..core.nullability import NullabilityAnalyzer, settle_graph
 from ..obs.logging import NULL_LOGGER, StructuredLogger
 from .metrics import ServiceMetrics
 
@@ -84,8 +83,8 @@ class CacheEntry:
 
     ``table`` is the service-private :class:`GrammarTable` every
     recognition rides (thread-safe per its own contract).
-    ``pristine_root`` is a clone of the same grammar, its nullability and
-    productivity decided at construction, that is never parsed on — its
+    ``pristine_root`` is a clone of the same grammar, its node states
+    decided at construction, that is never parsed on — its
     only job is to be read by :func:`clone_graph` when a worker
     thread needs a private graph for tree extraction, which makes
     concurrent seeding safe without any lock.  Holders of an entry keep the

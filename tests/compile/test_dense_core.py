@@ -110,7 +110,7 @@ def _edge_run(parser, stream):
 
 @settings(max_examples=90, deadline=None)
 @given(shape=_SHAPES, stream=_STREAMS, variant=st.sampled_from(_VARIANTS))
-def test_dense_and_object_paths_agree_on_random_grammars(shape, stream, variant):
+def test_edge_walk_matches_step_slow_on_random_grammars(shape, stream, variant):
     table = GrammarTable(
         _language(shape, variant), max_states=2 if variant == "capped" else None
     )
@@ -135,7 +135,7 @@ def test_dense_and_object_paths_agree_on_random_grammars(shape, stream, variant)
 @given(stream=st.lists(st.sampled_from(["+", "*", "(", ")", "NUMBER", "NAME", "@"]).map(
     lambda kind: Tok(kind, kind)
 ), max_size=25))
-def test_dense_failure_positions_match_object_path_on_arithmetic(stream):
+def test_edge_walk_failure_positions_match_step_slow_on_arithmetic(stream):
     table = GrammarTable(arithmetic_grammar().language())
     parser = CompiledParser(table=table)
     edge_accepted, edge_failure = _edge_run(parser, stream)

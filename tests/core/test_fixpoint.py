@@ -3,9 +3,9 @@
 The load-bearing property, checked with hypothesis over randomly generated
 *cyclic* grammars: the dependency-tracked worklist solver computes exactly
 the same least fixed point as naive whole-graph iteration-to-convergence
-(the textbook algorithm the kernel replaces), for both nullability and
-productivity, and the classical CFG analyses match their hand-rolled
-``while changed`` predecessors.
+(the textbook algorithm the kernel replaces), for the one node state that
+holds both nullability and productivity, and the classical CFG analyses
+match their hand-rolled ``while changed`` predecessors.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -18,15 +18,13 @@ from repro.core import (
     FixpointSolver,
     Metrics,
     NullabilityAnalyzer,
-    ProductivityAnalyzer,
     Ref,
     epsilon,
     reachable_nodes,
     token,
 )
 from repro.core.languages import Alt, Cat, Delta, Empty, Epsilon, Language, Reduce, Token
-from repro.core.nullability import DEFINITELY_NOT_NULLABLE, NULLABLE
-from repro.core.productivity import settle_graph
+from repro.core.nullability import DEAD, LIVE, NULLABLE, settle_graph
 
 
 # ---------------------------------------------------------------------------
@@ -145,24 +143,18 @@ def grammar_spec(draw):
 @settings(max_examples=120, deadline=None)
 @given(grammar_spec())
 def test_kernel_nullability_matches_naive_iteration(spec):
-    root = build_grammar(spec)
-    expected = naive_nullable(root)
-    analyzer = NullabilityAnalyzer()
-    for node in reachable_nodes(root):
-        assert analyzer.nullable(node) is expected[id(node)], (
-            "kernel and naive nullability disagree on {!r}".format(node)
-        )
-
-
-@settings(max_examples=120, deadline=None)
-@given(grammar_spec())
-def test_kernel_productivity_matches_naive_iteration(spec):
+    # One solve of the DEAD < LIVE < NULLABLE chain answers both classical
+    # analyses: each projection of the state must equal its own oracle.
     root = build_grammar(spec)
     expected_nullable = naive_nullable(root)
-    expected = naive_productive(root, expected_nullable)
-    analyzer = ProductivityAnalyzer()
+    expected_productive = naive_productive(root, expected_nullable)
+    analyzer = NullabilityAnalyzer()
     for node in reachable_nodes(root):
-        assert analyzer.productive(node) is expected[id(node)], (
+        state = analyzer.state(node)
+        assert (state == NULLABLE) is expected_nullable[id(node)], (
+            "kernel and naive nullability disagree on {!r}".format(node)
+        )
+        assert (state != DEAD) is expected_productive[id(node)], (
             "kernel and naive productivity disagree on {!r}".format(node)
         )
 
@@ -174,7 +166,7 @@ def test_final_promotion_marks_every_covered_node(spec):
     analyzer = NullabilityAnalyzer()
     analyzer.nullable(root)
     for node in reachable_nodes(root):
-        assert node.null_state in (NULLABLE, DEFINITELY_NOT_NULLABLE)
+        assert node.state in (DEAD, LIVE, NULLABLE)
     # A second query answers from the promoted finals without a new solve.
     fixed_points_before = analyzer.metrics.nullable_fixed_points
     analyzer.nullable(root)
@@ -193,42 +185,47 @@ def test_settled_states_equal_the_naive_fixed_point(spec, word):
     expected_nullable = naive_nullable(root)
     expected_productive = naive_productive(root, expected_nullable)
     for node in reachable_nodes(root):
-        if node.null_state is not None:
-            assert (node.null_state == NULLABLE) is expected_nullable[id(node)], node
-        if node.prod_state is not None:
-            assert node.prod_state is expected_productive[id(node)], node
+        if node.state is not None:
+            assert (node.state == NULLABLE) is expected_nullable[id(node)], node
+            assert (node.state != DEAD) is expected_productive[id(node)], node
 
 
 def test_settle_graph_decides_nodes_below_a_settled_one():
     dead = Ref("D")
     dead.set(Cat(token("x"), dead))
     root = Compactor().make_alt(epsilon(()), dead)
-    assert (root.null_state, root.prod_state) == (NULLABLE, True)
-    assert (dead.null_state, dead.prod_state) == (None, None)
+    assert root.state == NULLABLE
+    assert dead.state is None
     settle_graph(root)
     for node in reachable_nodes(root):
-        assert node.null_state is not None and node.prod_state is not None
-    assert (dead.null_state, dead.prod_state) == (DEFINITELY_NOT_NULLABLE, False)
+        assert node.state is not None
+    assert dead.state == DEAD
 
 
 def test_smart_constructors_settle_over_final_children():
     compactor = Compactor()
     a = token("a")
     nullable_alt = compactor.make_alt(a, epsilon(()))
-    assert (nullable_alt.null_state, nullable_alt.prod_state) == (NULLABLE, True)
+    assert nullable_alt.state == NULLABLE
     cat = compactor.make_cat(a, nullable_alt)
-    assert (cat.null_state, cat.prod_state) == (DEFINITELY_NOT_NULLABLE, True)
+    assert cat.state == LIVE
     delta = compactor.make_delta(cat)
-    assert (delta.null_state, delta.prod_state) == (DEFINITELY_NOT_NULLABLE, False)
+    assert delta.state == DEAD
     # An undecided child leaves the state undecided unless the other side
     # already decides it, and the raw constructors never settle.
     pending = Ref("P")
+    log = compactor.undecided
+    log.clear()
     undecided = compactor.make_cat(pending, nullable_alt)
-    assert (undecided.null_state, undecided.prod_state) == (None, None)
-    assert compactor.make_alt(pending, nullable_alt).null_state == NULLABLE
-    assert compactor.make_cat(a, pending).null_state == DEFINITELY_NOT_NULLABLE
-    assert compactor.make_cat(pending, EMPTY).prod_state is False
-    assert Alt(a, epsilon(())).null_state is None
+    assert undecided.state is None
+    assert compactor.make_alt(pending, nullable_alt).state == NULLABLE
+    # a ◦ P is not nullable whatever P is, but one state cannot say so
+    # without also saying whether it is empty: it waits for the step's
+    # solve, like every node over an undecided child.
+    assert compactor.make_cat(a, pending).state is None
+    assert compactor.make_cat(pending, EMPTY).state == DEAD
+    assert len(log) == 4
+    assert Alt(a, epsilon(())).state is None
 
 
 # ---------------------------------------------------------------------------

@@ -221,14 +221,14 @@ class TestCloneGraph:
 
     def test_clone_carries_final_analyses(self):
         from repro.core.languages import clone_graph
-        from repro.core.productivity import settle_graph
+        from repro.core.nullability import settle_graph
 
         e = Ref("E")
         e.set((e + token("+") + token("n")) | token("n"))
         raw = clone_graph(e)
-        assert raw.null_state is None and raw.prod_state is None
+        assert raw.state is None
         settle_graph(e)
         clone = clone_graph(e)
         for source, copy in zip(reachable_nodes(e), reachable_nodes(clone)):
-            assert source.null_state is not None and source.prod_state is not None
-            assert (copy.null_state, copy.prod_state) == (source.null_state, source.prod_state)
+            assert source.state is not None
+            assert copy.state == source.state

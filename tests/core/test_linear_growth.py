@@ -10,8 +10,8 @@ from ~100 to ~700 over 2k tokens, and the live grammar from ~280 to ~840
 nodes.
 
 The fixed-point work per token is gated too: nodes built over final
-children are settled at construction, so the nullability/productivity
-kernel only runs on cyclic regions (~21 evaluations per token on PL/0,
+children are settled at construction, so the nullability/emptiness
+kernel only runs on cyclic regions (~22 evaluations per token on PL/0,
 none on JSON; re-solving every derived node cost ~77 and ~30).
 
 So is allocation: ``derive`` builds a placeholder node only where a cycle

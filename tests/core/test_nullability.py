@@ -13,11 +13,7 @@ from repro.core.languages import (
     token,
 )
 from repro.core.metrics import Metrics
-from repro.core.nullability import (
-    DEFINITELY_NOT_NULLABLE,
-    NULLABLE,
-    NullabilityAnalyzer,
-)
+from repro.core.nullability import LIVE, NULLABLE, NullabilityAnalyzer
 
 
 @pytest.fixture
@@ -102,11 +98,11 @@ class TestCachingAndMetrics:
         body = Alt(Cat(ref, token("a")), epsilon())
         ref.set(body)
         assert analyzer.nullable(ref) is True
-        assert ref.null_state == NULLABLE
+        assert ref.state == NULLABLE
         # Cat(ref, a) is not nullable and, after the fixed point completes,
-        # must be promoted to definitely-not-nullable (Section 4.2).
+        # must be promoted to a final not-nullable state (Section 4.2).
         cat_node = body.left
-        assert cat_node.null_state == DEFINITELY_NOT_NULLABLE
+        assert cat_node.state == LIVE
 
     def test_second_query_hits_cache(self, analyzer):
         ref = Ref("L")
@@ -122,13 +118,6 @@ class TestCachingAndMetrics:
         ref.set(Alt(Cat(ref, token("a")), epsilon()))
         analyzer.nullable(ref)
         assert analyzer.metrics.nullable_calls > 0
-
-    def test_invalidate_forces_recomputation(self, analyzer):
-        eps = epsilon()
-        assert analyzer.nullable(eps) is True
-        analyzer.invalidate(eps)
-        assert eps.null_state is None
-        assert analyzer.nullable(eps) is True
 
     def test_shared_subgraphs_resolved_once(self, analyzer):
         shared = Alt(token("a"), epsilon())

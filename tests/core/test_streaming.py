@@ -257,12 +257,8 @@ class TestDeepInputs:
     def test_deep_nullability_and_baseline_free_of_recursion_limit(
         self, default_recursion_limit
     ):
-        # The deprecated kwarg warns and never touches the interpreter.
-        with pytest.warns(DeprecationWarning):
-            parser = DerivativeParser(
-                right_recursive_list(), recursion_limit=5_000_000
-            )
-        assert parser.recognize(["a"] * 1_000) is True
+        assert DerivativeParser(right_recursive_list()).recognize(["a"] * 1_000) is True
+        # The engine never touches the interpreter limit.
         assert sys.getrecursionlimit() == 1_000
 
 

@@ -131,7 +131,7 @@ def test_prune_finds_nothing_after_any_step(case):
     """
     spec, inputs = case
     parser = DerivativeParser(build_grammar(spec))
-    prune_empty(parser.root, parser.nullability, parser.metrics)
+    prune_empty(parser.root, parser.nullability)
     for text in inputs:
         state = parser.start()
         for tok in text:
@@ -139,7 +139,7 @@ def test_prune_finds_nothing_after_any_step(case):
             if state.failed:
                 break
             before = parser.metrics.compaction_rewrites
-            root, _live = prune_empty(state.language, parser.nullability, parser.metrics)
+            root, _live = prune_empty(state.language, parser.nullability)
             assert root is state.language, (spec, text)
             assert parser.metrics.compaction_rewrites == before, (spec, text)
 

@@ -70,24 +70,30 @@ def assert_recognition_agreement(grammar, streams):
             "compiled warm re-run flipped on {!r}".format(stream)
         )
         assert got_glr is expected, "GLR vs Earley disagree on {!r}".format(stream)
-        # Streaming soundness of the automaton's native failure signal.
-        # The *position* of structural collapse is schedule-dependent (each
-        # engine's adaptive prune cadence decides when a semantically dead
-        # language is rewritten to ∅), so positions are not comparable
-        # across engines — but the signal must be sound: a failed state
-        # means no completion exists, and accepts() must agree with the
-        # batch oracle.
+        # Both streaming engines settle every derive step, so they fail at
+        # exactly the token that empties the language: the same position
+        # Earley reports.  A rejected stream that never fails is an
+        # incomplete one, and Earley blames its end.
         interpreted_state = derivative.start().feed_all(stream)
         compiled_state = compiled.start().feed_all(stream)
         assert compiled_state.accepts() == interpreted_state.accepts() == expected, (
             "streaming accepts() disagrees on {!r}".format(stream)
         )
-        if compiled_state.failed:
-            assert expected is False, (
-                "automaton reported structural death on an accepted "
-                "stream {!r}".format(stream)
-            )
-            assert compiled_state.failure_position <= len(stream) - 1
+        assert compiled_state.failed == interpreted_state.failed, (
+            "streaming failure disagrees on {!r}".format(stream)
+        )
+        if not expected:
+            position = failure_position(earley, stream)
+            if compiled_state.failed:
+                assert (
+                    interpreted_state.failure_position
+                    == compiled_state.failure_position
+                    == position
+                ), "streaming failure positions disagree on {!r}".format(stream)
+            else:
+                assert position == len(stream), (
+                    "incomplete stream blamed before its end: {!r}".format(stream)
+                )
 
 
 def failure_position(parser, stream):

@@ -85,8 +85,7 @@ class TestBatchAPIs:
             if isinstance(node, (Alt, Cat, Ref)):
                 # Leaves are born final; a composite only gains a state
                 # when an analysis runs on it, which must be on a clone.
-                assert node.null_state is None
-                assert node.prod_state is None
+                assert node.state is None
 
 
 class TestTableCache:
