@@ -143,18 +143,26 @@ def grammar_spec(draw):
 @settings(max_examples=120, deadline=None)
 @given(grammar_spec())
 def test_kernel_nullability_matches_naive_iteration(spec):
-    # One solve of the DEAD < LIVE < NULLABLE chain answers both classical
-    # analyses: each projection of the state must equal its own oracle.
     root = build_grammar(spec)
-    expected_nullable = naive_nullable(root)
-    expected_productive = naive_productive(root, expected_nullable)
+    expected = naive_nullable(root)
     analyzer = NullabilityAnalyzer()
     for node in reachable_nodes(root):
-        state = analyzer.state(node)
-        assert (state == NULLABLE) is expected_nullable[id(node)], (
+        assert analyzer.nullable(node) is expected[id(node)], (
             "kernel and naive nullability disagree on {!r}".format(node)
         )
-        assert (state != DEAD) is expected_productive[id(node)], (
+
+
+@settings(max_examples=120, deadline=None)
+@given(grammar_spec())
+def test_kernel_productivity_matches_naive_iteration(spec):
+    # One solve of the DEAD < LIVE < NULLABLE chain answers both classical
+    # analyses: productivity is the state's `!= DEAD` projection.
+    root = build_grammar(spec)
+    expected_nullable = naive_nullable(root)
+    expected = naive_productive(root, expected_nullable)
+    analyzer = NullabilityAnalyzer()
+    for node in reachable_nodes(root):
+        assert analyzer.productive(node) is expected[id(node)], (
             "kernel and naive productivity disagree on {!r}".format(node)
         )
 
