@@ -4,7 +4,6 @@ Configurations measured on the same workload:
 
 * full Section 4.3 compaction (the improved parser default),
 * only the 2011 rule set,
-* full rules but without the semantic empty-branch pruning,
 * no compaction at all (the configuration the paper says made the original
   parser take three minutes for 31 lines).
 

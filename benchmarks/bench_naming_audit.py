@@ -46,7 +46,6 @@ def test_naming_audit(run_once):
         naming=True,
         compaction=CompactionConfig.disabled(),
         optimize_grammar=False,
-        prune=False,
     )
     tokens = repeated_token_stream("c", 10, distinct=True)
     run_once(lambda: parser.recognize(tokens))

@@ -37,7 +37,6 @@ __all__ = [
     "fig12_single_entry_speedup",
     "speedup_summary_table",
     "compaction_ablation",
-    "nullability_ablation",
     "complexity_node_counts",
     "naming_audit_rows",
     "DEFAULT_SIZES",
@@ -258,7 +257,6 @@ def compaction_ablation(size: int = 48, repeats: int = 1) -> List[Tuple[str, flo
     configurations: List[Tuple[str, dict]] = [
         ("full compaction (Section 4.3)", dict(compaction=CompactionConfig.full())),
         ("2011 rules only", dict(compaction=CompactionConfig.original_2011())),
-        ("no empty-branch pruning", dict(compaction=CompactionConfig.full(), prune=False)),
         ("no compaction", dict(compaction=CompactionConfig.disabled())),
     ]
     rows: List[Tuple[str, float, int]] = []
@@ -268,23 +266,6 @@ def compaction_ablation(size: int = 48, repeats: int = 1) -> List[Tuple[str, flo
         probe = parser_factory()
         probe.recognize(tokens)
         rows.append((label, seconds, probe.metrics.nodes_created))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Section 4.2 — nullability ablation (improved vs naive visit counts)
-# ---------------------------------------------------------------------------
-def nullability_ablation(sizes: Sequence[int] = ORIGINAL_SIZES) -> List[Tuple[int, int, int]]:
-    """Rows of (tokens, improved nullable visits, naive nullable visits)."""
-    grammar = python_grammar()
-    rows: List[Tuple[int, int, int]] = []
-    for size in sizes:
-        tokens = tiny_python_workload(size)
-        improved = DerivativeParser(grammar)
-        improved.recognize(tokens)
-        naive = OriginalParser(grammar, compaction=True)
-        naive.recognize(tokens)
-        rows.append((len(tokens), improved.metrics.nullable_calls, naive.metrics.nullable_calls))
     return rows
 
 
@@ -302,7 +283,6 @@ def complexity_node_counts(
             worst_case_language(),
             compaction=CompactionConfig.disabled(),
             optimize_grammar=False,
-            prune=False,
         )
         tokens = repeated_token_stream("c", size, distinct=True)
         parser.recognize(tokens)
@@ -328,7 +308,6 @@ def naming_audit_rows(sizes: Sequence[int] = (2, 4, 6, 8)) -> List[Tuple[int, in
             naming=True,
             compaction=CompactionConfig.disabled(),
             optimize_grammar=False,
-            prune=False,
         )
         tokens = repeated_token_stream("c", size, distinct=True)
         parser.recognize(tokens)

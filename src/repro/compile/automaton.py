@@ -57,8 +57,8 @@ witness chain.  A materialized state registers its canonical key then.
 **Concurrency contract.**  A table is shared *read-mostly*: the executor's
 hot loops probe ``edges``/``by_signature`` without synchronization, and
 every mutation — deriving a new transition, interning a state, linking an
-edge, repacking the edge dicts, materializing a witness chain, pruning,
-and the metrics counters those paths bump — happens under the table's
+edge, repacking the edge dicts, materializing a witness chain, and the
+metrics counters those paths bump — happens under the table's
 :attr:`GrammarTable.lock`.  The lock-free reads are sound on CPython
 because (a) dictionary get/set are individually atomic under the GIL and
 (b) a successor state is fully initialized (``accepting``/``dead``
@@ -66,7 +66,7 @@ assigned, its edge dict created) *before* the assignment that publishes
 it into a transition dict, so a racing reader sees either a miss or a
 complete state, never a partial one.  The
 grammar *graph* under the table is mutated by locked paths too (derive
-memos, nullability caches, in-place pruning), so any other engine that
+memos, nullability caches, dead-branch cuts), so any other engine that
 derives on the same graph — e.g. the tree-extraction fallback of
 :class:`~repro.compile.CompiledParser` — must hold the same lock; plain
 :class:`~repro.core.parse.DerivativeParser` instances remain
@@ -96,7 +96,6 @@ from ..core.languages import (
     Language,
     Reduce,
     Ref,
-    graph_size,
     reachable_nodes,
     structural_fingerprint,
     token_kind,
@@ -105,7 +104,7 @@ from ..core.memo import PersistentDictMemo
 from ..core.metrics import Metrics
 from ..core.nullability import NullabilityAnalyzer
 from ..core.parse import validate_grammar
-from ..core.prune import AdaptivePruneSchedule, prune_empty
+from ..core.prune import prune_empty
 from .classes import TokenClassifier
 
 __all__ = [
@@ -233,12 +232,13 @@ class GrammarTable:
         A :class:`Language` root or an object convertible via
         ``language()``/``to_language()``.  The table always runs the
         initial-grammar compaction of Section 4.3.1 on it first (as
-        :class:`~repro.core.parse.DerivativeParser` does by default).  Its
-        deriver cuts the dead branches each step builds, and returns ``∅``
-        for a dead successor, which goes to the sink; the safety-net
-        prune pass runs on the interpreted parser's adaptive schedule.
-        Both rewrite child pointers in place and preserve languages, so
-        already-interned states sharing the rewritten nodes stay valid.
+        :class:`~repro.core.parse.DerivativeParser` does by default), then
+        cuts the grammar's own dead branches to ``∅`` once
+        (:func:`~repro.core.prune.prune_empty`).  Its deriver cuts the dead
+        branches each step builds, and returns ``∅`` for a dead successor,
+        which goes to the sink.  Both cuts rewrite child pointers in place
+        and preserve languages, so already-interned states sharing the
+        rewritten nodes stay valid.
     max_states:
         Optional cap on interned states.  Derivation past the cap still
         works (and is still memoized by the persistent derive memo) but the
@@ -259,7 +259,7 @@ class GrammarTable:
         validate_grammar(root)
         #: Guards every mutation of the table and of the grammar graph under
         #: it (transition derivation, state interning, witness
-        #: materialization, pruning, metrics).  Warm walks read the
+        #: materialization, metrics).  Warm walks read the
         #: transition dicts without taking it; see the module docstring for
         #: why that is sound.  Reentrant so tree-extraction fallbacks that
         #: hold it can still step the automaton.
@@ -289,14 +289,14 @@ class GrammarTable:
         #: ``id → node`` for every node reachable from the root before any
         #: derivation.  The canonical state key stops at these and names
         #: them by identity: derivation never changes their language (it
-        #: builds no Token and fills only nodes of its own; pruning
-        #: preserves languages).  The values pin the ids for the table's
-        #: lifetime.
+        #: builds no Token and fills only nodes of its own; cutting a dead
+        #: branch preserves languages).  The values pin the ids for the
+        #: table's lifetime.
         self._pristine = {id(node): node for node in reachable_nodes(root)}
-        # Snapshot the fingerprint *now*, before any derivation: adaptive
-        # pruning rewrites child pointers of the shared graph in place, so a
-        # fingerprint taken lazily at save time would never match the one a
-        # fresh process computes over the un-pruned grammar at load time.
+        # Snapshot the fingerprint *now*, before the dead-branch cut below
+        # rewrites child pointers of the shared graph in place: a
+        # fingerprint of the cut graph would never match the one a caller
+        # computes over its own un-cut grammar when it loads a saved table.
         self._fingerprint = structural_fingerprint(root)
         #: One classifier, computed from the grammar root, shared by every
         #: state.  Sound because derivation never creates new Token leaves —
@@ -330,12 +330,10 @@ class GrammarTable:
         #: How many states' edge dicts the last :meth:`repack` laid out.
         self.packed_states = 0
         self.dead = AutomatonState(index=-1, language=EMPTY, accepting=False, dead=True)
-        # Adaptive empty-branch pruning, on the exact schedule the
-        # interpreted parser uses (shared implementation).
-        self.prune_passes = 0
-        self._prune_schedule = AdaptivePruneSchedule(
-            graph_size(root), self.metrics.derive_uncached
-        )
+        # No derive step builds the grammar, so its dead branches are cut
+        # here, once.  The root node stays the start state's language even
+        # when the whole grammar is dead: the root anchors the table.
+        prune_empty(root, self.nullability)
         self.start = self._intern(root, parent=None, via=None, budget=_KEY_SLACK)
 
     # ------------------------------------------------------------- interning
@@ -506,17 +504,6 @@ class GrammarTable:
                 self.transitions_derived += 1
                 uncached = self.metrics.derive_uncached
                 derived = self.deriver.derive(state.language, tok)
-                if derived is not EMPTY and self._prune_schedule.due(
-                    self.metrics.derive_uncached
-                ):
-                    rewrites = self.metrics.compaction_rewrites
-                    derived, live_size = prune_empty(derived, self.nullability)
-                    self.prune_passes += 1
-                    self._prune_schedule.ran(
-                        self.metrics.derive_uncached,
-                        live_size,
-                        self.metrics.compaction_rewrites > rewrites,
-                    )
                 if derived is EMPTY:
                     # The deriver returns ∅ for every dead language: route
                     # to the sink instead of interning a zombie state.

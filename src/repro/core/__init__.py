@@ -65,7 +65,6 @@ from .languages import (
 from .memo import (
     MEMO_STRATEGIES,
     DeriveMemo,
-    NestedDictMemo,
     PerNodeDictMemo,
     PersistentDictMemo,
     SingleEntryMemo,
@@ -164,7 +163,6 @@ __all__ = [
     "SingleEntryMemo",
     "PerNodeDictMemo",
     "PersistentDictMemo",
-    "NestedDictMemo",
     "make_memo",
     "MEMO_STRATEGIES",
     "single_entry_fraction",

@@ -394,8 +394,8 @@ class Deriver:
         nullability only allows one through a two-sided ``∪``) answers None,
         and None reaches every node above it.  Answers are memoized until
         :meth:`clear_null_trees`; they stay valid because derivation never
-        changes an existing node's nullable region (pruning only rewrites
-        DEAD, hence non-nullable, children).
+        changes an existing node's nullable region (dead-branch cuts only
+        rewrite DEAD, hence non-nullable, children).
         """
         memo = self._null_trees
         nullable = self.nullability.nullable

@@ -28,15 +28,9 @@ The solver's contract, in the paper's vocabulary:
   one to :meth:`FixpointAnalysis.finalize`, which typically caches it
   somewhere O(1)-reachable (a node field, an analyzer dictionary).  Later
   queries — e.g. the nullability probes issued by every subsequent
-  ``derive`` — never re-enter the solver for a finalized node.
-
-* **Generation labels.**  Each solve run carries a fresh generation number
-  (``self.generation``), the device Section 4.2 uses to distinguish "assumed
-  during the current fixed point" from "final".  The built-in analyses keep
-  their tentative values in the solver's per-run table, so none of them
-  needs to read the label; it is exposed (and kept fresh per solve) for
-  analyses that instead tag per-node scratch state and must invalidate it
-  wholesale between runs.
+  ``derive`` — never re-enter the solver for a finalized node.  Tentative
+  values live only in the solve's own table, so "assumed during the current
+  fixed point" and "final" can never be confused across runs.
 
 The solver itself is **iterative** (explicit stacks and deques throughout):
 analyses routinely run over derivative graphs whose depth is proportional to
@@ -75,7 +69,6 @@ results, :meth:`~FixpointAnalysis.key` when nodes are not cheaply hashable
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Any, Dict, Iterable, List, Optional
 
@@ -175,15 +168,9 @@ class FixpointSolver:
     points, across every analysis sharing the :class:`Metrics` instance.
     """
 
-    #: Class-level generation source shared by every solver, so generation
-    #: labels are unique process-wide (the Section 4.2 labeling device).
-    _generations = itertools.count(1)
-
     def __init__(self, analysis: FixpointAnalysis, metrics: Optional[Metrics] = None) -> None:
         self.analysis = analysis
         self.metrics = metrics if metrics is not None else Metrics()
-        #: Generation label of the most recent solve (fresh per run).
-        self.generation = 0
 
     # ------------------------------------------------------------------ API
     def value(self, root: Any) -> Any:
@@ -206,7 +193,6 @@ class FixpointSolver:
         dependencies = analysis.dependencies
         # The default key is the node itself: skip the call, not the meaning.
         key_of = None if type(analysis).key is FixpointAnalysis.key else analysis.key
-        self.generation = next(FixpointSolver._generations)
 
         # Discovery sweep: every reachable node without a final value,
         # recording reverse dependencies (child -> dependents) along the way.

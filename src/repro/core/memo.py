@@ -21,13 +21,15 @@ therefore gives each node reachable from a parser's optimized root
 table, and keeps the single field for every derived node.  The tables hold at most (grammar nodes × distinct
 tokens of one parse) entries, and ``clear`` empties them.
 
-Three interchangeable strategies are provided so the benchmarks can compare
+Two interchangeable strategies are provided so the benchmarks can compare
 them directly:
 
 * :class:`SingleEntryMemo` — the paper's improved strategy (node fields).
 * :class:`PerNodeDictMemo` — a full hash table stored per node (the "inner
   hash table in a node field" variant discussed in Section 4.4).
-* :class:`NestedDictMemo` — the original strategy: a global table of tables.
+
+The original strategy, a global table of tables, lives with the 2011
+baseline parser (:class:`repro.baseline.OriginalParser`).
 
 All strategies implement the same tiny interface: :meth:`get`, :meth:`put`
 and :meth:`clear`, plus :meth:`adopt_grammar` (a no-op except for the
@@ -63,7 +65,6 @@ __all__ = [
     "SingleEntryMemo",
     "PerNodeDictMemo",
     "PersistentDictMemo",
-    "NestedDictMemo",
     "make_memo",
     "MEMO_STRATEGIES",
 ]
@@ -247,8 +248,8 @@ class PerNodeDictMemo(DeriveMemo):
     deliberate trade: collapsing the indirection either re-introduces
     whole-table eviction when two dict-memo parsers interleave on one
     grammar (single owner slot per node) or moves the tables into the memo
-    keyed by node — which is structurally the :class:`NestedDictMemo`
-    "global table of tables" layout and would erase the node-field-vs-global
+    keyed by node — which is structurally the original 2011 "global table
+    of tables" layout and would erase the node-field-vs-global
     distinction Section 4.4 compares.  Readers of the Figure 11/12 numbers
     should know the dict strategy carries this one extra lookup.
 
@@ -383,60 +384,15 @@ class PersistentDictMemo(PerNodeDictMemo):
         return total
 
 
-class NestedDictMemo(DeriveMemo):
-    """The original nested-hash-table strategy of Might et al. (2011).
-
-    A global dictionary maps each node to an inner dictionary keyed by token.
-    This is the slowest strategy and exists mainly so the reproduction can
-    measure how much of the original implementation's cost it accounts for.
-    """
-
-    name = "nested"
-
-    def __init__(self, metrics: Optional[Metrics] = None) -> None:
-        super().__init__(metrics)
-        self._tables: Dict[Language, Dict[Any, Language]] = {}
-
-    def get(self, node: Language, token: Any) -> Any:
-        """Return the global table's entry for ``(node, token)``, or MISS."""
-        inner = self._tables.get(node)
-        if inner is None:
-            return MISS
-        return inner.get(token, MISS)
-
-    def put(self, node: Language, token: Any, result: Language) -> None:
-        """Record ``result`` in the global node → token → result table."""
-        inner = self._tables.get(node)
-        if inner is None:
-            inner = {}
-            self._tables[node] = inner
-        inner[token] = result
-
-    def clear(self) -> None:
-        """Drop the whole global table of tables."""
-        self._tables = {}
-
-    def entry_distribution(self) -> Dict[int, int]:
-        """Entries-per-node histogram over the global tables (Figure 10)."""
-        distribution: Dict[int, int] = {}
-        for inner in self._tables.values():
-            if not inner:
-                continue
-            size = len(inner)
-            distribution[size] = distribution.get(size, 0) + 1
-        return distribution
-
-
 MEMO_STRATEGIES: Dict[str, type] = {
     SingleEntryMemo.name: SingleEntryMemo,
     PerNodeDictMemo.name: PerNodeDictMemo,
     PersistentDictMemo.name: PersistentDictMemo,
-    NestedDictMemo.name: NestedDictMemo,
 }
 
 
 def make_memo(strategy: str, metrics: Optional[Metrics] = None) -> DeriveMemo:
-    """Construct a memo strategy by name (``single``, ``dict``, ``persistent`` or ``nested``)."""
+    """Construct a memo strategy by name (``single``, ``dict`` or ``persistent``)."""
     try:
         cls = MEMO_STRATEGIES[strategy]
     except KeyError:

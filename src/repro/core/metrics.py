@@ -97,8 +97,8 @@ class Metrics:
         tentative values to final).
     compaction_rewrites:
         Number of times a smart constructor applied a reduction rule, plus
-        the dead children cut to ``∅`` at a derive step's end or by a prune
-        pass.
+        the dead children cut to ``∅`` at a derive step's end or, once, in
+        the grammar itself when an engine is built.
     parse_null_calls:
         Non-cached invocations of ``parse_null``.
     edits_applied / edit_tokens_refed / edit_splices:

@@ -40,13 +40,14 @@ over a cyclic placeholder.  The kernel runs in three places:
 
 * the end of a derive step, where the deriver solves once over the nodes
   the step left undecided (:mod:`repro.core.derivative`);
-* a prune pass, over the live nodes still undecided (:mod:`repro.core.prune`);
+* the construction of an engine, which settles its grammar's live nodes
+  once while cutting their dead branches (:func:`repro.core.prune.prune_empty`);
 * a query on a node nothing has decided yet — in practice a grammar
   assembled by hand with the plain constructors, solved on first use.
 
 A final value stays exact because derivation never changes the children of
-a finished node, and pruning only points a DEAD child at ``∅``, which is
-DEAD too.
+a finished node, and a dead-branch cut only points a DEAD child at ``∅``,
+which is DEAD too.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from .languages import (
     Reduce,
     Ref,
     Token,
-    reachable_nodes,
 )
 from .metrics import Metrics
 
@@ -77,7 +77,6 @@ __all__ = [
     "NULLABLE",
     "NullabilityAnalysis",
     "NullabilityAnalyzer",
-    "settle_graph",
 ]
 
 
@@ -176,15 +175,3 @@ class NullabilityAnalyzer:
         if undecided:
             self._solver.solve(undecided)
 
-
-def settle_graph(root: Language, analyzer: Optional[NullabilityAnalyzer] = None) -> None:
-    """Decide the state of every node under ``root`` with one solve.
-
-    Every reachable node is a root of the solve, not only ``root``: a node
-    settled by a smart constructor may sit above a child nobody has decided
-    yet.  The serve layer settles the seed its worker clones copy
-    (:class:`repro.serve.cache.CacheEntry`), so a worker parser built at
-    any time starts with no fixed point left to solve.
-    """
-    analyzer = analyzer if analyzer is not None else NullabilityAnalyzer()
-    analyzer.settle(reachable_nodes(root))

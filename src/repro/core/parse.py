@@ -70,7 +70,7 @@ from .memo import DeriveMemo, make_memo
 from .metrics import Metrics
 from .naming import NamingScheme, grammar_label
 from .nullability import NullabilityAnalyzer
-from .prune import AdaptivePruneSchedule, prune_empty
+from .prune import prune_empty
 
 __all__ = [
     "DerivativeParser",
@@ -115,10 +115,10 @@ class ParserSnapshot:
 
     Because derived languages are persistent graphs (derivation only ever
     builds new nodes; the in-place rewrites of
-    :func:`repro.core.prune.prune_empty` replace provably-empty children
-    with the semantically identical ``∅``), a snapshot is a *reference*
-    copy: it pins the derived-language node for a prefix, never a deep
-    copy of it.  Resume one with :meth:`DerivativeParser.resume` — this is
+    :func:`repro.core.prune.cut_dead_children` replace provably-empty
+    children with the semantically identical ``∅``), a snapshot is a
+    *reference* copy: it pins the derived-language node for a prefix, never
+    a deep copy of it.  Resume one with :meth:`DerivativeParser.resume` — this is
     the substrate :mod:`repro.incremental` builds its checkpoint trails
     on.
     """
@@ -236,7 +236,9 @@ class ParserState:
         """Consume one token, deriving the current language by it."""
         if self.failed:
             return self
-        language = self.parser._derive_step(self.language, token, self.position)
+        parser = self.parser
+        language = parser.deriver.derive(self.language, token, self.position)
+        parser.metrics.tokens_consumed += 1
         self.position += 1
         if language is EMPTY:
             self.failure_position = self.position - 1
@@ -307,22 +309,20 @@ class DerivativeParser:
         converted automatically.
     memo:
         Memoization strategy for ``derive``: ``"single"`` (the paper's
-        improved single-entry strategy, default), ``"dict"`` (full per-node
-        hash tables) or ``"nested"`` (the original global nested tables).
-        A pre-built :class:`~repro.core.memo.DeriveMemo` may also be passed.
+        improved single-entry strategy, default) or ``"dict"`` (full per-node
+        hash tables).  A pre-built :class:`~repro.core.memo.DeriveMemo` may
+        also be passed.
     compaction:
         A :class:`~repro.core.compaction.CompactionConfig`, or True/False for
         the full/disabled configurations.
     optimize_grammar:
         Whether to run the initial-grammar-only compaction rules of
-        Section 4.3.1 before parsing (default True).
+        Section 4.3.1 before parsing (default True).  When compaction is
+        on, the grammar's own dead branches are then cut to ``∅`` once
+        (:func:`~repro.core.prune.prune_empty`); each derive step cuts the
+        dead branches it builds itself.
     naming:
         Enable the Definition 5 naming instrumentation (default False).
-    prune:
-        Run the safety-net pass that replaces provably-empty sub-grammars
-        with ``∅`` on its adaptive schedule (see :mod:`repro.core.prune`).
-        On by default.  Either way each derive step cuts the dead branches
-        it builds itself.
     metrics:
         An optional shared :class:`~repro.core.metrics.Metrics` instance.
     """
@@ -334,7 +334,6 @@ class DerivativeParser:
         compaction: Union[CompactionConfig, bool, None] = None,
         optimize_grammar: bool = True,
         naming: bool = False,
-        prune: bool = True,
         metrics: Optional[Metrics] = None,
     ) -> None:
         # Remember the caller's grammar object: compile() resolves the
@@ -374,6 +373,10 @@ class DerivativeParser:
 
         if optimize_grammar and compaction_config.enabled:
             grammar = optimize_initial_grammar(grammar, self.compactor)
+        if compaction_config.enabled:
+            # No derive step builds the grammar, so its dead branches are
+            # cut here, once; this also settles every live grammar node.
+            grammar, _ = prune_empty(grammar, self.nullability)
         self.root = grammar
         self.memo.adopt_grammar(self.root)
 
@@ -388,32 +391,16 @@ class DerivativeParser:
             naming=self.naming,
         )
 
-        # The safety-net prune pass (repro.core.prune): it runs whenever the
-        # uncached derive work since the last pass exceeds a small multiple
-        # of the live grammar size, and backs off while it finds nothing.
-        self._prune = prune and compaction_config.enabled
-        self._initial_size = graph_size(self.root)
-        self._prune_schedule = AdaptivePruneSchedule(
-            self._initial_size, self.metrics.derive_uncached
-        )
-        self.prune_passes = 0
-
     # ------------------------------------------------------------------ API
     def reset(self) -> None:
         """Forget per-parse caches (the paper clears them before each timed parse).
 
         Clears the derive memo and the deriver's single-null-tree answers
         (both hold this parser's derived nodes; dropping one but not the
-        other would leak every derivative ever answered), and re-anchors the
-        adaptive-prune schedule to the *current* metrics counters — the
-        shared :class:`~repro.core.metrics.Metrics` instance may have
-        advanced since construction (other parsers, earlier parses), and a
-        stale marker would make a reused parser prune far too early or far
-        too late.
+        other would leak every derivative ever answered).
         """
         self.memo.clear()
         self.deriver.clear_null_trees()
-        self._prune_schedule.reanchor(self.metrics.derive_uncached)
 
     def start(
         self,
@@ -472,24 +459,6 @@ class DerivativeParser:
     def grammar_size(self) -> int:
         """``G`` — the number of nodes in the (optimized) initial grammar."""
         return graph_size(self.root)
-
-    def _derive_step(self, language: Language, tok: Any, position: int) -> Language:
-        """Derive by one token and run the prune pass when it is due."""
-        metrics = self.metrics
-        language = self.deriver.derive(language, tok, position)
-        metrics.tokens_consumed += 1
-        if (
-            self._prune
-            and language is not EMPTY
-            and self._prune_schedule.due(metrics.derive_uncached)
-        ):
-            rewrites = metrics.compaction_rewrites
-            language, live_size = prune_empty(language, self.nullability)
-            self.prune_passes += 1
-            self._prune_schedule.ran(
-                metrics.derive_uncached, live_size, metrics.compaction_rewrites > rewrites
-            )
-        return language
 
     def derive_all(self, tokens: Iterable[Any]) -> Language:
         """Derive the grammar by every token and return the final language."""

@@ -22,23 +22,26 @@ built undecided, and :func:`cut_dead_children` points their dead children at
 ``∅``.  The smart constructors treat an already-dead child as ``∅``.  So the
 branch is cut in the step that builds it and never derived again.
 
-**Prune is the safety net.**  :func:`prune_empty` decides the state of
-every node reachable from the current grammar — without descending into
-``δ`` histories except where a ``δ`` node's own state needs it — and runs
-:func:`cut_dead_children` over all of them.  It still catches what no step
-logged, such as dead branches of the initial grammar itself.  The adaptive
-schedule (:class:`AdaptivePruneSchedule`) runs it when the uncached derive
-work since the last pass exceeds a small multiple of the live grammar size,
-and doubles that interval after every pass that found nothing, so a stream
-whose steps leave nothing behind pays for a few passes, not hundreds.
+**The grammar's own dead branches are cut once, at construction.**  No
+derive step builds the initial grammar, so no step can cut its dead
+branches.  :func:`prune_empty` does: it decides the state of every node
+reachable from a grammar — without descending into ``δ`` histories except
+where a ``δ`` node's own state needs it — and runs
+:func:`cut_dead_children` over all of them.  Both engines call it once on
+their optimized root (:class:`~repro.core.parse.DerivativeParser` when
+compaction is on, :class:`~repro.compile.automaton.GrammarTable` always);
+after that every dead branch is cut by the step that builds it, so no pass
+runs during a parse.
 
 The emptiness computation itself is not implemented here: it is the one
 analysis of :mod:`repro.core.nullability`, whose ``DEAD < LIVE < NULLABLE``
-states live on the nodes.  A pass settles, through the parser's analyzer,
-every live node still undecided — not the root alone: a root settled at
-construction would stop the solver's sweep before a dead cyclic core below
-it.  The rewrite keeps every state exact, because ``∅`` is DEAD like the
-child it replaces.
+states live on the nodes.  :func:`prune_empty` settles, through the
+engine's analyzer, every live node still undecided — not the root alone: a
+root settled by a smart constructor would stop the solver's sweep before a
+dead cyclic core below it.  So after the construction cut every live node
+of the grammar is decided, and a :func:`~repro.core.languages.clone_graph`
+copy carries the final states.  The rewrite keeps every state exact,
+because ``∅`` is DEAD like the child it replaces.
 
 The reachability sweep (:func:`live_nodes`) and the kernel's solve both run
 on explicit worklists — like every other traversal in the core, they must
@@ -53,58 +56,7 @@ from typing import Iterable, List, Optional, Tuple
 from .languages import DEAD, EMPTY, Alt, Cat, Delta, Empty, Language, Reduce, Ref
 from .nullability import NullabilityAnalyzer
 
-__all__ = ["prune_empty", "cut_dead_children", "live_nodes", "AdaptivePruneSchedule"]
-
-
-class AdaptivePruneSchedule:
-    """When to run :func:`prune_empty`: the adaptive cadence both engines share.
-
-    A prune pass is *due* once the uncached ``derive`` work since the last
-    pass exceeds a small multiple of the live grammar size, which keeps the
-    amortized pruning overhead a constant factor on top of derivation; each
-    pass that rewrites nothing doubles the interval (:meth:`ran`).
-    Both :class:`repro.core.parse.DerivativeParser` and the compiled
-    :class:`repro.compile.automaton.GrammarTable` drive their pruning off
-    this one implementation — the schedule arithmetic has already produced
-    one shipped bug (a stale marker surviving ``reset``), so it lives in
-    exactly one place.
-
-    The counter consulted is whatever the caller passes (in practice
-    ``Metrics.derive_uncached``, which may be shared across engines);
-    :meth:`reanchor` must be called whenever the owner's notion of "work
-    since" restarts (e.g. ``DerivativeParser.reset``) because the shared
-    counter itself never rewinds.
-    """
-
-    __slots__ = ("_floor", "interval", "marker")
-
-    def __init__(self, initial_size: int, uncached: int) -> None:
-        #: Lower bound on the interval, derived from the initial grammar.
-        self._floor = max(4 * initial_size, 64)
-        self.interval = self._floor
-        self.marker = uncached
-
-    def due(self, uncached: int) -> bool:
-        """True when enough uncached derive work has accrued to prune."""
-        return uncached - self.marker > self.interval
-
-    def ran(self, uncached: int, live_size: int, rewrote: bool) -> None:
-        """Record a completed pass over a live grammar of ``live_size`` nodes.
-
-        A pass that ``rewrote`` nothing doubles the interval: the derive
-        step already cuts the dead branches it builds, so an empty pass
-        says the next one is likely empty too.
-        """
-        self.marker = uncached
-        interval = max(self._floor, 2 * live_size)
-        if not rewrote:
-            interval = max(interval, 2 * self.interval)
-        self.interval = interval
-
-    def reanchor(self, uncached: int) -> None:
-        """Re-anchor to the *current* counter (the owner's caches restarted)."""
-        self.marker = uncached
-        self.interval = self._floor
+__all__ = ["prune_empty", "cut_dead_children", "live_nodes"]
 
 
 def live_nodes(root: Language) -> List[Language]:
@@ -171,7 +123,7 @@ def prune_empty(
     """Replace provably-empty children with ``∅`` throughout the live grammar.
 
     Returns ``(new_root, live_size)`` where ``new_root`` is ``∅`` when the
-    whole grammar is empty (the input can no longer be completed) and
+    whole grammar is empty (it generates no word) and
     ``live_size`` is the number of live nodes remaining after the rewrite.
     The rewrite mutates child pointers in place, so every memoized reference
     to an existing node stays valid; no new nodes are created.  The solve

@@ -13,7 +13,7 @@ expensive, once-per-grammar step; everything after it is dictionary probes.
   identity) cannot do.
 * **Service-private graphs.**  A cache miss clones the caller's graph
   twice (:func:`~repro.core.languages.clone_graph`): the table compiles —
-  and locks, memoizes, prunes — one clone, and the second stays *pristine*,
+  and locks, memoizes, cuts — one clone, and the second stays *pristine*,
   never derived on, as the read-only seed from which worker threads clone
   their own thread-confined interpreted parsers.  The service never
   mutates, locks or anchors anything the caller handed it.
@@ -41,7 +41,6 @@ from ..compile.automaton import GrammarTable, as_root
 from ..compile.serialize import restore_table
 from ..core.languages import Language, clone_graph, structural_fingerprint
 from ..core.metrics import Metrics
-from ..core.nullability import NullabilityAnalyzer, settle_graph
 from ..obs.logging import NULL_LOGGER, StructuredLogger
 from .metrics import ServiceMetrics
 
@@ -83,11 +82,11 @@ class CacheEntry:
 
     ``table`` is the service-private :class:`GrammarTable` every
     recognition rides (thread-safe per its own contract).
-    ``pristine_root`` is a clone of the same grammar, its node states
-    decided at construction, that is never parsed on — its
-    only job is to be read by :func:`clone_graph` when a worker
+    ``pristine_root`` is a clone of the same grammar that is never parsed
+    on — its only job is to be read by :func:`clone_graph` when a worker
     thread needs a private graph for tree extraction, which makes
-    concurrent seeding safe without any lock.  Holders of an entry keep the
+    concurrent seeding safe without any lock.  Each worker parser settles
+    its own clone when it is built.  Holders of an entry keep the
     table alive across cache eviction.
     """
 
@@ -103,9 +102,6 @@ class CacheEntry:
         self.fingerprint = fingerprint
         self.table = table
         self.pristine_root = pristine_root
-        # Decided once, here: worker clones copy the final values, so a
-        # worker parser built at any time has no fixed point left to solve.
-        settle_graph(pristine_root, NullabilityAnalyzer(engine_metrics))
         #: The table's private engine counter bag (advanced only under the
         #: table lock); aggregated by :meth:`repro.serve.ParseService.stats`.
         self.engine_metrics = engine_metrics

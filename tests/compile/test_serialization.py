@@ -101,16 +101,14 @@ class TestRoundTrip:
         second = GrammarTable(arithmetic_grammar().language())
         assert first.fingerprint == second.fingerprint
 
-    def test_fingerprint_survives_in_place_pruning(self):
-        # Adaptive pruning rewrites child pointers in place, and for a
-        # grammar containing an unproductive subgrammar the *original*
-        # nodes get rewritten too.  The fingerprint must be the pre-parse
-        # snapshot or a saved table could never re-attach in a fresh
-        # process (whose grammar is un-pruned).  The language is a^n b^n,
-        # so every prefix a^k is a new state: the table keeps deriving
-        # until the adaptive prune comes due (a regular stream would
-        # re-enter shared states and never derive enough to prune).
+    def test_fingerprint_survives_in_place_pruning(self, tmp_path):
+        # The table cuts its grammar's dead branches when it is built, and
+        # for a grammar containing an unproductive subgrammar that rewrites
+        # the *original* nodes in place.  The fingerprint must be the
+        # pre-cut snapshot or a saved table could never re-attach to the
+        # caller's un-cut grammar in a fresh process.
         from repro.core import Ref, token
+        from repro.core.languages import structural_fingerprint
 
         def leaky_grammar():
             dead = Ref("D")
@@ -120,10 +118,16 @@ class TestRoundTrip:
             return start
 
         warmed = GrammarTable(leaky_grammar())
+        # The in-place cut happened: the cut graph fingerprints differently.
+        assert structural_fingerprint(warmed.root) != warmed.fingerprint
         stream = ["a"] * 200 + ["b"] * 200
         assert CompiledParser(table=warmed).recognize(stream) is True
-        assert warmed.prune_passes > 0  # the in-place mutation happened
         assert warmed.fingerprint == GrammarTable(leaky_grammar()).fingerprint
+        path = str(tmp_path / "leaky.table.json")
+        save_table(warmed, path)
+        loaded = load_table(path, leaky_grammar())
+        assert CompiledParser(table=loaded).recognize(stream) is True
+        assert loaded.transitions_derived == 0
 
     def test_fingerprint_ignores_address_bearing_reprs(self):
         # Default object reprs embed memory addresses; hashing them would

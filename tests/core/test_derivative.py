@@ -17,7 +17,7 @@ from repro.core.languages import (
     epsilon,
     token,
 )
-from repro.core.memo import NestedDictMemo, PerNodeDictMemo, SingleEntryMemo
+from repro.core.memo import PerNodeDictMemo, SingleEntryMemo
 from repro.core.metrics import Metrics
 from repro.core.nullability import NullabilityAnalyzer
 
@@ -171,7 +171,7 @@ class TestCyclesAndMemoization:
         deriver.derive(grammar, "d")
         assert deriver.metrics.memo_evictions >= 1
 
-    @pytest.mark.parametrize("memo_cls", [SingleEntryMemo, PerNodeDictMemo, NestedDictMemo])
+    @pytest.mark.parametrize("memo_cls", [SingleEntryMemo, PerNodeDictMemo])
     def test_all_memo_strategies_agree_on_recognition(self, memo_cls):
         from repro.core.parse import DerivativeParser
 

@@ -24,7 +24,8 @@ from repro.core import (
     token,
 )
 from repro.core.languages import Alt, Cat, Delta, Empty, Epsilon, Language, Reduce, Token
-from repro.core.nullability import DEAD, LIVE, NULLABLE, settle_graph
+from repro.core.nullability import DEAD, LIVE, NULLABLE
+from repro.core.prune import live_nodes, prune_empty
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +199,18 @@ def test_settled_states_equal_the_naive_fixed_point(spec, word):
             assert (node.state != DEAD) is expected_productive[id(node)], node
 
 
-def test_settle_graph_decides_nodes_below_a_settled_one():
+def test_prune_empty_decides_nodes_below_a_settled_one():
+    live = Ref("L")
+    live.set(Alt(Cat(token("x"), live), token("x")))
     dead = Ref("D")
     dead.set(Cat(token("x"), dead))
-    root = Compactor().make_alt(epsilon(()), dead)
+    root = Compactor().make_alt(epsilon(()), Alt(live, dead))
     assert root.state == NULLABLE
-    assert dead.state is None
-    settle_graph(root)
-    for node in reachable_nodes(root):
+    assert live.state is None and dead.state is None
+    prune_empty(root)
+    for node in live_nodes(root):
         assert node.state is not None
+    assert live.state == LIVE
     assert dead.state == DEAD
 
 
@@ -263,14 +267,6 @@ def test_solver_handles_multiple_roots_and_returns_value_table():
     solver = FixpointSolver(_Doubling(edges, {"z": 7}))
     values = solver.solve(["w", "x"])
     assert values == {"w": 7, "x": 7, "y": 7, "z": 7}
-
-
-def test_solver_generation_labels_are_fresh_per_solve():
-    solver = FixpointSolver(_Doubling({"a": []}, {}))
-    solver.solve(["a"])
-    first = solver.generation
-    solver.solve(["a"])
-    assert solver.generation > first
 
 
 def test_solver_counts_evaluations_into_metrics():

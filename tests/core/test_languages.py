@@ -221,13 +221,13 @@ class TestCloneGraph:
 
     def test_clone_carries_final_analyses(self):
         from repro.core.languages import clone_graph
-        from repro.core.nullability import settle_graph
+        from repro.core.prune import prune_empty
 
         e = Ref("E")
         e.set((e + token("+") + token("n")) | token("n"))
         raw = clone_graph(e)
         assert raw.state is None
-        settle_graph(e)
+        prune_empty(e)
         clone = clone_graph(e)
         for source, copy in zip(reachable_nodes(e), reachable_nodes(clone)):
             assert source.state is not None

@@ -5,7 +5,6 @@ import pytest
 from repro.core.languages import token
 from repro.core.memo import (
     MISS,
-    NestedDictMemo,
     PerNodeDictMemo,
     SingleEntryMemo,
     make_memo,
@@ -14,7 +13,7 @@ from repro.core.memo import (
 from repro.core.metrics import Metrics
 
 
-ALL_STRATEGIES = [SingleEntryMemo, PerNodeDictMemo, NestedDictMemo]
+ALL_STRATEGIES = [SingleEntryMemo, PerNodeDictMemo]
 
 
 @pytest.mark.parametrize("strategy_cls", ALL_STRATEGIES)
@@ -97,12 +96,6 @@ class TestDictStrategies:
         assert distribution == {1: 1, 2: 1}
         assert single_entry_fraction(distribution) == 0.5
 
-    def test_nested_dict_entry_distribution(self):
-        memo = NestedDictMemo(Metrics())
-        node = token("a")
-        memo.put(node, "x", token("1"))
-        assert memo.entry_distribution() == {1: 1}
-
     def test_single_entry_fraction_of_empty_distribution(self):
         assert single_entry_fraction({}) == 1.0
 
@@ -111,7 +104,6 @@ class TestFactory:
     def test_make_memo_by_name(self):
         assert isinstance(make_memo("single"), SingleEntryMemo)
         assert isinstance(make_memo("dict"), PerNodeDictMemo)
-        assert isinstance(make_memo("nested"), NestedDictMemo)
 
     def test_make_memo_unknown_name(self):
         with pytest.raises(ValueError):

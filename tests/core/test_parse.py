@@ -182,7 +182,7 @@ class TestParseTrees:
 class TestConfigurationMatrix:
     TEXTS = ["n", "n+n", "n*n+n", "(n+n)*n", "((n))"]
 
-    @pytest.mark.parametrize("memo", ["single", "dict", "nested"])
+    @pytest.mark.parametrize("memo", ["single", "dict"])
     @pytest.mark.parametrize(
         "compaction",
         [CompactionConfig.full(), CompactionConfig.original_2011(), CompactionConfig.disabled()],
@@ -194,7 +194,7 @@ class TestConfigurationMatrix:
         parser = DerivativeParser(arith(), memo=memo, compaction=compaction)
         assert parser.recognize(list("n+")) is False
 
-    @pytest.mark.parametrize("memo", ["single", "dict", "nested"])
+    @pytest.mark.parametrize("memo", ["single", "dict"])
     def test_trees_identical_across_memo_strategies(self, memo):
         parser = DerivativeParser(arith(), memo=memo)
         assert parser.parse(list("n+n*n"))[0] == "add"

@@ -1,6 +1,7 @@
-"""Tests for the emptiness half of the node-state analysis and the
-empty-branch pruning pass."""
+"""Tests for the emptiness half of the node-state analysis and the cut of
+a grammar's own dead branches."""
 
+from repro.compile.automaton import GrammarTable
 from repro.core import (
     CompactionConfig,
     Compactor,
@@ -8,11 +9,34 @@ from repro.core import (
     Ref,
     count_trees,
     epsilon,
+    reachable_nodes,
     token,
 )
 from repro.core.languages import EMPTY, LIVE, NULLABLE, Alt, Cat, Delta, Empty, graph_size
 from repro.core.nullability import NullabilityAnalyzer
 from repro.core.prune import live_nodes, prune_empty
+
+
+def unproductive_branch_grammar():
+    """``S = a S b | a b | D`` where ``D = x D`` generates nothing."""
+    dead = Ref("D")
+    dead.set(token("x") + dead)
+    start = Ref("S")
+    start.set((token("a") + start + token("b")) | (token("a") + token("b")) | dead)
+    return start
+
+
+def uncut_dead_children(root):
+    """``(parent, child)`` for every reachable child that generates no word
+    yet is not the ``∅`` node (decided by a fresh analyzer)."""
+    analyzer = NullabilityAnalyzer()
+    return [
+        (node, child)
+        for node in reachable_nodes(root)
+        if not isinstance(node, Delta)
+        for child in node.children()
+        if not isinstance(child, Empty) and not analyzer.productive(child)
+    ]
 
 
 class TestProductivity:
@@ -111,36 +135,50 @@ class TestPruneEmpty:
         assert any(isinstance(node, Delta) for node in nodes)
 
     def test_pruning_does_not_change_the_language(self):
-        grammar = Ref("E")
-        grammar.set((grammar + token("+") + grammar) | token("n"))
+        def grammar():
+            dead = Ref("D")
+            dead.set(dead + token("x"))
+            expr = Ref("E")
+            expr.set((expr + token("+") + expr) | token("n") | dead)
+            return expr
+
+        cut = DerivativeParser(grammar())
+        uncut = DerivativeParser(grammar(), compaction=False)
+        assert not uncut_dead_children(cut.root)
+        assert uncut_dead_children(uncut.root)
+        for text in ("n+n+n", "n+", "x", "n+x", ""):
+            assert cut.recognize(list(text)) is uncut.recognize(list(text)), text
         tokens = list("n+n+n")
-        with_prune = DerivativeParser(grammar, prune=True)
-        without_prune = DerivativeParser(grammar, prune=False)
-        assert with_prune.recognize(tokens) is without_prune.recognize(tokens) is True
-        assert count_trees(DerivativeParser(grammar, prune=True).parse_forest(tokens)) == 2
+        assert count_trees(cut.parse_forest(tokens)) == 2
+        assert count_trees(uncut.parse_forest(tokens)) == 2
 
     def test_prune_disabled_with_compaction_disabled(self):
-        grammar = Ref("E")
-        grammar.set((grammar + token("+") + grammar) | token("n"))
-        tokens = list("n" + "+n" * 10)
-        pruning = DerivativeParser(grammar)
-        assert pruning.recognize(tokens) is True
-        assert pruning.prune_passes > 0
-        parser = DerivativeParser(grammar, compaction=CompactionConfig.disabled())
-        assert parser.recognize(tokens) is True
-        assert parser.prune_passes == 0
+        # The construction cut rides compaction: with it off, the grammar's
+        # dead branch stays in place, and the parse still succeeds.
+        parser = DerivativeParser(
+            unproductive_branch_grammar(), compaction=CompactionConfig.disabled()
+        )
+        assert uncut_dead_children(parser.root)
+        assert parser.recognize(list("aaabbb")) is True
+        assert parser.recognize(list("aaxbb")) is False
 
-    def test_prune_passes_counted_on_long_inputs(self):
-        grammar = Ref("L")
-        grammar.set((grammar + token("a")) | token("a"))
-        parser = DerivativeParser(grammar)
-        assert parser.recognize(["a"] * 500) is True
-        short = parser.prune_passes
-        assert short > 0
-        parser = DerivativeParser(grammar)
-        assert parser.recognize(["a"] * 2_000) is True
-        # Each derive step cuts its own dead branches, so passes find
-        # nothing and the schedule backs off: four times the input adds at
-        # most two passes (a schedule that never backs off runs 29 passes
-        # on 500 tokens and 117 on 2,000).
-        assert parser.prune_passes <= short + 2
+
+class TestConstructionCut:
+    """No derive step builds the grammar, so each engine cuts the grammar's
+    own dead branches once, when it is built."""
+
+    def test_interpreted_parser_cuts_the_grammar_dead_branches(self):
+        parser = DerivativeParser(unproductive_branch_grammar())
+        # The cut settled every live grammar node on the way.
+        assert all(node.state is not None for node in live_nodes(parser.root))
+        assert uncut_dead_children(parser.root) == []
+        assert parser.recognize(list("aabb")) is True
+
+    def test_table_cuts_the_grammar_dead_branches(self):
+        table = GrammarTable(unproductive_branch_grammar())
+        assert uncut_dead_children(table.root) == []
+        state = table.start
+        for tok in "aabb":
+            state = table.step_slow(state, tok)
+        assert state.accepting
+

@@ -263,19 +263,6 @@ class TestDeepInputs:
 
 
 class TestResetHygiene:
-    def test_reset_reanchors_prune_schedule(self):
-        from repro.core.metrics import Metrics
-
-        metrics = Metrics()
-        parser = DerivativeParser(classic_expression(), metrics=metrics)
-        parser.recognize(list("n+n*n"))
-        # Simulate another component advancing the shared counters while the
-        # parser is idle (e.g. a sibling parser sharing the Metrics object).
-        metrics.derive_uncached += 1_000_000
-        parser.reset()
-        assert parser._prune_schedule.marker == metrics.derive_uncached
-        assert parser._prune_schedule.interval == max(4 * parser._initial_size, 64)
-
     def test_reset_keeps_parser_usable(self):
         parser = DerivativeParser(classic_expression())
         assert parser.recognize(list("n+n")) is True

@@ -10,8 +10,10 @@ Cyclic grammars come from hypothesis, with ε leaves carrying either the
 unit tree or a payload so that a wrongly merged ε shows in the trees; the
 evaluation grammars run on valid and corrupted streams.
 
-A third property needs no twin: every derive step settles what it built, so
-a prune pass run after any step finds no dead branch left to cut.
+A third property needs no twin: each engine cuts its grammar's own dead
+branches once, when it is built, and every derive step settles what it
+built, so a prune pass run after any step, on the interpreted parser or the
+compiled table, finds no dead branch left to cut.
 
 Two things are deliberately *not* compared.  On an infinite forest the two
 graphs walk different finite cores, so their first few trees differ: on
@@ -25,8 +27,9 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.compile.automaton import GrammarTable
 from repro.core import (
     EMPTY,
     DerivativeParser,
@@ -124,24 +127,35 @@ def test_compaction_never_changes_results_on_random_grammars(case):
 
 @settings(max_examples=100, deadline=None)
 @given(grammar_and_inputs())
+# A grammar node with a dead branch sits under the first step's derivative.
+@example(([("cat", "a", ("alt", "b", ("ref", 1))), ("cat", "a", ("ref", 1))], ["ab"]))
 def test_prune_finds_nothing_after_any_step(case):
-    """Each derive step cuts the dead branches it builds, so a prune pass
-    after every feed rewrites no child and keeps the root.  The grammar's
-    own dead branches are not a step's to cut: one pass removes them first.
+    """Each engine cuts its grammar's own dead branches when it is built,
+    and each derive step cuts the dead branches it builds, so a prune pass
+    after every step rewrites no child and keeps the root: on the
+    interpreted parser's states and on the table's ``step_slow``
+    successors.
     """
     spec, inputs = case
     parser = DerivativeParser(build_grammar(spec))
-    prune_empty(parser.root, parser.nullability)
+    table = GrammarTable(build_grammar(spec))
     for text in inputs:
         state = parser.start()
+        automaton_state = table.start
         for tok in text:
             state.feed(tok)
+            automaton_state = table.step_slow(automaton_state, tok)
+            assert state.failed is automaton_state.dead, (spec, text)
             if state.failed:
                 break
-            before = parser.metrics.compaction_rewrites
-            root, _live = prune_empty(state.language, parser.nullability)
-            assert root is state.language, (spec, text)
-            assert parser.metrics.compaction_rewrites == before, (spec, text)
+            for language, metrics, nullability in (
+                (state.language, parser.metrics, parser.nullability),
+                (automaton_state.language, table.metrics, table.nullability),
+            ):
+                before = metrics.compaction_rewrites
+                root, _live = prune_empty(language, nullability)
+                assert root is language, (spec, text)
+                assert metrics.compaction_rewrites == before, (spec, text)
 
 
 @pytest.mark.parametrize(
