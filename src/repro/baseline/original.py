@@ -61,7 +61,7 @@ from ..core.languages import (
     token_value,
 )
 from ..core.metrics import Metrics
-from ..core.parse import forest_answer, validate_grammar
+from ..core.parse import forest_answer, own_grammar
 
 __all__ = ["OriginalParser", "NaiveNullability"]
 
@@ -124,15 +124,9 @@ class OriginalParser:
         compaction: bool = True,
         metrics: Optional[Metrics] = None,
     ) -> None:
-        if hasattr(grammar, "to_language"):
-            grammar = grammar.to_language()
-        if not isinstance(grammar, Language):
-            raise GrammarError(
-                "expected a Language node or an object with to_language(); got {!r}".format(
-                    type(grammar)
-                )
-            )
-        validate_grammar(grammar)
+        # The between-token pass rewrites every grammar node the derived
+        # language reaches, so the parser works on its own copy.
+        grammar = own_grammar(grammar)
 
         self.metrics = metrics if metrics is not None else Metrics()
         self.compaction_enabled = compaction

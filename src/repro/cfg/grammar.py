@@ -229,8 +229,8 @@ class Grammar:
         compiled-automaton registry (:mod:`repro.compile`) and the per-node
         memo machinery key their state on node identity, so two parsers
         built from two separate :meth:`to_language` conversions can never
-        share a transition table.  Parsers over a shared graph are safe to
-        interleave — every node-resident cache is epoch- or owner-tagged.
+        share a transition table.  Every engine copies the graph it is
+        given, so sharing it never lets one parser's caches touch another's.
         """
         cached = self._language_cache.get(build_trees)
         if cached is None:

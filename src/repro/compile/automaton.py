@@ -31,16 +31,15 @@ a compiler rather than a cache:
   the successor's edge dict, which the executor's hot loop chases with
   one ``dict.get`` per token.
 
-* **The grammar owns the table.**  The default-configuration table is
-  anchored on the grammar root's ``compiled_table`` field — the
-  node-resident idiom of the derive memos — so every
-  :class:`~repro.compile.CompiledParser` over the same root shares one
-  table, across parses and across parser instances, for as long as the
-  grammar lives; dropping the grammar frees the whole group as one cycle
-  (see :func:`compile_grammar`).  This extends the epoch/ownership
-  machinery of :mod:`repro.core.memo`: the table's entries live on the
-  shared nodes under the table's own owner token and can never be read,
-  evicted or cleared by other parsers sharing the graph.
+* **The grammar owns the table; the table owns its graph.**  The
+  default-configuration table is anchored on the grammar root's
+  ``compiled_table`` field — the node-resident idiom of the derive memos
+  — so every :class:`~repro.compile.CompiledParser` over the same root
+  shares one table, across parses and across parser instances, for as
+  long as the grammar lives (see :func:`compile_grammar`).  The table
+  itself optimizes, cuts and derives on a private copy of the grammar
+  (:func:`~repro.core.languages.clone_graph`), so the anchor is the one
+  field it writes on the caller's graph.
 
 The automaton is a *recognition* device.  Its deriver builds through a
 :class:`~repro.core.compaction.TreeFreeCompactor`, so states carry no parse
@@ -64,13 +63,14 @@ because (a) dictionary get/set are individually atomic under the GIL and
 (b) a successor state is fully initialized (``accepting``/``dead``
 assigned, its edge dict created) *before* the assignment that publishes
 it into a transition dict, so a racing reader sees either a miss or a
-complete state, never a partial one.  The
-grammar *graph* under the table is mutated by locked paths too (derive
-memos, nullability caches, dead-branch cuts), so any other engine that
-derives on the same graph — e.g. the tree-extraction fallback of
-:class:`~repro.compile.CompiledParser` — must hold the same lock; plain
-:class:`~repro.core.parse.DerivativeParser` instances remain
-**thread-confined** together with their (private) graphs.
+complete state, never a partial one.  The table's private graph is
+written by locked paths only, and on :attr:`GrammarTable.root` only in
+memo fields: construction leaves every live node of the root settled
+and cut.  So any thread may copy the root without the lock
+(:func:`~repro.core.languages.clone_graph` reads structure and states,
+never memo fields), which is how tree-producing parsers — the fallback
+of :class:`~repro.compile.CompiledParser`, the serve layer's worker
+parsers — get graphs of their own.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ from ..core.languages import (
 from ..core.memo import PersistentDictMemo
 from ..core.metrics import Metrics
 from ..core.nullability import NullabilityAnalyzer
-from ..core.parse import validate_grammar
+from ..core.parse import own_grammar
 from ..core.prune import prune_empty
 from .classes import TokenClassifier
 
@@ -229,9 +229,9 @@ class GrammarTable:
     Parameters
     ----------
     grammar:
-        A :class:`Language` root or an object convertible via
-        ``language()``/``to_language()``.  The table always runs the
-        initial-grammar compaction of Section 4.3.1 on it first (as
+        A :class:`Language` root (copied, never written) or an object with
+        a ``to_language()`` conversion.  The table always runs the
+        initial-grammar compaction of Section 4.3.1 on its copy first (as
         :class:`~repro.core.parse.DerivativeParser` does by default), then
         cuts the grammar's own dead branches to ``∅`` once
         (:func:`~repro.core.prune.prune_empty`).  Its deriver cuts the dead
@@ -255,14 +255,13 @@ class GrammarTable:
         max_states: Optional[int] = None,
         metrics: Optional[Metrics] = None,
     ) -> None:
-        root = as_root(grammar)
-        validate_grammar(root)
-        #: Guards every mutation of the table and of the grammar graph under
-        #: it (transition derivation, state interning, witness
+        root = own_grammar(grammar)
+        #: Guards every mutation of the table and of its private graph
+        #: (transition derivation, state interning, witness
         #: materialization, metrics).  Warm walks read the
         #: transition dicts without taking it; see the module docstring for
-        #: why that is sound.  Reentrant so tree-extraction fallbacks that
-        #: hold it can still step the automaton.
+        #: why that is sound.  Reentrant because :meth:`step_slow` holds it
+        #: while materializing a witness chain.
         self.lock = threading.RLock()
         self.metrics = metrics if metrics is not None else Metrics()
         self.compaction_config = CompactionConfig.full()
@@ -271,7 +270,7 @@ class GrammarTable:
         #: therefore optimized with the tree-keeping compactor below.
         self.compactor = TreeFreeCompactor(self.compaction_config, self.metrics)
         #: The transition cache's backbone: a grammar-lifetime derive memo.
-        #: Its owner-keyed entries on the shared nodes are what make state
+        #: Its entries on the table's nodes are what make state
         #: interning by node identity sound (same node × same token → the
         #: identical result node, for the lifetime of this table).
         self.memo = PersistentDictMemo(self.metrics)
@@ -294,9 +293,9 @@ class GrammarTable:
         #: table's lifetime.
         self._pristine = {id(node): node for node in reachable_nodes(root)}
         # Snapshot the fingerprint *now*, before the dead-branch cut below
-        # rewrites child pointers of the shared graph in place: a
-        # fingerprint of the cut graph would never match the one a caller
-        # computes over its own un-cut grammar when it loads a saved table.
+        # rewrites child pointers in place: a fingerprint of the cut graph
+        # would never match the one a caller computes over its own un-cut
+        # grammar when it loads a saved table.
         self._fingerprint = structural_fingerprint(root)
         #: One classifier, computed from the grammar root, shared by every
         #: state.  Sound because derivation never creates new Token leaves —
@@ -691,11 +690,10 @@ def compile_grammar(grammar: Any, max_states: Optional[int] = None) -> GrammarTa
     constructions, the :meth:`~repro.core.parse.DerivativeParser.compile`
     fast path, the ``engine="compiled"`` wrappers, a
     :class:`~repro.cfg.grammar.Grammar` compiled twice — shares the one
-    warm transition cache for as long as the grammar lives, and dropping
-    the grammar frees grammar, table, memo and cached derivatives as one
-    garbage-collected cycle (the anchored table's memo is
-    :meth:`~repro.core.memo.PersistentDictMemo.bind_to_graph`-bound, so no
-    global finalizer registry pins the cycle).
+    warm transition cache for as long as the grammar lives.  The table
+    derives on its own copy of the grammar, so nothing it builds refers
+    back to the anchoring root: dropping the grammar frees the table, and
+    its memo's finalizer sweeps the cached derivatives.
 
     Callers that pass ``max_states`` always get a **private**, unanchored
     table built to spec: the shared default cache is never reconfigured or
@@ -717,16 +715,7 @@ def compile_grammar(grammar: Any, max_states: Optional[int] = None) -> GrammarTa
     if table is not None:
         return table
     table = GrammarTable(root)
-    # The root will hold the table strongly; drop the memo's death-sweep
-    # finalizer so the grammar↔table cycle stays collectable (the sweep is
-    # pointless here anyway — the entries die with the graph).
-    table.memo.bind_to_graph()
     root.compiled_table = table
-    if table.root is not root:
-        # Initial-grammar optimization may rebuild the root; anchor on the
-        # optimized node too so DerivativeParser.compile() (which sees the
-        # optimized root) lands on the same table.
-        table.root.compiled_table = table
     return table
 
 
@@ -745,6 +734,4 @@ def discard_table(grammar: Any) -> bool:
     if table is None:
         return False
     root.compiled_table = None
-    if table.root is not root:
-        table.root.compiled_table = None
     return True

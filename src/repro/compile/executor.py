@@ -23,28 +23,27 @@ derived tree-free and shared between inputs (canonically interned), and
 transitions are interned per token **class**, so no state knows the trees
 of the tokens actually consumed.  Any API that must produce trees therefore
 falls back to on-the-fly derivation through an internal
-:class:`~repro.core.parse.DerivativeParser` over the same grammar root
-(sound to interleave with the table: all node-resident caches are owner- or
-epoch-tagged, per PR 1's isolation machinery).  Failure diagnostics ride
-the same fallback, so rejection positions agree with the interpreted parser
-exactly.
+:class:`~repro.core.parse.DerivativeParser` built from the table's root,
+which copies it, so the fallback and the table never derive on one graph.
+Failure diagnostics ride the same fallback, so rejection positions agree
+with the interpreted parser exactly.
 
 **Concurrency contract.**  Recognition (``recognize``, ``start()`` cursors,
 ``feed``) is safe to run from many threads over one shared table: warm
 walks are lock-free dictionary probes and cold edges are derived under the
 table's lock (see :mod:`repro.compile.automaton`).  The tree-producing
 APIs (``parse``/``parse_forest``/``parse_trees``/``sample_parses``)
-derive on the *same grammar graph* as the table, so they hold the table
-lock for the duration of the fallback parse — correct from any thread,
-but serialized; services that need parallel tree extraction should give
-each worker its own thread-confined :class:`DerivativeParser` over a
-private graph
-(:func:`repro.core.languages.clone_graph`), which is exactly what
-:class:`repro.serve.ParseService` does.
+derive on the fallback's own graph under a lock the
+:class:`CompiledParser` owns — correct from any thread, serialized per
+parser, and never blocking another thread's cold recognition step.
+Services that need parallel tree extraction give each worker its own
+thread-confined :class:`DerivativeParser` built the same way, which is
+exactly what :class:`repro.serve.ParseService` does.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.forest import ForestNode
@@ -211,9 +210,9 @@ class CompiledParser:
 
     The recognition path never extracts trees and is value-insensitive;
     ``parse``/``parse_forest``/``parse_trees`` delegate to an internal
-    :class:`DerivativeParser` over the same root (the on-the-fly fallback
-    for parse-forest obligations), which also supplies exact failure
-    positions on the error path.
+    :class:`DerivativeParser` over a copy of the table's root (the
+    on-the-fly fallback for parse-forest obligations), which also supplies
+    exact failure positions on the error path.
     """
 
     def __init__(
@@ -228,6 +227,7 @@ class CompiledParser:
             table = compile_grammar(grammar, max_states=max_states)
         self.table = table
         self._fallback: Optional[DerivativeParser] = None
+        self._fallback_lock = threading.Lock()
 
     # ------------------------------------------------------------------ API
     @property
@@ -238,9 +238,12 @@ class CompiledParser:
     def fallback(self) -> DerivativeParser:
         """The on-the-fly derivation engine behind tree-producing APIs.
 
-        The fallback derives on the same grammar graph the table compiles,
-        so callers must hold ``self.table.lock`` while driving it (the
-        tree-producing methods below do).
+        It derives on its own copy of the table's root, so callers hold
+        ``self._fallback_lock`` while driving it (the tree-producing
+        methods below do), never the table's lock.  Copying needs no lock
+        either: construction leaves every live node of the table's root
+        settled and cut, and derivation writes only memo fields on it,
+        which :func:`~repro.core.languages.clone_graph` does not read.
         """
         if self._fallback is None:
             # The table's root is already optimized; skip re-optimizing.
@@ -286,7 +289,7 @@ class CompiledParser:
         per-parse memo is cleared.
         """
         if self._fallback is not None:
-            with self.table.lock:
+            with self._fallback_lock:
                 self._fallback.reset()
 
     def stats(self) -> Dict[str, Any]:
@@ -397,7 +400,7 @@ class CompiledParser:
         """
         if not isinstance(tokens, (list, tuple)):
             tokens = list(tokens)
-        with self.table.lock:
+        with self._fallback_lock:
             return self.fallback().parse_forest(tokens)
 
     def parse(self, tokens: Sequence[Any]) -> Any:

@@ -158,6 +158,11 @@ class Deriver:
             if op == _DERIVE:
                 _, current, out, slot = entry
                 metrics.derive_calls += 1
+                if current is EMPTY:
+                    # Dc(∅) = ∅.  ∅ is the one node every graph shares, so
+                    # no memo ever writes to it.
+                    out[slot] = EMPTY
+                    continue
                 cached = memo.get(current, token)
                 if cached is not MISS:
                     metrics.derive_cache_hits += 1
@@ -173,7 +178,7 @@ class Deriver:
                 metrics.derive_uncached += 1
 
                 if isinstance(current, (Empty, Epsilon, Delta)):
-                    # Dc(∅) = Dc(ε) = Dc(δ(L)) = ∅ — no first token accepted.
+                    # Dc(ε) = Dc(δ(L)) = ∅ (and Dc(∅) of a private ∅ node).
                     memo.put(current, token, EMPTY)
                     out[slot] = EMPTY
                     continue

@@ -95,11 +95,9 @@ class Language:
         "under_construction",
         # the compiled-automaton table (repro.compile), anchored on the
         # grammar root in the node-resident idiom of the memo fields below:
-        # the grammar owns its table, every parser built over this root
-        # shares it, and grammar + table + cached derivatives are freed
-        # together as one garbage-collected cycle (the anchored table's
-        # memo disables its death-sweep finalizer so no global registry
-        # pins the cycle)
+        # the grammar owns its table and every parser built over this root
+        # shares it; the table derives on its own copy of the grammar, so
+        # it is freed with the root
         "compiled_table",
         # single-entry derive memo (Section 4.4)
         "memo_epoch",
@@ -576,12 +574,12 @@ def clone_graph(root: Language) -> Language:
     languages, so a clone of a settled grammar starts settled.  Cycles are
     preserved.
 
-    This is the isolation primitive behind concurrent serving
-    (:mod:`repro.serve`): node-resident caches make a grammar graph
-    single-threaded territory, so each worker thread parses its own clone
-    while the shared compiled table keeps the one locked graph.  The
-    traversal only *reads* the source graph, so any number of threads may
-    clone from the same (otherwise idle) graph at once.
+    Every engine takes ownership of its grammar with it
+    (:func:`repro.core.parse.own_grammar`), since node-resident caches make
+    a graph single-threaded territory.  The traversal reads only structure
+    and states, never memo fields, so any number of threads may clone a
+    graph that an engine derives on while writing only memo fields to it,
+    as a table does on its settled and cut root.
     """
     order = reachable_nodes(root)
     clones: dict[int, Language] = {}

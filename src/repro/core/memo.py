@@ -37,17 +37,14 @@ single-entry memo) and :meth:`entry_distribution` used by the Figure 10
 benchmark.
 
 **Concurrency contract.**  Memo entries live in fields *on the grammar
-nodes*.  The owner/epoch tagging isolates parsers that share a graph
-*sequentially* (parser B never reads parser A's entries), but it does not
-make interleaved writes from concurrent threads safe: a single-entry put is
-three separate field assignments, and a dict-memo put may race on the
-owner-table creation.  The rule, enforced by :mod:`repro.serve`, is
-therefore per-*graph*, not per-parser: all derivation over one grammar
-graph must be confined to one thread or serialized by one lock.  The
-compiled :class:`~repro.compile.automaton.GrammarTable` serializes its
-grammar-lifetime :class:`PersistentDictMemo` under the table lock;
-interpreted parsers stay thread-confined together with their graphs
-(workers parse private :func:`~repro.core.languages.clone_graph` copies).
+nodes*, and the tagging does not make interleaved writes from concurrent
+threads safe: a single-entry put is three separate field assignments, and
+a dict-memo put may race on the owner-table creation.  So all derivation
+over one graph must be confined to one thread or serialized by one lock.
+Each engine owns its graph (:func:`~repro.core.parse.own_grammar` copies
+the caller's), so an interpreted parser is thread-confined with its copy
+and a table serializes its :class:`PersistentDictMemo` under the table
+lock.  ``∅``, the one node all graphs share, never gets an entry.
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ import itertools
 import weakref
 from typing import Any, Dict, List, Optional
 
-from .languages import Language, reachable_nodes
+from .languages import EMPTY, Language, reachable_nodes
 from .metrics import Metrics
 
 __all__ = [
@@ -147,11 +144,12 @@ class SingleEntryMemo(DeriveMemo):
     (module docstring).  The single field stays their first probe: within a
     step every lookup passes the same token.
 
-    Because the entries live on the grammar nodes themselves — which may be
-    shared by several parsers — epochs are drawn from a **class-level
-    monotonic counter**: every instance (and every ``clear``) gets an epoch
-    no other instance has ever used, so a second parser built over the same
-    grammar graph can never read derivatives memoized by the first.
+    Because the entries live on the grammar nodes themselves, and one graph
+    may meet several memos over its life (a memo handed to a second parser,
+    a snapshot resumed over another memo), epochs are drawn from a
+    **class-level monotonic counter**: every instance (and every ``clear``)
+    gets an epoch no other instance has ever used, so no memo can read
+    derivatives memoized by another.
 
     The stored token is tested with ``is`` before ``==``: within a step every
     lookup passes the same token object, so the common hit skips a
@@ -173,9 +171,13 @@ class SingleEntryMemo(DeriveMemo):
         self._tables: List[_TokenTable] = []
 
     def adopt_grammar(self, root: Language) -> None:
-        """Give every node reachable from ``root`` a per-token table."""
+        """Give every node reachable from ``root`` but ``∅`` a per-token table.
+
+        ``∅`` is shared by every graph and never memoized (``derive``
+        answers it first).
+        """
         for node in reachable_nodes(root):
-            if node.memo_tokens is None:
+            if node.memo_tokens is None and node is not EMPTY:
                 node.memo_tokens = _TokenTable()
 
     def get(self, node: Language, token: Any) -> Any:
@@ -237,10 +239,9 @@ class PerNodeDictMemo(DeriveMemo):
     mapping from an owner token — unique to each memo instance since its
     last ``clear`` — to that owner's private token→result table.  A node's
     entries are only ever read by the memo that wrote them, so when two
-    dict-memo parsers share one grammar graph each sees only its own
-    derivatives, neither evicts the other's tables on interleaved use, and
-    clearing one memo can neither drop nor resurrect entries belonging to
-    the other.
+    dict memos derive on one graph each sees only its own derivatives,
+    neither evicts the other's tables on interleaved use, and clearing one
+    memo can neither drop nor resurrect entries belonging to the other.
 
     The hot path uses only plain dictionaries — no weak containers — but the
     owner indirection does add one small-dict lookup per get/put compared to
@@ -254,9 +255,10 @@ class PerNodeDictMemo(DeriveMemo):
     should know the dict strategy carries this one extra lookup.
 
     Leak safety comes from a ``weakref.finalize`` registered per owner
-    generation: grammar nodes are long-lived and shared, so a parser dropped
-    without calling ``clear`` must not pin its derivative tables — and
-    through them its entire derived grammar — on the shared nodes forever.
+    generation: grammar nodes outlive a parse, so a parser dropped without
+    calling ``clear`` must not pin its derivative tables — and through
+    them its entire derived grammar — on the nodes for as long as they
+    live.
     When the memo dies, the finalizer sweeps its entries off every node it
     touched.
     """
@@ -345,33 +347,17 @@ class PersistentDictMemo(PerNodeDictMemo):
     shares the grammar.  This subclass therefore turns :meth:`clear` into a
     no-op; dropping the entries means dropping the memo (with its table).
 
-    Ownership isolation and leak safety are inherited unchanged: entries are
-    owner-keyed on the shared nodes, and the ``weakref.finalize`` sweep still
-    releases every table the moment the memo itself is garbage collected —
-    unless the memo is :meth:`bind_to_graph`-bound, in which case entries
-    and nodes die together as one cycle.
+    Ownership isolation and leak safety are inherited unchanged: the
+    ``weakref.finalize`` sweep releases every entry once the memo is
+    collected.  No node it holds refers back to the memo's table (the
+    table derives on its own copy of the grammar, not on the root that
+    anchors it), so a dropped table is collected.
     """
 
     name = "persistent"
 
     def clear(self) -> None:
         """No-op: persistent memos survive per-parse cache clears."""
-
-    def bind_to_graph(self) -> None:
-        """Declare that this memo lives exactly as long as its grammar graph.
-
-        Disables the death-sweep finalizer: the sweep exists so a memo dying
-        *before* the long-lived shared nodes does not pin its entries (and
-        through them whole derived grammars) on those nodes forever.  When
-        the graph instead holds a strong reference back to the memo's owner
-        — the grammar-anchored compiled table stores itself on the root
-        node — the finalizer's strong hold on the touched nodes would make
-        graph, owner and memo collectively immortal (``weakref.finalize``
-        keeps its arguments alive in a global registry until it fires).
-        Bound memos drop the sweep; their entries die with the nodes, as
-        one garbage-collected cycle.
-        """
-        self._finalizer.detach()
 
     def entry_count(self) -> int:
         """Total number of memoized derivatives currently held."""

@@ -27,10 +27,10 @@ Two engineering properties of this module are worth calling out:
   without materializing the input (and recognition status can be queried
   between tokens).
 
-Several parsers may share one grammar graph.  Memo entries and ``parse-null``
-results live in fields *on the shared nodes*, so every epoch used to tag them
-is drawn from module/class-level monotonic counters — a fresh parser can
-never mistake another parser's cached results for its own.
+Each parser owns its graph: memo entries, states and ``parse-null`` results
+live in fields *on the nodes*, so :class:`DerivativeParser` works on a copy
+of the grammar it is given (:func:`own_grammar`) and never writes the
+caller's.  A parser is thread-confined together with its copy.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ from .languages import (
     Reduce,
     Ref,
     Token,
+    clone_graph,
     graph_size,
     reachable_nodes,
 )
@@ -83,9 +84,9 @@ __all__ = [
 ]
 
 
-#: ``parse-null`` results are cached on (possibly shared) grammar nodes; the
-#: epoch tagging each extraction is global and monotonic so results written by
-#: one parser — or one earlier extraction — are never misread by another.
+#: ``parse-null`` results are cached on the grammar nodes; the epoch tagging
+#: each extraction is global and monotonic so results written by one earlier
+#: extraction are never misread by another.
 _NULL_PARSE_EPOCHS = itertools.count(1)
 
 
@@ -108,6 +109,26 @@ def validate_grammar(root: Language) -> None:
             raise GrammarError("node {!r} is missing a child".format(node))
         if isinstance(node, (Reduce, Delta)) and node.lang is None:
             raise GrammarError("node {!r} is missing its language".format(node))
+
+
+def own_grammar(grammar: Union[Language, Any]) -> Language:
+    """The validated graph an engine owns: a private copy of ``grammar``.
+
+    Engines cache in node fields and optimize and cut in place, so each
+    works on a :func:`~repro.core.languages.clone_graph` copy.  An object
+    with ``to_language()`` (e.g. :class:`repro.cfg.grammar.Grammar`) is
+    converted instead: the conversion is already a fresh graph.
+    """
+    converted = hasattr(grammar, "to_language")
+    root = grammar.to_language() if converted else grammar
+    if not isinstance(root, Language):
+        raise GrammarError(
+            "expected a Language node or an object with to_language(); got {!r}".format(
+                type(root)
+            )
+        )
+    validate_grammar(root)
+    return root if converted else clone_graph(root)
 
 
 class ParserSnapshot:
@@ -304,9 +325,9 @@ class DerivativeParser:
     Parameters
     ----------
     grammar:
-        The root :class:`~repro.core.languages.Language` node.  Objects with a
-        ``to_language()`` method (e.g. :class:`repro.cfg.grammar.Grammar`) are
-        converted automatically.
+        The root :class:`~repro.core.languages.Language` node (copied, never
+        written), or an object with a ``to_language()`` method (e.g.
+        :class:`repro.cfg.grammar.Grammar`), converted automatically.
     memo:
         Memoization strategy for ``derive``: ``"single"`` (the paper's
         improved single-entry strategy, default) or ``"dict"`` (full per-node
@@ -341,15 +362,7 @@ class DerivativeParser:
         # language() graph (the table's anchor) rather than on the fresh
         # to_language() conversion this parser interprets.
         self._compile_source = grammar
-        if hasattr(grammar, "to_language"):
-            grammar = grammar.to_language()
-        if not isinstance(grammar, Language):
-            raise GrammarError(
-                "expected a Language node or an object with to_language(); got {!r}".format(
-                    type(grammar)
-                )
-            )
-        validate_grammar(grammar)
+        grammar = own_grammar(grammar)
 
         self.metrics = metrics if metrics is not None else Metrics()
 
@@ -442,9 +455,8 @@ class DerivativeParser:
         grammar's shared derivative automaton (interned states, per-token-
         class transitions) instead of deriving per token, and its transition
         table persists across parses and parser instances.  Compiling is
-        lazy — the table fills as input is consumed — and safe to interleave
-        with this parser: every node-resident cache is owner- or epoch-
-        tagged.
+        lazy — the table fills as input is consumed — and independent of
+        this parser: the table derives on its own copy of the grammar.
 
         The table is resolved through the grammar object this parser was
         constructed from, so ``DerivativeParser(g).compile()`` and

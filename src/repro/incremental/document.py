@@ -482,12 +482,12 @@ class IncrementalDocument:
         semantic failure position when the buffer does not parse —
         identical to what a from-scratch batch parse reports.
         """
+        error = self.diagnose()
+        if error is not None:
+            raise error
         if self._compiled:
             return self._parser.parse_forest(list(self._tokens))
-        state = self._state
-        if state.failed or not self._parser.nullability.nullable(state.language):
-            raise self._parser._failure_error(list(self._tokens), state.failure_position)
-        return self._parser.parse_null(state.language)
+        return self._parser.parse_null(self._state.language)
 
     def tree(self) -> Any:
         """One parse tree of the current buffer (raises exactly like batch parse)."""
@@ -518,15 +518,14 @@ class IncrementalDocument:
         """The exact :class:`ParseError` for the current buffer, or None.
 
         Error-path API: the error the batch ``parse()`` raises on the same
-        buffer.
+        buffer, read from the state without deriving anything.  Both
+        engines settle every step, so a rejected buffer's state has failed
+        at the very token that killed it, or is alive and ended early.
         """
-        if self._state.accepts():
+        state = self._state
+        if state.accepts():
             return None
-        try:
-            self.forest()
-        except ParseError as error:
-            return error
-        return None  # pragma: no cover - accepts() and forest() disagree
+        return DerivativeParser._failure_error(list(self._tokens), state.failure_position)
 
     def failure_position(self) -> Optional[int]:
         """The exact failing token index, or None when the buffer parses.

@@ -11,11 +11,11 @@ expensive, once-per-grammar step; everything after it is dictionary probes.
   one warm table, which the root-anchored sharing of
   :func:`~repro.compile.automaton.compile_grammar` (keyed on object
   identity) cannot do.
-* **Service-private graphs.**  A cache miss clones the caller's graph
-  twice (:func:`~repro.core.languages.clone_graph`): the table compiles —
-  and locks, memoizes, cuts — one clone, and the second stays *pristine*,
-  never derived on, as the read-only seed from which worker threads clone
-  their own thread-confined interpreted parsers.  The service never
+* **Service-private graphs.**  A cache miss builds a
+  :class:`~repro.compile.automaton.GrammarTable`, which copies the
+  caller's graph and compiles — locks, memoizes, cuts — only its copy;
+  worker threads build their thread-confined interpreted parsers from the
+  table's root, and each parser copies it again.  The service never
   mutates, locks or anchors anything the caller handed it.
 * **Bounded.**  At most ``capacity`` tables are retained, LRU-evicted.
   Eviction only drops the *cache's* reference: batches, sessions and
@@ -39,7 +39,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..compile.automaton import GrammarTable, as_root
 from ..compile.serialize import restore_table
-from ..core.languages import Language, clone_graph, structural_fingerprint
+from ..core.languages import Language, structural_fingerprint
 from ..core.metrics import Metrics
 from ..obs.logging import NULL_LOGGER, StructuredLogger
 from .metrics import ServiceMetrics
@@ -78,30 +78,25 @@ class FingerprintMemo:
 
 
 class CacheEntry:
-    """One cached grammar: the shared compiled table plus a pristine seed.
+    """One cached grammar: the shared compiled table and its metrics.
 
     ``table`` is the service-private :class:`GrammarTable` every
-    recognition rides (thread-safe per its own contract).
-    ``pristine_root`` is a clone of the same grammar that is never parsed
-    on — its only job is to be read by :func:`clone_graph` when a worker
-    thread needs a private graph for tree extraction, which makes
-    concurrent seeding safe without any lock.  Each worker parser settles
-    its own clone when it is built.  Holders of an entry keep the
-    table alive across cache eviction.
+    recognition rides (thread-safe per its own contract), and the seed of
+    every worker thread's tree parser (:meth:`repro.serve.ParseService`
+    builds each from ``table.root``, which the parser copies).  Holders of
+    an entry keep the table alive across cache eviction.
     """
 
-    __slots__ = ("fingerprint", "table", "pristine_root", "engine_metrics")
+    __slots__ = ("fingerprint", "table", "engine_metrics")
 
     def __init__(
         self,
         fingerprint: str,
         table: GrammarTable,
-        pristine_root: Language,
         engine_metrics: Metrics,
     ) -> None:
         self.fingerprint = fingerprint
         self.table = table
-        self.pristine_root = pristine_root
         #: The table's private engine counter bag (advanced only under the
         #: table lock); aggregated by :meth:`repro.serve.ParseService.stats`.
         self.engine_metrics = engine_metrics
@@ -216,8 +211,8 @@ class TableCache:
             if already:
                 continue
             engine_metrics = Metrics()
-            table = restore_table(data, clone_graph(root), metrics=engine_metrics)
-            entry = CacheEntry(fingerprint, table, clone_graph(root), engine_metrics)
+            table = restore_table(data, root, metrics=engine_metrics)
+            entry = CacheEntry(fingerprint, table, engine_metrics)
             # A concurrent compile may have cached it meanwhile; keep that one.
             if self._insert(fingerprint, entry, replace=False):
                 self.metrics.inc("tables_warm_started")
@@ -262,17 +257,16 @@ class TableCache:
         return grammar
 
     def _compile(self, root: Language, fingerprint: str) -> CacheEntry:
-        """Build a service-private table (and pristine seed) for ``root``."""
+        """Build a service-private table for ``root``."""
         started = time.perf_counter()
         engine_metrics = Metrics()
-        table = GrammarTable(clone_graph(root), metrics=engine_metrics)
-        pristine = clone_graph(root)
+        table = GrammarTable(root, metrics=engine_metrics)
         self.logger.log(
             "table_compiled",
             fingerprint=fingerprint,
             seconds=time.perf_counter() - started,
         )
-        return CacheEntry(fingerprint, table, pristine, engine_metrics)
+        return CacheEntry(fingerprint, table, engine_metrics)
 
     # ------------------------------------------------------------ inspection
     def peek(self, fingerprint: str) -> Optional[CacheEntry]:

@@ -186,7 +186,7 @@ class PreparedBatch:
 class _GrammarInfo:
     """Dispatcher-side state for one grammar.
 
-    ``blob`` is the pickled pristine clone every registration replays;
+    ``blob`` is the pickled grammar clone every registration replays;
     ``shard`` the ring assignment; ``acks`` one acknowledgement future per
     shard worker (the coordination point that keeps batches behind their
     registration without holding any lock across a pipe write);
@@ -449,8 +449,9 @@ class PooledParseService:
     def _ensure_registered(self, fingerprint: str, root: Any) -> Tuple[_GrammarInfo, int]:
         """Register ``root`` with every worker of its shard (idempotent).
 
-        First sight pickles a pristine clone of the grammar once (the blob
-        every registration and every respawn replays) and assigns the
+        First sight pickles a clone of the grammar once (the blob every
+        registration and every respawn replays; the clone drops any
+        anchored compiled table, whose lock cannot be pickled) and assigns the
         shard off the ring.  Each shard worker gets one ``reg`` carrying
         the grammar's store path — the worker warm-loads from it when a
         serialized table is on disk instead of compiling — coordinated
@@ -539,7 +540,7 @@ class PooledParseService:
         """
         self._require_open()
         fingerprint, root = self._fingerprints.lookup(grammar)
-        table = GrammarTable(clone_graph(root))
+        table = GrammarTable(root)
         parser = CompiledParser(table=table)
         for stream in streams:
             parser.recognize(stream)

@@ -24,10 +24,8 @@ progress shows up in :meth:`stats`.  Tree extraction cannot ride
 class-interned transitions, so :meth:`parse_many` runs the *interpreted*
 engine instead — one thread-confined
 :class:`~repro.core.parse.DerivativeParser` per (worker thread × grammar),
-each over its own private :func:`~repro.core.languages.clone_graph` copy,
-so workers never contend and never touch a shared graph.  That per-worker
-pool is how the service enforces the engine's concurrency contract rather
-than asking callers to read it.
+each built from the cached table's root, of which it derives on its own
+copy, so workers never contend and never touch a shared graph.
 
 A note on expectations: CPython's GIL means the thread pool interleaves
 rather than parallelizes pure-Python parsing, so worker count buys
@@ -50,7 +48,6 @@ from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Se
 from ..compile.executor import CompiledParser
 from ..core.errors import EmptyForestError, ParseError, ReproError
 from ..core.forest_query import ForestQuery, ranking_by_name
-from ..core.languages import clone_graph
 from ..core.metrics import Metrics
 from ..core.parse import DerivativeParser
 from ..incremental import DEFAULT_CHECKPOINT_EVERY
@@ -524,9 +521,10 @@ class ParseService:
     def _worker_parser(self, entry: CacheEntry) -> DerivativeParser:
         """This thread's private interpreted parser for ``entry``'s grammar.
 
-        Built on first use per (worker thread × grammar) from the entry's
-        pristine seed — cloning is a read-only traversal, safe to run from
-        any number of workers at once.  The pool is LRU-bounded per thread
+        Built on first use per (worker thread × grammar) from the table's
+        root, which the parser copies (see
+        :meth:`repro.compile.CompiledParser.fallback` for why copying needs
+        no lock).  The pool is LRU-bounded per thread
         by the table cache's capacity so a worker cannot hoard graphs for
         grammars the service itself has forgotten.
         """
@@ -541,7 +539,7 @@ class ParseService:
             with self._worker_metrics_lock:
                 self._worker_metrics.append(worker_metrics)
             parser = DerivativeParser(
-                clone_graph(entry.pristine_root), metrics=worker_metrics
+                entry.table.root, optimize_grammar=False, metrics=worker_metrics
             )
             pool[entry.fingerprint] = parser
             while len(pool) > self.tables.capacity:

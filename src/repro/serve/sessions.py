@@ -10,7 +10,9 @@ its checkpoint trail — driving a
 shared :class:`~repro.compile.automaton.GrammarTable`: warm tokens cost
 two dict probes, cold edges derive once under the table lock, any number
 of sessions stream over one table concurrently, trees re-derive from the
-buffer, and :meth:`ParseSession.apply_edit` rewinds the checkpoint trail
+buffer on a graph of their own (never under the table lock), failure
+positions are read off the cursor, and :meth:`ParseSession.apply_edit`
+rewinds the checkpoint trail
 instead of reparsing from scratch.  A caller that only needs a verdict
 over an unbounded stream uses the cursor itself
 (:meth:`~repro.compile.executor.CompiledParser.start`), which keeps O(1)
@@ -223,7 +225,7 @@ class ParseSession:
         """One parse tree of the consumed tokens.
 
         The document re-derives the buffer through the compiled parser's
-        interpreted fallback under the table lock (see
+        interpreted fallback, on the fallback's own graph (see
         :class:`~repro.compile.executor.CompiledParser`); raises
         :class:`~repro.core.errors.ParseError` at the exact failing token
         when the consumed prefix is not a complete parse.

@@ -300,3 +300,23 @@ class TestConstruction:
             scratch.parse(tokens)
         assert document.failure_position() == excinfo.value.position
         assert document.diagnose().position == excinfo.value.position
+
+    @pytest.mark.parametrize(
+        "tokens, expected",
+        [
+            ([Tok("NUMBER", "1"), Tok("+"), Tok("*"), Tok("NUMBER", "2")], 2),
+            ([Tok("NUMBER", "1"), Tok("+")], 2),  # unexpected end of input
+        ],
+    )
+    def test_compiled_failure_position_reads_the_cursor(self, tokens, expected):
+        grammar = arithmetic_grammar()
+        document = IncrementalDocument(grammar, tokens, engine="compiled")
+        assert document.failure_position() == expected
+        error = document.diagnose()
+        assert (error.position, error.token) == (expected, (tokens + [None])[expected])
+        with pytest.raises(ParseError) as excinfo:
+            document.tree()
+        assert excinfo.value.position == expected
+        # The cursor already holds the exact position: no fallback parser
+        # re-derives the buffer to report it.
+        assert document.parser._fallback is None

@@ -301,10 +301,11 @@ class TestCrashRecovery:
         grammar = pl0_grammar()
         with PooledParseService(workers=2, replication=2, max_retries=0) as pool:
             pool.recognize_many(grammar, [pl0_tokens(30, seed=0)])  # register
-            # Tree extraction runs on the workers' interpreted engines —
-            # slow enough that the batch is reliably still in flight when
-            # the fleet dies under it.
-            streams = [pl0_tokens(600, seed=seed) for seed in range(4)]
+            # Tree extraction runs on the workers' interpreted engines: each
+            # worker's chunk of 2 x 2,000 tokens takes far longer than the
+            # kill below, which fires as soon as the batch is dispatched.
+            streams = [pl0_tokens(2000, seed=seed) for seed in range(4)]
+            dispatched = pool.metrics.get("pool_dispatches")
             failures = {}
 
             def run():
@@ -315,7 +316,7 @@ class TestCrashRecovery:
 
             worker = threading.Thread(target=run)
             worker.start()
-            time.sleep(0.3)
+            assert wait_until(lambda: pool.metrics.get("pool_dispatches") > dispatched)
             for pid in pool.worker_pids():
                 os.kill(pid, signal.SIGKILL)
             worker.join(timeout=120)

@@ -127,11 +127,9 @@ class TestWarmStart:
     @staticmethod
     def saved_document(tmp_path, grammar, tokens, name="warm.table.json"):
         """Save a warmed table for ``grammar``; returns (path, document fp)."""
-        from repro.compile import GrammarTable, as_root, save_table
-        from repro.core.languages import clone_graph
+        from repro.compile import CompiledParser, GrammarTable, save_table
 
-        table = GrammarTable(clone_graph(as_root(grammar)))
-        from repro.compile import CompiledParser
+        table = GrammarTable(grammar)
 
         CompiledParser(table=table).recognize(tokens)
         path = str(tmp_path / name)
