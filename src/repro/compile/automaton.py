@@ -256,6 +256,12 @@ class GrammarTable:
         metrics: Optional[Metrics] = None,
     ) -> None:
         root = own_grammar(grammar)
+        #: :func:`~repro.core.languages.structural_fingerprint` of the
+        #: grammar as the caller built it (the private copy, before any
+        #: optimization or cut): the key every cache, store and shard of
+        #: the serve layer computes for the grammar, and the stamp a saved
+        #: table is verified against when it is loaded.
+        self.fingerprint = structural_fingerprint(root)
         #: Guards every mutation of the table and of its private graph
         #: (transition derivation, state interning, witness
         #: materialization, metrics).  Warm walks read the
@@ -292,11 +298,6 @@ class GrammarTable:
         #: branch preserves languages).  The values pin the ids for the
         #: table's lifetime.
         self._pristine = {id(node): node for node in reachable_nodes(root)}
-        # Snapshot the fingerprint *now*, before the dead-branch cut below
-        # rewrites child pointers in place: a fingerprint of the cut graph
-        # would never match the one a caller computes over its own un-cut
-        # grammar when it loads a saved table.
-        self._fingerprint = structural_fingerprint(root)
         #: One classifier, computed from the grammar root, shared by every
         #: state.  Sound because derivation never creates new Token leaves —
         #: every terminal reachable from any derivative is one of the root's
@@ -627,11 +628,6 @@ class GrammarTable:
             self.metrics.dense_fallbacks += fallbacks
 
     # ------------------------------------------------------------ inspection
-    @property
-    def fingerprint(self) -> str:
-        """Structural fingerprint of the (optimized, pre-parse) grammar root."""
-        return self._fingerprint
-
     def state_count(self) -> int:
         """Number of interned (non-transient) automaton states."""
         return len(self._by_index)

@@ -17,10 +17,11 @@ Consequences:
   per state it revives, then proceeds exactly like a live table.
 * A table can only be re-attached to *the grammar it was compiled from*:
   :func:`load_table` always verifies the grammar's structural fingerprint
-  (:func:`repro.core.languages.structural_fingerprint`, taken over the
-  optimized root) and its kind-purity, and refuses any mismatch.  There is
-  no override: a table attached to another grammar would answer covered
-  input for the saved grammar's language.
+  (:func:`repro.core.languages.structural_fingerprint` of the grammar as
+  the caller built it, before the table optimizes or cuts its copy — the
+  key the serve layer's caches and stores use) and its kind-purity, and
+  refuses any mismatch.  There is no override: a table attached to another
+  grammar would answer covered input for the saved grammar's language.
 
 Only JSON-representable token data survives serialization: states whose
 witness token has a non-string kind (or a non-scalar value) are dropped,
@@ -29,13 +30,15 @@ JSON scalar.  Kind-impure states (predicate terminals) serialize without
 edges — their classification is value-dependent and must be recomputed
 live.
 
-Version 3: each state carries one ``edges`` list of ``[kind, target]``
+Version 4: each state carries one ``edges`` list of ``[kind, target]``
 pairs, where ``target`` is a serialized state index or ``-1`` for the
 ``∅`` sink.  The loader links them into the fresh table's edge dicts in
 one allocation burst, so a loaded table runs the hot loop with zero
 derivations *and* zero ``step_slow`` fallbacks on input the saved
 automaton covered — and rejects with none either, because dead edges
-ride along.
+ride along.  Version 3 had the same layout but stamped the fingerprint of
+the optimized root; it is refused rather than mistaken for a grammar
+mismatch.
 """
 
 from __future__ import annotations
@@ -53,9 +56,10 @@ from .automaton import STATE, AutomatonState, GrammarTable
 __all__ = ["save_table", "load_table", "dump_table", "restore_table", "FORMAT", "VERSION"]
 
 FORMAT = "repro-compiled-table"
-#: Version 3: one ``edges`` list per state.  Older documents are rejected —
-#: re-save from a live table.
-VERSION = 3
+#: Version 4: one ``edges`` list per state, stamped with the caller's
+#: grammar fingerprint.  Older documents are rejected — re-save from a live
+#: table.
+VERSION = 4
 
 _SCALAR = (str, int, float, bool, type(None))
 
@@ -163,7 +167,8 @@ def restore_table(
     if data.get("version") != VERSION:
         raise ReproError(
             "unsupported compiled-table version {0!r}: this build reads only "
-            "version {1} (version {1} stores one edge list per state).  "
+            "version {1} (version {1} stores one edge list per state and "
+            "the fingerprint of the grammar as built).  "
             "Re-save the table from a live build with save_table().".format(
                 data.get("version"), VERSION
             )

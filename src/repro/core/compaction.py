@@ -18,9 +18,10 @@ Section 4.3 of the paper improves the *compaction* process of Might et al.
    is part of a cycle — the smart constructor simply punts and builds the
    uncompacted form.
 
-The :class:`Compactor` exposes one ``make_*`` method per grammar form; every
-rule can be switched off individually through :class:`CompactionConfig` so
-the ablation benchmarks can measure the contribution of each group of rules.
+The :class:`Compactor` exposes one ``make_*`` method per grammar form;
+:class:`CompactionConfig` switches off the rules this paper adds, or every
+rule, so the ablation benchmarks can measure the contribution of each group
+of rules.
 
 This repository adds one rule of its own, grouped with the paper's new
 rules: **``δ(L) ⇒ ε_t`` when the null parses of ``L`` are exactly one finite
@@ -104,66 +105,43 @@ __all__ = ["CompactionConfig", "Compactor", "TreeFreeCompactor", "optimize_initi
 
 @dataclass
 class CompactionConfig:
-    """Feature switches for the compaction rules.
+    """Which compaction rules the smart constructors apply.
+
+    Three settings exist — :meth:`full`, :meth:`original_2011` and
+    :meth:`disabled` — and two flags tell them apart.
 
     Attributes
     ----------
     enabled:
-        Master switch.  When False the smart constructors degenerate to the
-        plain node constructors (the paper's "without compaction" setting,
-        reported in Section 2.6 to be ~90× slower).
-    null_rules:
-        ``∅ ∪ p ⇒ p``, ``p ∪ ∅ ⇒ p`` and ``∅ ◦ p ⇒ ∅`` (original rules).
-    epsilon_rules:
-        ``ε_s ◦ p ⇒ p ↪→ λu.(s,u)`` and ``ε_s ↪→ f ⇒ ε_{f(s)}`` (original).
-    reduction_fusion:
-        ``(p ↪→ f) ↪→ g ⇒ p ↪→ (g ∘ f)`` (original rule).
+        Master switch, and the rules of Might et al. (2011): ``∅ ∪ p ⇒ p``,
+        ``p ∪ ∅ ⇒ p``, ``∅ ◦ p ⇒ ∅``, ``ε_s ◦ p ⇒ p ↪→ λu.(s,u)``,
+        ``ε_s ↪→ f ⇒ ε_{f(s)}`` and ``(p ↪→ f) ↪→ g ⇒ p ↪→ (g ∘ f)``.
+        When False the smart constructors degenerate to the plain node
+        constructors (the paper's "without compaction" setting, reported
+        in Section 2.6 to be ~90× slower).
     new_rules:
-        The two rules added by this paper: ``∅ ↪→ f ⇒ ∅`` and
-        ``ε_s1 ∪ ε_s2 ⇒ ε_{s1∪s2}`` — plus this repository's extension
-        ``δ(L) ⇒ ε_t`` when ``L``'s null parses are exactly one finite tree
-        ``t`` (applied by the deriver; see the module docstring).  Off in
-        :meth:`disabled` and :meth:`original_2011`, so the 2011 baseline
-        builds what it always built.
-    canonicalize_sequences:
-        The Section 4.3.2 associativity rule ``(p1 ◦ p2) ◦ p3 ⇒ ...``.
-    float_reductions:
-        The Section 4.3.2 rule ``(p1 ↪→ f) ◦ p2 ⇒ (p1 ◦ p2) ↪→ ...``.
+        The rules this paper adds on top: ``∅ ↪→ f ⇒ ∅``,
+        ``ε_s1 ∪ ε_s2 ⇒ ε_{s1∪s2}`` and the Section 4.3.2 rules
+        ``(p1 ◦ p2) ◦ p3 ⇒ ...`` and ``(p1 ↪→ f) ◦ p2 ⇒ (p1 ◦ p2) ↪→ ...``
+        — plus this repository's extension ``δ(L) ⇒ ε_t`` when ``L``'s
+        null parses are exactly one finite tree ``t`` (applied by the
+        deriver; see the module docstring).  Off in :meth:`disabled` and
+        :meth:`original_2011`, so the 2011 baseline builds what it always
+        built.
     """
 
     enabled: bool = True
-    null_rules: bool = True
-    epsilon_rules: bool = True
-    reduction_fusion: bool = True
     new_rules: bool = True
-    canonicalize_sequences: bool = True
-    float_reductions: bool = True
 
     @classmethod
     def disabled(cls) -> "CompactionConfig":
         """Compaction completely off (original parser without compaction)."""
-        return cls(
-            enabled=False,
-            null_rules=False,
-            epsilon_rules=False,
-            reduction_fusion=False,
-            new_rules=False,
-            canonicalize_sequences=False,
-            float_reductions=False,
-        )
+        return cls(enabled=False, new_rules=False)
 
     @classmethod
     def original_2011(cls) -> "CompactionConfig":
         """Only the rules present in Might et al. (2011)."""
-        return cls(
-            enabled=True,
-            null_rules=True,
-            epsilon_rules=True,
-            reduction_fusion=True,
-            new_rules=False,
-            canonicalize_sequences=False,
-            float_reductions=False,
-        )
+        return cls(enabled=True, new_rules=False)
 
     @classmethod
     def full(cls) -> "CompactionConfig":
@@ -242,13 +220,12 @@ class Compactor:
         """Construct ``left ∪ right``, applying the union reduction rules."""
         cfg = self.config
         if cfg.enabled:
-            if cfg.null_rules:
-                if left.state == DEAD:
-                    self._count_rewrite()
-                    return right
-                if right.state == DEAD:
-                    self._count_rewrite()
-                    return left
+            if left.state == DEAD:
+                self._count_rewrite()
+                return right
+            if right.state == DEAD:
+                self._count_rewrite()
+                return left
             if (
                 cfg.new_rules
                 and isinstance(left, Epsilon)
@@ -272,17 +249,17 @@ class Compactor:
         """
         cfg = self.config
         if cfg.enabled:
-            if cfg.null_rules and left.state == DEAD:
+            if left.state == DEAD:
                 # ∅ ◦ p ⇒ ∅
                 self._count_rewrite()
                 return EMPTY
-            if cfg.epsilon_rules and isinstance(left, Epsilon) and _structure_known(left):
+            if isinstance(left, Epsilon) and _structure_known(left):
                 # ε_s ◦ p ⇒ p ↪→ λu.(s, u)
                 if len(left.trees) == 1:
                     self._count_rewrite()
                     return self.make_reduce(right, PairLeft(left.trees[0]))
             if (
-                cfg.float_reductions
+                cfg.new_rules
                 and isinstance(left, Reduce)
                 and _structure_known(left)
                 and left.lang is not None
@@ -291,7 +268,7 @@ class Compactor:
                 self._count_rewrite()
                 return self.make_reduce(self.make_cat(left.lang, right), MapFirst(left.fn))
             if (
-                cfg.canonicalize_sequences
+                cfg.new_rules
                 and isinstance(left, Cat)
                 and _structure_known(left)
                 and left.left is not None
@@ -313,13 +290,12 @@ class Compactor:
                 # ∅ ↪→ f ⇒ ∅ (one of the paper's added rules)
                 self._count_rewrite()
                 return EMPTY
-            if cfg.epsilon_rules and isinstance(lang, Epsilon) and _structure_known(lang):
+            if isinstance(lang, Epsilon) and _structure_known(lang):
                 # ε_s ↪→ f ⇒ ε_{f(s)}
                 self._count_rewrite()
                 return self.make_epsilon(tuple(fn(tree) for tree in lang.trees))
             if (
-                cfg.reduction_fusion
-                and isinstance(lang, Reduce)
+                isinstance(lang, Reduce)
                 and _structure_known(lang)
                 and lang.lang is not None
             ):
@@ -347,7 +323,7 @@ class Compactor:
             if isinstance(lang, Delta) and _structure_known(lang):
                 self._count_rewrite()
                 return lang
-            if cfg.null_rules and lang.state == DEAD:
+            if lang.state == DEAD:
                 self._count_rewrite()
                 return EMPTY
         self._count_node()
@@ -505,10 +481,10 @@ def _rewrite_initial_uncached(
 
     if isinstance(node, Alt) and node.left is not None and node.right is not None:
         left, right = node.left, node.right
-        if cfg.null_rules and isinstance(left, Empty):
+        if isinstance(left, Empty):
             compactor._count_rewrite()
             return right
-        if cfg.null_rules and isinstance(right, Empty):
+        if isinstance(right, Empty):
             compactor._count_rewrite()
             return left
         if cfg.new_rules and isinstance(left, Epsilon) and isinstance(right, Epsilon):
@@ -521,10 +497,10 @@ def _rewrite_initial_uncached(
         if cfg.new_rules and isinstance(lang, Empty):
             compactor._count_rewrite()
             return EMPTY
-        if cfg.epsilon_rules and isinstance(lang, Epsilon):
+        if isinstance(lang, Epsilon):
             compactor._count_rewrite()
             return compactor.make_epsilon(tuple(node.fn(tree) for tree in lang.trees))
-        if cfg.reduction_fusion and isinstance(lang, Reduce) and lang.lang is not None:
+        if isinstance(lang, Reduce) and lang.lang is not None:
             compactor._count_rewrite()
             return compactor.make_reduce(lang.lang, compose(node.fn, lang.fn))
         return node
@@ -532,28 +508,28 @@ def _rewrite_initial_uncached(
     if isinstance(node, Cat) and node.left is not None and node.right is not None:
         left, right = node.left, node.right
         # Left-child rules (also applied during parsing).
-        if cfg.null_rules and isinstance(left, Empty):
+        if isinstance(left, Empty):
             compactor._count_rewrite()
             return EMPTY
-        if cfg.epsilon_rules and isinstance(left, Epsilon) and len(left.trees) == 1:
+        if isinstance(left, Epsilon) and len(left.trees) == 1:
             compactor._count_rewrite()
             return compactor.make_reduce(right, PairLeft(left.trees[0]))
         # Right-child rules (initial grammar only, Section 4.3.1).
-        if cfg.null_rules and isinstance(right, Empty):
+        if isinstance(right, Empty):
             compactor._count_rewrite()
             return EMPTY
-        if cfg.epsilon_rules and isinstance(right, Epsilon) and len(right.trees) == 1:
+        if isinstance(right, Epsilon) and len(right.trees) == 1:
             compactor._count_rewrite()
             return compactor.make_reduce(left, PairRight(right.trees[0]))
-        if cfg.float_reductions and isinstance(left, Reduce) and left.lang is not None:
+        if cfg.new_rules and isinstance(left, Reduce) and left.lang is not None:
             compactor._count_rewrite()
             return compactor.make_reduce(compactor.make_cat(left.lang, right), MapFirst(left.fn))
-        if cfg.float_reductions and isinstance(right, Reduce) and right.lang is not None:
+        if cfg.new_rules and isinstance(right, Reduce) and right.lang is not None:
             compactor._count_rewrite()
             return compactor.make_reduce(
                 compactor.make_cat(left, right.lang), MapSecond(right.fn)
             )
-        if cfg.canonicalize_sequences and isinstance(left, Cat) and left.left is not None:
+        if cfg.new_rules and isinstance(left, Cat) and left.left is not None:
             compactor._count_rewrite()
             inner = compactor.make_cat(left.right, right)
             return compactor.make_reduce(compactor.make_cat(left.left, inner), ReassocToLeft())

@@ -237,22 +237,21 @@ class PerNodeDictMemo(DeriveMemo):
 
     The per-node storage is **owner-keyed**: ``memo_table`` holds a small
     mapping from an owner token — unique to each memo instance since its
-    last ``clear`` — to that owner's private token→result table.  A node's
-    entries are only ever read by the memo that wrote them, so when two
-    dict memos derive on one graph each sees only its own derivatives,
-    neither evicts the other's tables on interleaved use, and clearing one
-    memo can neither drop nor resurrect entries belonging to the other.
+    last ``clear`` — to that owner's private token→result table, so a
+    node's entries are only ever read by the memo that wrote them.
 
-    The hot path uses only plain dictionaries — no weak containers — but the
-    owner indirection does add one small-dict lookup per get/put compared to
-    the pre-isolation layout (node field → token table directly).  That is a
-    deliberate trade: collapsing the indirection either re-introduces
-    whole-table eviction when two dict-memo parsers interleave on one
-    grammar (single owner slot per node) or moves the tables into the memo
-    keyed by node — which is structurally the original 2011 "global table
-    of tables" layout and would erase the node-field-vs-global
-    distinction Section 4.4 compares.  Readers of the Figure 11/12 numbers
-    should know the dict strategy carries this one extra lookup.
+    Isolation between parsers does not need that layer: every engine
+    derives on its own copy of the grammar
+    (:func:`~repro.core.parse.own_grammar`), so two parsers never share a
+    node.  It stays for the comparison Figures 11 and 12 report.  The
+    owner indirection is one small-dict lookup per get/put, and the dict
+    baseline's cost, which the single-entry memo's speedup is measured
+    against, includes it; collapsing the layer makes the baseline cheaper
+    and shifts the Figure 12 speedups, so it is a change to the
+    benchmark's baseline, not a cleanup.  (Moving the tables into the memo
+    keyed by node instead is the original 2011 "global table of tables"
+    layout and would erase the node-field-vs-global distinction Section
+    4.4 compares.)
 
     Leak safety comes from a ``weakref.finalize`` registered per owner
     generation: grammar nodes outlive a parse, so a parser dropped without

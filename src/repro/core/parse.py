@@ -436,11 +436,13 @@ class DerivativeParser:
     ) -> ParserState:
         """A new :class:`ParserState` positioned exactly at ``snapshot``.
 
-        The snapshot must have been taken over this parser's grammar graph
+        The snapshot must have been taken from a state of this parser
         (states of other parsers reference foreign nodes whose caches this
         parser does not own).  Resuming is O(1): the snapshot's language is
-        adopted by reference, and re-deriving from it is sound because every
-        node-resident cache is owner- or epoch-tagged.
+        adopted by reference, and re-deriving from it is sound because its
+        nodes belong to this parser's own graph — the private copy of the
+        grammar and the nodes derived from it — whose node-resident caches
+        only this parser writes.
         """
         state = ParserState(self, snapshot_every=snapshot_every, on_snapshot=on_snapshot)
         state.language = snapshot.language
@@ -497,6 +499,8 @@ class DerivativeParser:
 
     def parse_forest(self, tokens: Sequence[Any]) -> ForestNode:
         """Parse and return the shared parse forest (with ambiguity nodes)."""
+        if not isinstance(tokens, (list, tuple)):
+            tokens = list(tokens)
         state = self.start().feed_all(tokens)
         if state.failed or not self.nullability.nullable(state.language):
             raise self._failure_error(tokens, state.failure_position)
@@ -527,6 +531,8 @@ class DerivativeParser:
         derivation order (:func:`repro.core.forest.first_tree`); use :meth:`parse_forest` /
         :func:`repro.core.forest.iter_trees` to inspect every parse.
         """
+        if not isinstance(tokens, (list, tuple)):
+            tokens = list(tokens)
         return forest_answer(self.parse_forest(tokens), tokens)
 
     def parse_trees(
@@ -548,6 +554,8 @@ class DerivativeParser:
         derivation never revisits a node on its own root path, non-empty
         whenever the forest has a finite tree.
         """
+        if not isinstance(tokens, (list, tuple)):
+            tokens = list(tokens)
         return forest_answer(
             self.parse_forest(tokens), tokens, "trees", limit=limit, ranking=ranking
         )
@@ -560,6 +568,8 @@ class DerivativeParser:
         shared forest with exact count-proportional choices — no
         enumeration, so it is cheap even at 10^21 parses.
         """
+        if not isinstance(tokens, (list, tuple)):
+            tokens = list(tokens)
         return forest_answer(self.parse_forest(tokens), tokens, "sample", rng=rng, n=n)
 
     # ----------------------------------------------------------- parse-null

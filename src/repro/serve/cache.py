@@ -177,23 +177,19 @@ class TableCache:
 
         ``paths`` name table documents written by
         :func:`repro.compile.save_table`; ``grammar_for`` resolves each
-        document's *compiled* fingerprint (taken over the
-        post-optimization root — what :func:`repro.compile.dump_table`
-        stamps) to its grammar — a mapping ``fingerprint → grammar``, a
-        one-argument callable, or a single grammar (when every path
-        belongs to it).  Each document is restored into a service-private
-        table (:func:`repro.compile.restore_table` — strict, so a wrong
-        grammar is refused, and **zero derivations**: loaded tables run
-        warm straight from disk) and cached under the *caller-side* key —
-        :func:`structural_fingerprint` of the resolved grammar's raw root,
-        the same key :meth:`get_or_compile` looks up — so the next request
-        for that grammar is a ``table_hits`` instead of a compile.  The
-        two fingerprints differ whenever optimization rewrites the root;
-        conflating them would cache warm tables where no lookup ever
-        finds them.  Grammars already cached are skipped (the live table
-        is at least as warm).  Returns the entries inserted, in path
-        order; each insertion is metered as ``tables_warm_started`` and
-        may LRU-evict exactly like a compile.
+        document's fingerprint to its grammar — a mapping
+        ``fingerprint → grammar``, a one-argument callable, or a single
+        grammar (when every path belongs to it).  Each document is
+        restored into a service-private table
+        (:func:`repro.compile.restore_table` — strict, so a wrong grammar
+        is refused, and **zero derivations**: loaded tables run warm
+        straight from disk) and cached under the document's fingerprint,
+        the key :meth:`get_or_compile` looks up, so the next request for
+        that grammar is a ``table_hits`` instead of a compile.  Grammars
+        already cached are skipped (the live table is at least as warm).
+        Returns the entries inserted, in path order; each insertion is
+        metered as ``tables_warm_started`` and may LRU-evict exactly like
+        a compile.
 
         A resolver returning ``None`` (or a mapping without the
         fingerprint) raises ``KeyError`` naming the fingerprint — a store
@@ -203,15 +199,14 @@ class TableCache:
         for path in paths:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
-            grammar = self._resolve_grammar(grammar_for, data.get("fingerprint"))
-            root = as_root(grammar)
-            fingerprint = structural_fingerprint(root)
+            fingerprint = data.get("fingerprint")
+            grammar = self._resolve_grammar(grammar_for, fingerprint)
             with self._lock:
                 already = fingerprint in self._entries
             if already:
                 continue
             engine_metrics = Metrics()
-            table = restore_table(data, root, metrics=engine_metrics)
+            table = restore_table(data, grammar, metrics=engine_metrics)
             entry = CacheEntry(fingerprint, table, engine_metrics)
             # A concurrent compile may have cached it meanwhile; keep that one.
             if self._insert(fingerprint, entry, replace=False):

@@ -533,18 +533,17 @@ class PooledParseService:
         slice of the traffic.  ``seed_store`` instead builds a table in
         the dispatcher process, drives ``streams`` through it (a
         representative workload — e.g. the corpus a fleet will serve), and
-        persists the result under the grammar's dispatch key.  A fleet
+        persists the result under the grammar's fingerprint.  A fleet
         :meth:`preload`-ed from the seeded store then recognizes that
         workload with **zero derivations on every worker** — the
         benchmark's cold-start gate.  Returns the stored path.
         """
         self._require_open()
-        fingerprint, root = self._fingerprints.lookup(grammar)
-        table = GrammarTable(root)
+        table = GrammarTable(grammar)
         parser = CompiledParser(table=table)
         for stream in streams:
             parser.recognize(stream)
-        return self.store.persist(table, fingerprint=fingerprint)
+        return self.store.persist(table)
 
     def preload(self, grammars: Iterable[Any]) -> int:
         """Register grammars fleet-wide ahead of traffic; returns warm loads.

@@ -76,35 +76,23 @@ class TableStore:
         return [self.path_for(fingerprint) for fingerprint in self.fingerprints()]
 
     # ------------------------------------------------------------------- save
-    def persist(
-        self,
-        table: GrammarTable,
-        fingerprint: Optional[str] = None,
-        overwrite: bool = True,
-    ) -> str:
+    def persist(self, table: GrammarTable, overwrite: bool = True) -> str:
         """Write ``table``'s document atomically; returns the path.
 
-        ``fingerprint`` names the document — pass the key your *loads*
-        will use.  The default, ``table.fingerprint``, is the compiled
-        identity (taken over the post-optimization root); the pool instead
-        keys its store by the raw root's
-        :func:`~repro.core.languages.structural_fingerprint`, because that
-        is what a dispatcher can compute without compiling.  The two
-        differ whenever optimization rewrites the root.  ``overwrite=False``
-        keeps an existing document (first writer wins — the usual pool
-        case, where every candidate writer holds an equivalent warm table
-        and rewriting is wasted IO).
+        The document is named by ``table.fingerprint``, the same key a
+        caller computes over its grammar without compiling it.
+        ``overwrite=False`` keeps an existing document (first writer wins —
+        the usual pool case, where every candidate writer holds an
+        equivalent warm table and rewriting is wasted IO).
         """
-        return self.persist_document(
-            dump_table(table),
-            fingerprint if fingerprint is not None else table.fingerprint,
-            overwrite=overwrite,
-        )
+        return self.persist_document(dump_table(table), overwrite=overwrite)
 
-    def persist_document(
-        self, document: Dict[str, Any], fingerprint: str, overwrite: bool = True
-    ) -> str:
-        """Write an already-dumped table document atomically (see :meth:`persist`)."""
+    def persist_document(self, document: Dict[str, Any], overwrite: bool = True) -> str:
+        """Write an already-dumped table document atomically (see :meth:`persist`).
+
+        The file is named by the document's ``"fingerprint"``.
+        """
+        fingerprint = document["fingerprint"]
         path = self.path_for(fingerprint)
         if not overwrite and os.path.exists(path):
             return path

@@ -45,7 +45,6 @@ from concurrent.futures import Future
 from time import perf_counter_ns
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..compile.serialize import dump_table
 from ..core.errors import ReproError
 from ..core.languages import token_kind
 from .service import OPS, ParseService
@@ -226,9 +225,6 @@ def _handle(
         root = pickle.loads(blob)
         warm_loaded = False
         if os.path.exists(table_path):
-            # The resolver ignores the document's (post-optimization)
-            # fingerprint: this path was keyed dispatcher-side by the same
-            # raw-root fingerprint the registration carries.
             warm_loaded = service.warm_start([table_path], lambda _fp: root) > 0
         grammars[fingerprint] = root
         entry = service.table_for(root)
@@ -244,9 +240,7 @@ def _handle(
             )
         # Requests are serialized through this loop, so no batch is
         # deriving into the table while it is being dumped.
-        return store.persist_document(
-            dump_table(entry.table), fingerprint, overwrite=False
-        )
+        return store.persist(entry.table, overwrite=False)
     if tag == "sta":
         stats = service.stats()
         stats["histograms"] = service.obs.histogram_snapshots()

@@ -12,6 +12,7 @@ from repro.compile import (
     restore_table,
     save_table,
 )
+from repro.compile.serialize import VERSION
 from repro.compile.automaton import STATE
 from repro.core import DerivativeParser, ReproError
 from repro.grammars import arithmetic_grammar, pl0_grammar, sexpr_grammar
@@ -81,7 +82,7 @@ class TestRoundTrip:
         table = warmed_table(sexpr_grammar(), sexpr_tokens(40, seed=1))
         data = dump_table(table)
         assert data["format"] == "repro-compiled-table"
-        assert data["version"] == 3
+        assert data["version"] == VERSION
         assert data["start"] == 0
         assert len(data["states"]) == table.state_count()
         # One [kind, target] pair per edge of the state; -1 is the sink.
@@ -104,9 +105,9 @@ class TestRoundTrip:
     def test_fingerprint_survives_in_place_pruning(self, tmp_path):
         # The table cuts its grammar's dead branches when it is built, and
         # for a grammar containing an unproductive subgrammar that rewrites
-        # the *original* nodes in place.  The fingerprint must be the
-        # pre-cut snapshot or a saved table could never re-attach to the
-        # caller's un-cut grammar in a fresh process.
+        # its copy's nodes in place.  The fingerprint names the caller's
+        # grammar, so a saved table re-attaches to the un-cut grammar in a
+        # fresh process.
         from repro.core import Ref, token
         from repro.core.languages import structural_fingerprint
 
@@ -120,6 +121,7 @@ class TestRoundTrip:
         warmed = GrammarTable(leaky_grammar())
         # The in-place cut happened: the cut graph fingerprints differently.
         assert structural_fingerprint(warmed.root) != warmed.fingerprint
+        assert warmed.fingerprint == structural_fingerprint(leaky_grammar())
         stream = ["a"] * 200 + ["b"] * 200
         assert CompiledParser(table=warmed).recognize(stream) is True
         assert warmed.fingerprint == GrammarTable(leaky_grammar()).fingerprint
@@ -128,6 +130,26 @@ class TestRoundTrip:
         loaded = load_table(path, leaky_grammar())
         assert CompiledParser(table=loaded).recognize(stream) is True
         assert loaded.transitions_derived == 0
+
+    def test_fingerprint_is_the_callers_grammar_fingerprint(self, tmp_path):
+        # One key per grammar: the table is named by the grammar its caller
+        # built, not by the root it optimizes, so a store persisted from a
+        # table is found under the key the serve layer computes.
+        from repro.bench.registry import CELLS
+        from repro.core.languages import structural_fingerprint
+        from repro.serve import TableStore
+
+        table = GrammarTable(pl0_grammar().language())
+        # PL/0's root optimization rewrites: the two keys would differ.
+        assert structural_fingerprint(table.root) != table.fingerprint
+        factories = {cell.grammar.id: cell.grammar.factory for cell in CELLS}
+        store = TableStore(str(tmp_path / "tables"))
+        for grammar_id, factory in sorted(factories.items()):
+            root = factory().language()
+            table = GrammarTable(root)
+            assert table.fingerprint == structural_fingerprint(root), grammar_id
+            store.persist(table)
+            assert store.has(structural_fingerprint(factory().language())), grammar_id
 
     def test_fingerprint_ignores_address_bearing_reprs(self):
         # Default object reprs embed memory addresses; hashing them would
@@ -153,22 +175,17 @@ class TestGuards:
         with pytest.raises(ReproError):
             restore_table(data, sexpr_grammar())
 
-    def test_unoptimized_document_is_refused(self):
-        # Tables always compile the optimized root, so a document saved
-        # from an unoptimized one (an older build's ``optimized: false``)
-        # carries a fingerprint this grammar no longer produces.
-        from repro.core import Ref, epsilon, token
-        from repro.core.languages import structural_fingerprint
-
-        def build():
-            return Ref("L").set((token("a") + epsilon()) | token("b"))
-
-        data = dump_table(GrammarTable(build()))
-        unoptimized = structural_fingerprint(build())
-        assert unoptimized != data["fingerprint"]
-        data.update(fingerprint=unoptimized, optimized=False)
-        with pytest.raises(ReproError, match="fingerprint"):
-            restore_table(data, build())
+    def test_version_3_document_is_refused(self):
+        # Version 3 stamped the optimized root's fingerprint; such a
+        # document is refused by its version, naming both versions, not
+        # reported as a grammar mismatch.
+        data = dump_table(warmed_table(arithmetic_grammar(), arithmetic_tokens(30, seed=0)))
+        data["version"] = 3
+        with pytest.raises(ReproError, match="Re-save") as excinfo:
+            restore_table(data, arithmetic_grammar())
+        assert "version 3" in str(excinfo.value)
+        assert "version {}".format(VERSION) in str(excinfo.value)
+        assert "mismatch" not in str(excinfo.value)
 
     def test_rejects_foreign_documents(self):
         with pytest.raises(ReproError):
@@ -188,7 +205,7 @@ class TestGuards:
                 arithmetic_grammar(),
             )
         assert "1" in str(excinfo.value)
-        assert "3" in str(excinfo.value)
+        assert str(VERSION) in str(excinfo.value)
 
     def test_rejects_version_2_naming_both(self):
         # Version 2 stored per-kind dicts and int rows; no reader is kept.
@@ -198,7 +215,7 @@ class TestGuards:
                 arithmetic_grammar(),
             )
         assert "version 2" in str(excinfo.value)
-        assert "version 3" in str(excinfo.value)
+        assert "version {}".format(VERSION) in str(excinfo.value)
 
 
 class TestMaterialization:

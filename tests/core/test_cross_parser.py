@@ -1,4 +1,4 @@
-"""Regression tests: parsers sharing one grammar graph must not share caches.
+"""Regression tests: caches on shared grammar nodes must stay independent.
 
 The single-entry memo (Section 4.4) and the ``parse-null`` cache both live in
 fields *on the grammar nodes*.  Before the class-level-epoch fix, every
@@ -6,9 +6,10 @@ fields *on the grammar nodes*.  Before the class-level-epoch fix, every
 the same ``Language`` graph could read derivatives memoized by the first —
 results that embed the first parser's compaction decisions and metrics
 wiring.  The same pattern applied to ``null_parse_epoch`` and to the
-per-node dict memo's untagged ``memo_table``.  These tests build multiple
-parsers over one shared grammar and require fully independent, correct
-behaviour.
+per-node dict memo's untagged ``memo_table``.  Parsers now copy the
+grammar they are given, so the memo tests drive memo instances directly
+on one shared graph, and the parser tests check that parsers built over
+one caller's grammar behave fully independently and correctly.
 """
 
 from repro.core import DerivativeParser, Metrics, Ref, count_trees, epsilon, token
@@ -131,24 +132,33 @@ class TestPerNodeDictMemoOwnership:
         assert second.get(shared, "x") is not MISS
 
     def test_dead_memos_do_not_pin_entries_on_shared_nodes(self):
-        # Regression: a parser dropped without clear() must not leave its
+        # Regression: a memo dropped without clear() must not leave its
         # derivative tables (and thus its whole derived grammar) attached to
-        # the long-lived shared grammar nodes — owner keys are weak.
+        # long-lived shared nodes — its finalizer sweeps them off.
         import gc
+        import weakref
 
         from repro.core.languages import reachable_nodes
 
-        grammar = shared_arith()
-        survivors = []
-        for _ in range(5):
-            parser = DerivativeParser(grammar, memo="dict")
-            assert parser.recognize(list("n+n")) is True
-            survivors.append(parser.grammar_size())
-        del parser
+        nodes = reachable_nodes(shared_arith())
+        dropped = PerNodeDictMemo(Metrics())
+        survivor = PerNodeDictMemo(Metrics())
+        dropped_owner = dropped._owner
+        class Result:
+            pass
+
+        kept = make_token("2")
+        result = Result()  # a stand-in derivative a weak reference can watch
+        released = weakref.ref(result)
+        for node in nodes:
+            dropped.put(node, "x", result)
+            survivor.put(node, "x", kept)
+        del dropped, result
         gc.collect()
-        for node in reachable_nodes(grammar):
-            tables = node.memo_table
-            assert tables is None or len(tables) == 0
+        assert released() is None
+        for node in nodes:
+            assert dropped_owner not in node.memo_table
+            assert survivor.get(node, "x") is kept
 
     def test_two_dict_parsers_one_grammar(self):
         grammar = shared_arith()

@@ -261,3 +261,42 @@ class TestParserHygiene:
         parser = DerivativeParser(grammar)
         assert parser.recognize(["foo", "bar"]) is True
         assert parser.recognize(["foo"]) is False
+
+
+class TestOneShotIterators:
+    """Tree APIs take any iterable: a rejected stream raises ``ParseError``."""
+
+    TREE_CALLS = {
+        "parse": lambda parser, tokens: parser.parse(tokens),
+        "parse_forest": lambda parser, tokens: parser.parse_forest(tokens),
+        "parse_trees": lambda parser, tokens: parser.parse_trees(tokens, limit=2),
+        "sample_parses": lambda parser, tokens: parser.sample_parses(tokens, 0),
+    }
+
+    @staticmethod
+    def parsers():
+        from repro.compile import CompiledParser
+
+        return [DerivativeParser(arith()), CompiledParser(arith())]
+
+    @pytest.mark.parametrize("call", sorted(TREE_CALLS))
+    @pytest.mark.parametrize(
+        "stream, position", [("n+*n", 2), ("n+n*", 4)], ids=["failing", "truncated"]
+    )
+    def test_rejected_iterator_raises_at_the_list_position(self, call, stream, position):
+        for parser in self.parsers():
+            with pytest.raises(ParseError) as excinfo:
+                self.TREE_CALLS[call](parser, iter(list(stream)))
+            assert excinfo.value.position == position, type(parser).__name__
+
+    @pytest.mark.parametrize("engine", ["derivative", "compiled"])
+    def test_parse_wrapper_takes_iterators(self, engine):
+        with pytest.raises(ParseError) as excinfo:
+            parse(arith(), iter(list("n+*n")), engine=engine)
+        assert excinfo.value.position == 2
+        with pytest.raises(ParseError) as excinfo:
+            parse(arith(), iter(list("n+n*")), engine=engine)
+        assert excinfo.value.position == 4
+        assert parse(arith(), iter(list("n+n")), engine=engine) == parse(
+            arith(), list("n+n"), engine=engine
+        )

@@ -149,12 +149,8 @@ class TestWarmStart:
         assert service.stats()["engine"]["derive_calls"] == 0
 
     def test_warm_start_caches_under_the_lookup_fingerprint(self, tmp_path, service):
-        # Two fingerprint namespaces meet here: the document carries the
-        # *compiled* fingerprint (post-optimization root) while the cache
-        # is keyed by the raw root's structural fingerprint — the two
-        # differ whenever optimization rewrites the root.  A mapping
-        # resolver speaks the former; lookups must still hit the latter,
-        # so a request right after the preload is a pure table hit.
+        # A mapping resolver speaks the document's fingerprint; a request
+        # right after the preload must be a pure table hit under it.
         tokens = pl0_tokens(120, seed=3)
         path, document_fp = self.saved_document(tmp_path, pl0_grammar(), tokens)
         assert service.warm_start([path], {document_fp: pl0_grammar()}) == 1

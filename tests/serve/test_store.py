@@ -7,9 +7,9 @@ import pytest
 
 from repro.compile import CompiledParser, GrammarTable
 from repro.core.metrics import Metrics
-from repro.grammars import arithmetic_grammar, pl0_grammar
+from repro.grammars import arithmetic_grammar
 from repro.serve import TableStore
-from repro.workloads import arithmetic_tokens, pl0_tokens
+from repro.workloads import arithmetic_tokens
 
 
 def warmed_table(grammar, tokens):
@@ -43,18 +43,6 @@ class TestRoundTrip:
         assert loaded.transitions_derived == 0
         assert metrics.derive_calls == 0
 
-    def test_explicit_fingerprint_names_the_document(self, store):
-        # The pool keys the store by the *dispatch* fingerprint (raw root),
-        # which differs from ``table.fingerprint`` whenever optimization
-        # rewrites the root — the override is how those loads find it.
-        table = warmed_table(pl0_grammar(), pl0_tokens(80, seed=0))
-        path = store.persist(table, fingerprint="feedc0de")
-        assert path.endswith("feedc0de.table.json")
-        assert store.has("feedc0de")
-        assert not store.has(table.fingerprint)
-        loaded = store.load("feedc0de", pl0_grammar())
-        assert CompiledParser(table=loaded).recognize(pl0_tokens(80, seed=0)) is True
-
     def test_missing_fingerprint_raises(self, store):
         with pytest.raises(FileNotFoundError):
             store.load("0" * 16, arithmetic_grammar())
@@ -68,15 +56,13 @@ class TestRoundTrip:
 
 class TestWriteDiscipline:
     def test_overwrite_false_is_first_writer_wins(self, store):
-        first = store.persist_document({"format": "x", "marker": 1}, "aa")
-        second = store.persist_document(
-            {"format": "x", "marker": 2}, "aa", overwrite=False
-        )
+        first = store.persist_document({"fingerprint": "aa", "marker": 1})
+        second = store.persist_document({"fingerprint": "aa", "marker": 2}, overwrite=False)
         assert first == second
         with open(first) as handle:
             assert json.load(handle)["marker"] == 1
         # The default overwrites (last writer wins).
-        store.persist_document({"format": "x", "marker": 3}, "aa")
+        store.persist_document({"fingerprint": "aa", "marker": 3})
         with open(first) as handle:
             assert json.load(handle)["marker"] == 3
 
@@ -90,6 +76,6 @@ class TestWriteDiscipline:
             pass
 
         with pytest.raises(TypeError):
-            store.persist_document({"bad": Unserializable()}, "bb")
+            store.persist_document({"fingerprint": "bb", "bad": Unserializable()})
         assert not store.has("bb")
         assert [name for name in os.listdir(store.root) if name.endswith(".tmp")] == []
