@@ -19,10 +19,16 @@ exactly the three ways the paper's improvements address:
    ``derive`` memo is a global dictionary of per-node dictionaries keyed by
    token.
 
-The grammar representation (``repro.core.languages`` nodes) and the parse
-forest machinery are shared with the improved implementation so that the
+Everything else is shared with the improved implementation so that the
 comparison isolates the algorithmic differences, exactly as the paper's
-evaluation does by writing both parsers in Racket.
+evaluation does by writing both parsers in Racket: the grammar
+representation (``repro.core.languages`` nodes), Section 3's
+``parse-null`` (:func:`repro.core.parse.parse_null`, called here with the
+naive nullability below — the paper's improvements leave it unchanged),
+and the tree answers ``parse``/``parse_trees``/``sample_parses``
+(:class:`repro.core.parse.ForestParser`), so a rejected input of any
+iterable reports a :class:`~repro.core.errors.ParseError` at
+``len(tokens)``: the 2011 parser locates no exact failing token.
 
 Like the improved parser, the traversals here are iterative (explicit
 worklists rather than interpreter recursion) so no ``sys.setrecursionlimit``
@@ -36,15 +42,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..core.compaction import CompactionConfig, Compactor, optimize_initial_grammar
 from ..core.errors import GrammarError, ParseError
-from ..core.forest import (
-    FOREST_EMPTY,
-    ForestAmb,
-    ForestLeaf,
-    ForestMap,
-    ForestNode,
-    ForestPair,
-    ForestRef,
-)
+from ..core.forest import ForestNode
 from ..core.languages import (
     EMPTY,
     Alt,
@@ -61,7 +59,7 @@ from ..core.languages import (
     token_value,
 )
 from ..core.metrics import Metrics
-from ..core.parse import forest_answer, own_grammar
+from ..core.parse import ForestParser, own_grammar, parse_null
 
 __all__ = ["OriginalParser", "NaiveNullability"]
 
@@ -115,7 +113,7 @@ class NaiveNullability:
         return values.get(id(child), False)
 
 
-class OriginalParser:
+class OriginalParser(ForestParser):
     """Parsing with derivatives as implemented by Might, Darais & Spiewak (2011)."""
 
     def __init__(
@@ -137,13 +135,11 @@ class OriginalParser:
         self.root = grammar
         # Nested hash tables: node -> {token -> derivative}.
         self._memo: Dict[Language, Dict[Any, Language]] = {}
-        self._null_parse_memo: Dict[int, ForestNode] = {}
 
     # ------------------------------------------------------------------ API
     def reset(self) -> None:
         """Clear the memoization tables (done before each benchmarked parse)."""
         self._memo = {}
-        self._null_parse_memo = {}
 
     def grammar_size(self) -> int:
         """Number of nodes in the initial grammar."""
@@ -156,8 +152,7 @@ class OriginalParser:
             return False
         return self.nullability.nullable(language)
 
-    def parse_forest(self, tokens: Sequence[Any]) -> ForestNode:
-        """Parse and return a shared forest with ambiguity nodes."""
+    def _forest(self, tokens: Sequence[Any]) -> ForestNode:
         language = self._derive_sequence(tokens)
         if (
             language is EMPTY
@@ -165,27 +160,7 @@ class OriginalParser:
             or not self.nullability.nullable(language)
         ):
             raise ParseError("parse failed", position=len(tokens), tokens=tokens)
-        self._null_parse_memo = {}
-        return self._parse_null(language)
-
-    def parse(self, tokens: Sequence[Any]) -> Any:
-        """Parse and return one tree."""
-        return forest_answer(self.parse_forest(tokens), tokens)
-
-    def parse_trees(
-        self,
-        tokens: Sequence[Any],
-        limit: Optional[int] = None,
-        ranking: Optional[Any] = None,
-    ) -> List[Any]:
-        """Parse and return up to ``limit`` trees (best-first with ``ranking``)."""
-        return forest_answer(
-            self.parse_forest(tokens), tokens, "trees", limit=limit, ranking=ranking
-        )
-
-    def sample_parses(self, tokens: Sequence[Any], rng: Any, n: int = 1) -> List[Any]:
-        """Draw ``n`` uniform samples over the forest's derivations."""
-        return forest_answer(self.parse_forest(tokens), tokens, "sample", rng=rng, n=n)
+        return parse_null(language, self.nullability.nullable, self.metrics)
 
     def derive_all(self, tokens: Iterable[Any]) -> Language:
         """Derive the grammar by every token (exposed for the benchmarks)."""
@@ -323,67 +298,3 @@ class OriginalParser:
             size = len(inner)
             distribution[size] = distribution.get(size, 0) + 1
         return distribution
-
-    # ------------------------------------------------------------ parse-null
-    def _parse_null(self, root: Language) -> ForestNode:
-        """Iterative two-phase ``parse-null`` (skeletons, then wiring).
-
-        Mirrors :meth:`repro.core.parse.DerivativeParser._parse_null`: cycles
-        in the grammar become cycles in the forest graph directly.
-        """
-        memo = self._null_parse_memo
-        pending: List[Language] = []
-        stack: List[Language] = [root]
-        while stack:
-            node = stack.pop()
-            if id(node) in memo:
-                continue
-            self.metrics.parse_null_calls += 1
-
-            if isinstance(node, (Empty, Token)):
-                memo[id(node)] = FOREST_EMPTY
-                continue
-            if isinstance(node, Epsilon):
-                memo[id(node)] = ForestLeaf(node.trees)
-                continue
-            if not self.nullability.nullable(node):
-                memo[id(node)] = FOREST_EMPTY
-                continue
-
-            if isinstance(node, Alt):
-                skeleton: ForestNode = ForestAmb([])
-                children = (node.right, node.left)
-            elif isinstance(node, Cat):
-                skeleton = ForestPair(FOREST_EMPTY, FOREST_EMPTY)
-                children = (node.right, node.left)
-            elif isinstance(node, Reduce):
-                skeleton = ForestMap(node.fn, FOREST_EMPTY)
-                children = (node.lang,)
-            elif isinstance(node, Delta):
-                skeleton = ForestRef()
-                children = (node.lang,)
-            elif isinstance(node, Ref):
-                skeleton = ForestRef()
-                children = (node.target,)
-            else:  # pragma: no cover - defensive
-                raise GrammarError("cannot parse-null {!r}".format(node))
-            memo[id(node)] = skeleton
-            pending.append(node)
-            stack.extend(children)
-
-        for node in pending:
-            skeleton = memo[id(node)]
-            if isinstance(node, Alt):
-                skeleton.alternatives.append(memo[id(node.left)])
-                skeleton.alternatives.append(memo[id(node.right)])
-            elif isinstance(node, Cat):
-                skeleton.left = memo[id(node.left)]
-                skeleton.right = memo[id(node.right)]
-            elif isinstance(node, Reduce):
-                skeleton.child = memo[id(node.lang)]
-            elif isinstance(node, Delta):
-                skeleton.target = memo[id(node.lang)]
-            else:  # Ref
-                skeleton.target = memo[id(node.target)]
-
-        return memo[id(root)]

@@ -44,11 +44,11 @@ exactly what :class:`repro.serve.ParseService` does.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..core.forest import ForestNode
 from ..core.languages import Language, token_kind
-from ..core.parse import DerivativeParser, forest_answer
+from ..core.parse import DerivativeParser, ForestParser
 from ..obs.trace import current_trace
 from .automaton import STATE, AutomatonState, GrammarTable, compile_grammar
 
@@ -103,35 +103,15 @@ class CompiledState:
     and its siblings over a token list.
     """
 
-    __slots__ = (
-        "table",
-        "state",
-        "position",
-        "failure_position",
-        "snapshot_every",
-        "on_snapshot",
-    )
+    __slots__ = ("table", "state", "position", "failure_position")
 
-    def __init__(
-        self,
-        table: GrammarTable,
-        snapshot_every: Optional[int] = None,
-        on_snapshot: Optional[Callable[["CompiledSnapshot"], None]] = None,
-    ) -> None:
-        if snapshot_every is not None and snapshot_every < 1:
-            raise ValueError(
-                "snapshot_every must be >= 1, got {}".format(snapshot_every)
-            )
+    def __init__(self, table: GrammarTable) -> None:
         self.table = table
         self.state: AutomatonState = table.start
         #: Number of tokens consumed so far.
         self.position = 0
         #: Index of the token that killed the automaton, or None while alive.
         self.failure_position: Optional[int] = None
-        #: Emit a snapshot to ``on_snapshot`` every this many tokens (the
-        #: checkpoint-trail hook; None disables it); alive states only.
-        self.snapshot_every = snapshot_every
-        self.on_snapshot = on_snapshot
 
     # ------------------------------------------------------------- predicates
     @property
@@ -162,15 +142,7 @@ class CompiledState:
         self.position += 1
         if successor.dead:
             self.failure_position = self.position - 1
-            self.state = successor
-            return self
         self.state = successor
-        if (
-            self.snapshot_every is not None
-            and self.on_snapshot is not None
-            and self.position % self.snapshot_every == 0
-        ):
-            self.on_snapshot(self.snapshot())
         return self
 
     def feed_all(self, tokens: Iterable[Any]) -> "CompiledState":
@@ -192,7 +164,7 @@ class CompiledState:
         return "CompiledState(position={}, {})".format(self.position, status)
 
 
-class CompiledParser:
+class CompiledParser(ForestParser):
     """A parser that executes the grammar's compiled derivative automaton.
 
     Parameters
@@ -250,31 +222,23 @@ class CompiledParser:
             self._fallback = DerivativeParser(self.table.root, optimize_grammar=False)
         return self._fallback
 
-    def start(
-        self,
-        snapshot_every: Optional[int] = None,
-        on_snapshot: Optional[Callable[[CompiledSnapshot], None]] = None,
-    ) -> CompiledState:
+    def start(self) -> CompiledState:
         """Begin a streaming recognition run; see :class:`CompiledState`.
 
-        ``snapshot_every``/``on_snapshot`` enable the checkpoint-trail
-        hook: every ``snapshot_every`` consumed tokens the (alive) state
-        hands an O(1) :class:`CompiledSnapshot` to ``on_snapshot``.
+        The cursor keeps no history: a caller that wants checkpoints takes
+        :meth:`CompiledState.snapshot` where it needs one (an
+        :class:`~repro.incremental.IncrementalDocument` records its trail
+        that way).
         """
-        return CompiledState(self.table, snapshot_every, on_snapshot)
+        return CompiledState(self.table)
 
-    def resume(
-        self,
-        snapshot: CompiledSnapshot,
-        snapshot_every: Optional[int] = None,
-        on_snapshot: Optional[Callable[[CompiledSnapshot], None]] = None,
-    ) -> CompiledState:
+    def resume(self, snapshot: CompiledSnapshot) -> CompiledState:
         """A new :class:`CompiledState` positioned exactly at ``snapshot``.
 
         The snapshot must come from a state over this parser's table (state
-        indices are table-scoped).
+        indices are table-scoped).  Like :meth:`start`, it records nothing.
         """
-        state = CompiledState(self.table, snapshot_every, on_snapshot)
+        state = CompiledState(self.table)
         state.state = snapshot.state
         state.position = snapshot.position
         state.failure_position = snapshot.failure_position
@@ -391,43 +355,15 @@ class CompiledParser:
         return row[STATE].accepting, n - fallbacks, fallbacks
 
     # ---------------------------------------------------------------- parsing
-    def parse_forest(self, tokens: Sequence[Any]) -> ForestNode:
-        """Parse and return the shared parse forest (fallback derivation).
+    def _forest(self, tokens: Sequence[Any]) -> ForestNode:
+        """The parse forest, by fallback derivation.
 
         Forest extraction needs the *actual* token values, which compiled
         transitions do not preserve, so this delegates to the interpreted
         engine — including its exact-position failure diagnosis.
         """
-        if not isinstance(tokens, (list, tuple)):
-            tokens = list(tokens)
         with self._fallback_lock:
             return self.fallback().parse_forest(tokens)
-
-    def parse(self, tokens: Sequence[Any]) -> Any:
-        """Parse and return a single parse tree (fallback derivation)."""
-        tokens = list(tokens)
-        return forest_answer(self.parse_forest(tokens), tokens)
-
-    def parse_trees(
-        self,
-        tokens: Sequence[Any],
-        limit: Optional[int] = None,
-        ranking: Optional[Any] = None,
-    ) -> List[Any]:
-        """Parse and return up to ``limit`` distinct trees (fallback derivation).
-
-        ``ranking`` (a ``Ranking`` or registered name) switches to lazy
-        best-first top-k extraction, same as the interpreted engine.
-        """
-        tokens = list(tokens)
-        return forest_answer(
-            self.parse_forest(tokens), tokens, "trees", limit=limit, ranking=ranking
-        )
-
-    def sample_parses(self, tokens: Sequence[Any], rng: Any, n: int = 1) -> List[Any]:
-        """Draw ``n`` uniform samples over the parse forest (fallback derivation)."""
-        tokens = list(tokens)
-        return forest_answer(self.parse_forest(tokens), tokens, "sample", rng=rng, n=n)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return "CompiledParser({!r})".format(self.table)

@@ -128,8 +128,6 @@ class Metrics:
     derive_cache_hits: int = 0
     derive_uncached: int = 0
     memo_evictions: int = 0
-    memo_single_entry_nodes: int = 0
-    memo_multi_entry_nodes: int = 0
     nullable_calls: int = 0
     nullable_cache_hits: int = 0
     nullable_fixed_points: int = 0

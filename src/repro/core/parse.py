@@ -16,7 +16,7 @@ naming instrumentation — and exposes ``recognize``, ``parse``,
 Two engineering properties of this module are worth calling out:
 
 * **No recursion-limit games.**  Every hot traversal is iterative
-  (:mod:`repro.core.derivative`, :meth:`DerivativeParser.parse_null`,
+  (:mod:`repro.core.derivative`, :func:`parse_null`,
   :mod:`repro.core.forest`, :mod:`repro.core.prune`,
   :mod:`repro.core.nullability`), so inputs of any length parse under the
   default interpreter limit, which is never touched.
@@ -75,12 +75,14 @@ from .prune import prune_empty
 
 __all__ = [
     "DerivativeParser",
+    "ForestParser",
     "ParserState",
     "ParserSnapshot",
     "parse",
     "recognize",
     "validate_grammar",
     "forest_answer",
+    "parse_null",
 ]
 
 
@@ -129,6 +131,208 @@ def own_grammar(grammar: Union[Language, Any]) -> Language:
         )
     validate_grammar(root)
     return root if converted else clone_graph(root)
+
+
+def parse_null(
+    root: Language, nullable: Callable[[Language], bool], metrics: Metrics
+) -> ForestNode:
+    """Extract the forest of empty-word parses of ``root`` (``parse-null``).
+
+    The one ``parse-null`` of the repository: :class:`DerivativeParser` and
+    the 2011 :class:`~repro.baseline.original.OriginalParser` both call it,
+    each with its own ``nullable`` test and metrics (the paper's Section 4
+    leaves Section 3's ``parse-null`` as it is).
+
+    The result shares structure and uses ambiguity nodes; grammars with
+    ε-cycles produce cyclic forests (infinitely many parses), which the
+    forest utilities handle explicitly.
+
+    The extraction is iterative and runs in two phases over an explicit
+    stack: a discovery pass allocates one (possibly cyclic) forest
+    skeleton per reachable nullable grammar node and caches it on the
+    node under a globally fresh epoch, then a wiring pass links every
+    skeleton to its children's results.  Cycles in the grammar therefore
+    become cycles in the forest graph directly, with no placeholder
+    juggling and no recursion.  The node fields written are the caller's
+    own graph's (each engine owns its copy, :func:`own_grammar`).
+    """
+    epoch = next(_NULL_PARSE_EPOCHS)
+
+    # Phase 1: allocate a result skeleton for every node that needs one.
+    pending: List[Language] = []
+    stack: List[Language] = [root]
+    while stack:
+        node = stack.pop()
+        if node.null_parse_epoch == epoch and node.null_parse_result is not None:
+            continue
+        metrics.parse_null_calls += 1
+
+        if isinstance(node, (Empty, Token)):
+            node.null_parse_epoch = epoch
+            node.null_parse_result = FOREST_EMPTY
+            continue
+        if isinstance(node, Epsilon):
+            node.null_parse_epoch = epoch
+            node.null_parse_result = ForestLeaf(node.trees)
+            continue
+        # Nodes that cannot produce the empty word contribute nothing;
+        # pruning here keeps forests small and avoids chasing useless
+        # cycles.
+        if not nullable(node):
+            node.null_parse_epoch = epoch
+            node.null_parse_result = FOREST_EMPTY
+            continue
+
+        if isinstance(node, Alt):
+            skeleton: ForestNode = ForestAmb([])
+            children = (node.right, node.left)
+        elif isinstance(node, Cat):
+            skeleton = ForestPair(FOREST_EMPTY, FOREST_EMPTY)
+            children = (node.right, node.left)
+        elif isinstance(node, Reduce):
+            skeleton = ForestMap(node.fn, FOREST_EMPTY)
+            children = (node.lang,)
+        elif isinstance(node, Delta):
+            skeleton = ForestRef()
+            children = (node.lang,)
+        elif isinstance(node, Ref):
+            skeleton = ForestRef()
+            children = (node.target,)
+        else:  # pragma: no cover - defensive
+            raise GrammarError(
+                "cannot parse-null unknown node type: {!r}".format(node)
+            )
+        node.null_parse_epoch = epoch
+        node.null_parse_result = skeleton
+        pending.append(node)
+        stack.extend(children)
+
+    # Phase 2: wire each skeleton to its children's (now cached) results.
+    for node in pending:
+        skeleton = node.null_parse_result
+        if isinstance(node, Alt):
+            skeleton.alternatives.append(node.left.null_parse_result)
+            skeleton.alternatives.append(node.right.null_parse_result)
+        elif isinstance(node, Cat):
+            skeleton.left = node.left.null_parse_result
+            skeleton.right = node.right.null_parse_result
+        elif isinstance(node, Reduce):
+            skeleton.child = node.lang.null_parse_result
+        elif isinstance(node, Delta):
+            skeleton.target = node.lang.null_parse_result
+        else:  # Ref
+            skeleton.target = node.target.null_parse_result
+
+    return root.null_parse_result
+
+
+def forest_answer(
+    forest: ForestNode,
+    tokens: Sequence[Any],
+    want: str = "tree",
+    limit: Optional[int] = None,
+    ranking: Optional[Any] = None,
+    rng: Any = None,
+    n: int = 1,
+) -> Any:
+    """What a parse of ``tokens`` answers from its ``forest``.
+
+    ``want`` picks the answer: ``"tree"`` — one tree; ``"trees"`` — up to
+    ``limit`` trees, best-first under ``ranking`` when one is given; or
+    ``"sample"`` — ``n`` uniform samples drawn with ``rng``.  A forest
+    without a finite tree raises :class:`ParseError` at ``len(tokens)``:
+    the input was recognized, so the failure lies past its last token.
+    :class:`ForestParser`'s ``parse``/``parse_trees``/``sample_parses``
+    and an :class:`~repro.incremental.IncrementalDocument`'s answers end here.
+    """
+    try:
+        if want == "tree":
+            return first_tree(forest)
+        if want == "trees":
+            if ranking is None:
+                return list(iter_trees(forest, limit=limit))
+            from .forest_query import iter_trees_ranked
+
+            return list(iter_trees_ranked(forest, ranking, limit))
+        if want == "sample":
+            from .forest_query import sample_trees
+
+            return sample_trees(forest, rng, n)
+    except EmptyForestError:
+        raise ParseError(
+            "input recognized but no finite parse tree could be extracted",
+            position=len(tokens),
+            tokens=tokens,
+        ) from None
+    raise ValueError("unknown forest answer {!r}".format(want))
+
+
+class ForestParser:
+    """The tree answers every engine shares, over one forest-building step.
+
+    A subclass defines :meth:`_forest`: the parse forest of a token *list*,
+    raising :class:`ParseError` when the input is rejected.  The public
+    calls read any iterable into a list once — so a rejected one-shot
+    iterator reports its list position — and answer through
+    :func:`forest_answer`.
+    """
+
+    def _forest(self, tokens: Sequence[Any]) -> ForestNode:
+        raise NotImplementedError
+
+    def parse_forest(self, tokens: Iterable[Any]) -> ForestNode:
+        """Parse and return the shared parse forest (with ambiguity nodes)."""
+        return self._forest(_token_list(tokens))
+
+    def parse(self, tokens: Iterable[Any]) -> Any:
+        """Parse and return a single parse tree.
+
+        For ambiguous grammars this returns the forest's first tree in
+        derivation order (:func:`repro.core.forest.first_tree`); use
+        :meth:`parse_forest` / :meth:`parse_trees` to inspect every parse.
+        """
+        tokens = _token_list(tokens)
+        return forest_answer(self._forest(tokens), tokens)
+
+    def parse_trees(
+        self,
+        tokens: Iterable[Any],
+        limit: Optional[int] = None,
+        ranking: Optional[Any] = None,
+    ) -> List[Any]:
+        """Parse and return up to ``limit`` distinct parse trees.
+
+        With ``ranking`` (a :class:`repro.core.forest_query.Ranking` or a
+        registered ranking name such as ``"size"``/``"depth"``) trees come
+        back best-first via lazy top-k extraction: memory stays bounded by
+        ``limit`` even when the forest holds astronomically many parses.
+        Without a ranking, trees come as :func:`repro.core.forest.iter_trees`
+        yields them: derivation order with repeats removed, the first being
+        :meth:`parse`'s tree.  On an infinitely ambiguous (cyclic) forest
+        they are drawn from its finite core — a subset of the trees whose
+        derivation never revisits a node on its own root path, non-empty
+        whenever the forest has a finite tree.
+        """
+        tokens = _token_list(tokens)
+        return forest_answer(
+            self._forest(tokens), tokens, "trees", limit=limit, ranking=ranking
+        )
+
+    def sample_parses(self, tokens: Iterable[Any], rng: Any, n: int = 1) -> List[Any]:
+        """Parse and draw ``n`` uniform samples over the forest's derivations.
+
+        ``rng`` is an explicit ``random.Random`` instance or an ``int`` seed
+        (this repo audits against global-RNG use).  Sampling descends the
+        shared forest with exact count-proportional choices — no
+        enumeration, so it is cheap even at 10^21 parses.
+        """
+        tokens = _token_list(tokens)
+        return forest_answer(self._forest(tokens), tokens, "sample", rng=rng, n=n)
+
+
+def _token_list(tokens: Iterable[Any]) -> Sequence[Any]:
+    """``tokens`` as a list or tuple (a one-shot iterator is read once)."""
+    return tokens if isinstance(tokens, (list, tuple)) else list(tokens)
 
 
 class ParserSnapshot:
@@ -204,36 +408,15 @@ class ParserState:
     ``start()``), which keeps O(1) memory.
     """
 
-    __slots__ = (
-        "parser",
-        "language",
-        "position",
-        "failure_position",
-        "snapshot_every",
-        "on_snapshot",
-    )
+    __slots__ = ("parser", "language", "position", "failure_position")
 
-    def __init__(
-        self,
-        parser: "DerivativeParser",
-        snapshot_every: Optional[int] = None,
-        on_snapshot: Optional[Callable[["ParserSnapshot"], None]] = None,
-    ) -> None:
-        if snapshot_every is not None and snapshot_every < 1:
-            raise ValueError(
-                "snapshot_every must be >= 1, got {}".format(snapshot_every)
-            )
+    def __init__(self, parser: "DerivativeParser") -> None:
         self.parser = parser
         self.language: Language = parser.root
         #: Number of tokens consumed so far.
         self.position = 0
         #: Index of the token that killed the language, or None while alive.
         self.failure_position: Optional[int] = None
-        #: Emit a snapshot to ``on_snapshot`` every this many tokens (the
-        #: checkpoint-trail hook; None disables it).  Snapshots fire only
-        #: while the state is alive — a dead language has no trail to grow.
-        self.snapshot_every = snapshot_every
-        self.on_snapshot = on_snapshot
 
     # ------------------------------------------------------------- predicates
     @property
@@ -263,15 +446,7 @@ class ParserState:
         self.position += 1
         if language is EMPTY:
             self.failure_position = self.position - 1
-            self.language = EMPTY
-        else:
-            self.language = language
-            if (
-                self.snapshot_every is not None
-                and self.on_snapshot is not None
-                and self.position % self.snapshot_every == 0
-            ):
-                self.on_snapshot(self.snapshot())
+        self.language = language
         return self
 
     def feed_all(self, tokens: Iterable[Any]) -> "ParserState":
@@ -319,7 +494,7 @@ class ParserState:
         )
 
 
-class DerivativeParser:
+class DerivativeParser(ForestParser):
     """A parser for an arbitrary context-free grammar given as a language graph.
 
     Parameters
@@ -415,25 +590,17 @@ class DerivativeParser:
         self.memo.clear()
         self.deriver.clear_null_trees()
 
-    def start(
-        self,
-        snapshot_every: Optional[int] = None,
-        on_snapshot: Optional[Callable[[ParserSnapshot], None]] = None,
-    ) -> ParserState:
-        """Begin a streaming parse; see :class:`ParserState`.
+    def start(self) -> ParserState:
+        """Begin a streaming parse at the grammar's root; see :class:`ParserState`.
 
-        ``snapshot_every``/``on_snapshot`` enable the checkpoint-trail hook:
-        every ``snapshot_every`` consumed tokens the (alive) state hands an
-        O(1) :class:`ParserSnapshot` to ``on_snapshot``.
+        The state keeps no history: a caller that wants checkpoints takes
+        :meth:`ParserState.snapshot` where it needs one (an
+        :class:`~repro.incremental.IncrementalDocument` records its trail
+        that way).
         """
-        return ParserState(self, snapshot_every=snapshot_every, on_snapshot=on_snapshot)
+        return ParserState(self)
 
-    def resume(
-        self,
-        snapshot: ParserSnapshot,
-        snapshot_every: Optional[int] = None,
-        on_snapshot: Optional[Callable[[ParserSnapshot], None]] = None,
-    ) -> ParserState:
+    def resume(self, snapshot: ParserSnapshot) -> ParserState:
         """A new :class:`ParserState` positioned exactly at ``snapshot``.
 
         The snapshot must have been taken from a state of this parser
@@ -442,9 +609,9 @@ class DerivativeParser:
         adopted by reference, and re-deriving from it is sound because its
         nodes belong to this parser's own graph — the private copy of the
         grammar and the nodes derived from it — whose node-resident caches
-        only this parser writes.
+        only this parser writes.  Like :meth:`start`, it records nothing.
         """
-        state = ParserState(self, snapshot_every=snapshot_every, on_snapshot=on_snapshot)
+        state = ParserState(self)
         state.language = snapshot.language
         state.position = snapshot.position
         state.failure_position = snapshot.failure_position
@@ -497,10 +664,7 @@ class DerivativeParser:
         """True when the token sequence is in the grammar's language."""
         return self.start().feed_all(tokens).accepts()
 
-    def parse_forest(self, tokens: Sequence[Any]) -> ForestNode:
-        """Parse and return the shared parse forest (with ambiguity nodes)."""
-        if not isinstance(tokens, (list, tuple)):
-            tokens = list(tokens)
+    def _forest(self, tokens: Sequence[Any]) -> ForestNode:
         state = self.start().feed_all(tokens)
         if state.failed or not self.nullability.nullable(state.language):
             raise self._failure_error(tokens, state.failure_position)
@@ -524,182 +688,9 @@ class DerivativeParser:
             "unexpected token", position=position, token=tokens[position], tokens=tokens
         )
 
-    def parse(self, tokens: Sequence[Any]) -> Any:
-        """Parse and return a single parse tree (raises on ambiguity-free failure).
-
-        For ambiguous grammars this returns the forest's first tree in
-        derivation order (:func:`repro.core.forest.first_tree`); use :meth:`parse_forest` /
-        :func:`repro.core.forest.iter_trees` to inspect every parse.
-        """
-        if not isinstance(tokens, (list, tuple)):
-            tokens = list(tokens)
-        return forest_answer(self.parse_forest(tokens), tokens)
-
-    def parse_trees(
-        self,
-        tokens: Sequence[Any],
-        limit: Optional[int] = None,
-        ranking: Optional[Any] = None,
-    ) -> List[Any]:
-        """Parse and return up to ``limit`` distinct parse trees.
-
-        With ``ranking`` (a :class:`repro.core.forest_query.Ranking` or a
-        registered ranking name such as ``"size"``/``"depth"``) trees come
-        back best-first via lazy top-k extraction: memory stays bounded by
-        ``limit`` even when the forest holds astronomically many parses.
-        Without a ranking, trees come as :func:`repro.core.forest.iter_trees`
-        yields them: derivation order with repeats removed, the first being
-        :meth:`parse`'s tree.  On an infinitely ambiguous (cyclic) forest
-        they are drawn from its finite core — a subset of the trees whose
-        derivation never revisits a node on its own root path, non-empty
-        whenever the forest has a finite tree.
-        """
-        if not isinstance(tokens, (list, tuple)):
-            tokens = list(tokens)
-        return forest_answer(
-            self.parse_forest(tokens), tokens, "trees", limit=limit, ranking=ranking
-        )
-
-    def sample_parses(self, tokens: Sequence[Any], rng: Any, n: int = 1) -> List[Any]:
-        """Parse and draw ``n`` uniform samples over the forest's derivations.
-
-        ``rng`` is an explicit ``random.Random`` instance or an ``int`` seed
-        (this repo audits against global-RNG use).  Sampling descends the
-        shared forest with exact count-proportional choices — no
-        enumeration, so it is cheap even at 10^21 parses.
-        """
-        if not isinstance(tokens, (list, tuple)):
-            tokens = list(tokens)
-        return forest_answer(self.parse_forest(tokens), tokens, "sample", rng=rng, n=n)
-
-    # ----------------------------------------------------------- parse-null
     def parse_null(self, node: Language) -> ForestNode:
-        """Extract the forest of empty-word parses of ``node`` (``parse-null``).
-
-        The result shares structure and uses ambiguity nodes; grammars with
-        ε-cycles produce cyclic forests (infinitely many parses), which the
-        forest utilities handle explicitly.
-
-        The extraction is iterative and runs in two phases over an explicit
-        stack: a discovery pass allocates one (possibly cyclic) forest
-        skeleton per reachable nullable grammar node and caches it on the
-        node under a globally fresh epoch, then a wiring pass links every
-        skeleton to its children's results.  Cycles in the grammar therefore
-        become cycles in the forest graph directly, with no placeholder
-        juggling and no recursion.
-        """
-        return self._parse_null(node, next(_NULL_PARSE_EPOCHS))
-
-    def _parse_null(self, root: Language, epoch: int) -> ForestNode:
-        nullable = self.nullability.nullable
-        metrics = self.metrics
-
-        # Phase 1: allocate a result skeleton for every node that needs one.
-        pending: List[Language] = []
-        stack: List[Language] = [root]
-        while stack:
-            node = stack.pop()
-            if node.null_parse_epoch == epoch and node.null_parse_result is not None:
-                continue
-            metrics.parse_null_calls += 1
-
-            if isinstance(node, (Empty, Token)):
-                node.null_parse_epoch = epoch
-                node.null_parse_result = FOREST_EMPTY
-                continue
-            if isinstance(node, Epsilon):
-                node.null_parse_epoch = epoch
-                node.null_parse_result = ForestLeaf(node.trees)
-                continue
-            # Nodes that cannot produce the empty word contribute nothing;
-            # pruning here keeps forests small and avoids chasing useless
-            # cycles.
-            if not nullable(node):
-                node.null_parse_epoch = epoch
-                node.null_parse_result = FOREST_EMPTY
-                continue
-
-            if isinstance(node, Alt):
-                skeleton: ForestNode = ForestAmb([])
-                children = (node.right, node.left)
-            elif isinstance(node, Cat):
-                skeleton = ForestPair(FOREST_EMPTY, FOREST_EMPTY)
-                children = (node.right, node.left)
-            elif isinstance(node, Reduce):
-                skeleton = ForestMap(node.fn, FOREST_EMPTY)
-                children = (node.lang,)
-            elif isinstance(node, Delta):
-                skeleton = ForestRef()
-                children = (node.lang,)
-            elif isinstance(node, Ref):
-                skeleton = ForestRef()
-                children = (node.target,)
-            else:  # pragma: no cover - defensive
-                raise GrammarError(
-                    "cannot parse-null unknown node type: {!r}".format(node)
-                )
-            node.null_parse_epoch = epoch
-            node.null_parse_result = skeleton
-            pending.append(node)
-            stack.extend(children)
-
-        # Phase 2: wire each skeleton to its children's (now cached) results.
-        for node in pending:
-            skeleton = node.null_parse_result
-            if isinstance(node, Alt):
-                skeleton.alternatives.append(node.left.null_parse_result)
-                skeleton.alternatives.append(node.right.null_parse_result)
-            elif isinstance(node, Cat):
-                skeleton.left = node.left.null_parse_result
-                skeleton.right = node.right.null_parse_result
-            elif isinstance(node, Reduce):
-                skeleton.child = node.lang.null_parse_result
-            elif isinstance(node, Delta):
-                skeleton.target = node.lang.null_parse_result
-            else:  # Ref
-                skeleton.target = node.target.null_parse_result
-
-        return root.null_parse_result
-
-
-def forest_answer(
-    forest: ForestNode,
-    tokens: Sequence[Any],
-    want: str = "tree",
-    limit: Optional[int] = None,
-    ranking: Optional[Any] = None,
-    rng: Any = None,
-    n: int = 1,
-) -> Any:
-    """What a parse of ``tokens`` answers from its ``forest``.
-
-    ``want`` picks the answer: ``"tree"`` — one tree; ``"trees"`` — up to
-    ``limit`` trees, best-first under ``ranking`` when one is given; or
-    ``"sample"`` — ``n`` uniform samples drawn with ``rng``.  A forest
-    without a finite tree raises :class:`ParseError` at ``len(tokens)``:
-    the input was recognized, so the failure lies past its last token.
-    Every engine's ``parse``/``parse_trees``/``sample_parses`` ends here.
-    """
-    try:
-        if want == "tree":
-            return first_tree(forest)
-        if want == "trees":
-            if ranking is None:
-                return list(iter_trees(forest, limit=limit))
-            from .forest_query import iter_trees_ranked
-
-            return list(iter_trees_ranked(forest, ranking, limit))
-        if want == "sample":
-            from .forest_query import sample_trees
-
-            return sample_trees(forest, rng, n)
-    except EmptyForestError:
-        raise ParseError(
-            "input recognized but no finite parse tree could be extracted",
-            position=len(tokens),
-            tokens=tokens,
-        ) from None
-    raise ValueError("unknown forest answer {!r}".format(want))
+        """The forest of ``node``'s empty-word parses (see :func:`parse_null`)."""
+        return parse_null(node, self.nullability.nullable, self.metrics)
 
 
 def recognize(

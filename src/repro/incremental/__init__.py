@@ -9,6 +9,11 @@ are value-insensitive, so a shadow cursor detects the position where the
 new parse re-joins the old one and splices the old trail back in,
 bounding an edit's cost by ``checkpoint interval + edit size``.
 
+The document records the trail itself: after each token it feeds it
+snapshots the engine cursor at every *k*-th position the parse reaches
+alive.  The engines' ``start()``/``resume()`` cursors know nothing of
+checkpoints; they only answer ``snapshot()``.
+
 Quickstart::
 
     from repro.incremental import IncrementalDocument

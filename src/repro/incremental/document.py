@@ -6,7 +6,9 @@ derived-language graphs are persistent; compiled automaton states are
 interned), so a :class:`~repro.incremental.trail.CheckpointTrail` of one
 snapshot every *k* tokens costs a few references per kilotoken.
 :class:`IncrementalDocument` owns the one authoritative token buffer plus
-that trail, and implements ``apply_edit(start, end, new_tokens)`` as:
+that trail — recorded by the document itself, one snapshot of the engine
+cursor at every *k*-th position the parse reaches alive — and implements
+``apply_edit(start, end, new_tokens)`` as:
 
 1. **Rewind** to the rightmost checkpoint at or before ``start`` (O(1) —
    adopt the snapshot by reference), discarding the now-invalid
@@ -184,7 +186,7 @@ class IncrementalDocument:
             self.metrics = parser.metrics
         self._tokens: List[Any] = []
         self._trail = CheckpointTrail()
-        self._state = self._fresh_state()
+        self._state = parser.start()
         self._trail.record(self._state.snapshot())
         self.extend(tokens)
 
@@ -212,7 +214,7 @@ class IncrementalDocument:
             raise ValueError("a restorable trail must start with a position-0 snapshot")
         document._tokens = list(tokens)
         document._trail = CheckpointTrail(trail)
-        document._state = document._resume(snapshot)
+        document._state = parser.resume(snapshot)
         return document
 
     # ------------------------------------------------------------ engine gl
@@ -225,21 +227,6 @@ class IncrementalDocument:
     def parser(self) -> Any:
         """The engine parser this document drives."""
         return self._parser
-
-    def _fresh_state(self) -> Any:
-        return self._parser.start(
-            snapshot_every=self.checkpoint_every, on_snapshot=self._record
-        )
-
-    def _resume(self, snapshot: Any) -> Any:
-        return self._parser.resume(
-            snapshot,
-            snapshot_every=self.checkpoint_every,
-            on_snapshot=self._record,
-        )
-
-    def _record(self, snapshot: Any) -> None:
-        self._trail.record(snapshot)
 
     def _shift(self, snapshot: Any, delta: int) -> Any:
         failure = snapshot.failure_position
@@ -295,16 +282,36 @@ class IncrementalDocument:
         return self._state.snapshot()
 
     # -------------------------------------------------------------- feeding
+    def _feed(self, token: Any) -> bool:
+        """Feed one token; False once the parse is dead.
+
+        The trail is recorded here: a checkpoint at every ``k``-th
+        position the parse reaches alive, and none once it has died.
+        """
+        state = self._state
+        state.feed(token)
+        if state.failure_position is not None:
+            return False
+        if state.position % self.checkpoint_every == 0:
+            self._trail.record(state.snapshot())
+        return True
+
+    def _feed_all(self, tokens: Iterable[Any]) -> None:
+        """Feed tokens until the parse dies (see :meth:`_feed`)."""
+        for token in tokens:
+            if not self._feed(token):
+                return
+
     def append(self, token: Any) -> "IncrementalDocument":
         """Append one token to the end of the buffer (no rewind needed)."""
-        self._state.feed(token)
+        self._feed(token)
         self._tokens.append(token)
         return self
 
     def extend(self, tokens: Iterable[Any]) -> "IncrementalDocument":
         """Append every token from an iterable."""
         for token in tokens:
-            self._state.feed(token)
+            self._feed(token)
             self._tokens.append(token)
         return self
 
@@ -350,7 +357,7 @@ class IncrementalDocument:
         # Pure append onto a live parse: no rewind, just feed.
         if removed == 0 and start == length and not state.failed:
             before = state.position
-            state.feed_all(new_tokens)
+            self._feed_all(new_tokens)
             self._tokens.extend(new_tokens)
             refed = state.position - before
             self.metrics.edit_tokens_refed += refed
@@ -384,14 +391,14 @@ class IncrementalDocument:
 
             self._trail.truncate_beyond(base.position)
             self._tokens[start:end] = new_tokens
-            self._state = state = self._resume(base)
+            self._state = state = self._parser.resume(base)
 
         boundary = start + inserted
         converged_at: Optional[int] = None
         with stage("replay"):
             # Replay the unchanged left span plus the new tokens; no
             # convergence is possible before the edit's right edge.
-            state.feed_all(self._tokens[base.position : boundary])
+            self._feed_all(self._tokens[base.position : boundary])
 
             if not state.failed and shadow is not None:
                 # Lock-step walk over the unchanged suffix: state is at new
@@ -405,8 +412,7 @@ class IncrementalDocument:
                         converged_at = p
                         break
                     token = self._tokens[p]
-                    state.feed(token)
-                    if state.failed:
+                    if not self._feed(token):
                         break
                     shadow.feed(token)
                     if shadow.failed:
@@ -414,7 +420,7 @@ class IncrementalDocument:
                         break
                     p += 1
             if converged_at is None:
-                state.feed_all(self._tokens[state.position:])
+                self._feed_all(self._tokens[state.position:])
                 refed = state.position - base.position
         if converged_at is not None:
             refed = converged_at - base.position
@@ -443,7 +449,7 @@ class IncrementalDocument:
             if shifted.position > last:
                 self._trail.record(shifted)
                 last = shifted.position
-        self._state = self._resume(self._shift(old_final, delta))
+        self._state = self._parser.resume(self._shift(old_final, delta))
 
     def _edit_result(
         self,

@@ -1,5 +1,7 @@
 """Tests for the original 2011 PWD baseline and its equivalence with the core parser."""
 
+import math
+
 import pytest
 
 from repro.baseline import NaiveNullability, OriginalParser
@@ -20,6 +22,13 @@ def ambiguous():
     e = Ref("E")
     e.set((e + token("+") + e) | token("n"))
     return e
+
+
+def epsilon_cycle():
+    """S = S S | n | ε — the ε-cycle makes every input infinitely ambiguous."""
+    s = Ref("S")
+    s.set((s + s) | token("n") | epsilon())
+    return s
 
 
 class TestNaiveNullability:
@@ -93,13 +102,18 @@ class TestOriginalParserTrees:
         parser = OriginalParser(token("a") + token("b"))
         assert parser.parse(list("ab")) == ("a", "b")
 
-    def test_ambiguous_counts_match_core(self):
-        original = OriginalParser(ambiguous())
-        improved = DerivativeParser(ambiguous())
-        tokens = list("n+n+n+n")
+    @pytest.mark.parametrize(
+        "grammar, text, count",
+        [(ambiguous, "n+n+n+n", 5), (epsilon_cycle, "nnn", math.inf)],
+        ids=["binary-sum", "epsilon-cycle"],
+    )
+    def test_ambiguous_counts_match_core(self, grammar, text, count):
+        original = OriginalParser(grammar())
+        improved = DerivativeParser(grammar())
+        tokens = list(text)
         assert count_trees(original.parse_forest(tokens)) == count_trees(
             improved.parse_forest(tokens)
-        )
+        ) == count
 
     def test_parse_error_raised(self):
         parser = OriginalParser(arith())

@@ -289,6 +289,16 @@ class TestOneShotIterators:
                 self.TREE_CALLS[call](parser, iter(list(stream)))
             assert excinfo.value.position == position, type(parser).__name__
 
+    @pytest.mark.parametrize("call", sorted(TREE_CALLS))
+    @pytest.mark.parametrize("stream", ["n+*n", "n+n*"], ids=["failing", "truncated"])
+    def test_original_parser_raises_at_the_input_length(self, call, stream):
+        from repro.baseline import OriginalParser
+
+        # The 2011 parser reports no exact failing token, only the input's end.
+        with pytest.raises(ParseError) as excinfo:
+            self.TREE_CALLS[call](OriginalParser(arith()), iter(list(stream)))
+        assert excinfo.value.position == len(stream)
+
     @pytest.mark.parametrize("engine", ["derivative", "compiled"])
     def test_parse_wrapper_takes_iterators(self, engine):
         with pytest.raises(ParseError) as excinfo:

@@ -47,37 +47,39 @@ class TestCheckpointTrail:
             trail.rewind_point(5)
 
 
-class TestSnapshotHooks:
-    def test_interpreted_hook_fires_every_k_alive_tokens(self):
-        parser = DerivativeParser(pl0_grammar().to_language())
-        seen = []
-        state = parser.start(snapshot_every=10, on_snapshot=seen.append)
+@pytest.mark.parametrize("engine", ENGINES)
+class TestDocumentCheckpoints:
+    """The document records its own trail: one snapshot per ``k`` alive tokens."""
+
+    def test_checkpoint_every_k_alive_tokens(self, engine):
         tokens = pl0_tokens(60, seed=0)
-        state.feed_all(tokens)
-        assert [snap.position for snap in seen] == [
+        document = IncrementalDocument(
+            pl0_grammar(), tokens, checkpoint_every=10, engine=engine
+        )
+        assert document.checkpoints() == [0] + [
             p for p in range(10, len(tokens) + 1, 10)
         ]
-        resumed = parser.resume(seen[2])
-        resumed.feed_all(tokens[seen[2].position :])
-        assert resumed.accepts() == state.accepts()
+        mid = document.trail_snapshots()[3]
+        resumed = document.parser.resume(mid)
+        resumed.feed_all(tokens[mid.position :])
+        assert resumed.accepts() == document.accepts()
 
-    def test_compiled_hook_stops_at_failure(self):
-        parser = CompiledParser(pl0_grammar())
-        seen = []
-        state = parser.start(snapshot_every=5, on_snapshot=seen.append)
+    def test_no_checkpoint_past_the_failing_token(self, engine):
         tokens = pl0_tokens(60, seed=0)
-        state.feed_all(tokens)  # complete program
-        state.feed(tokens[0])  # kills the automaton
-        state.feed(tokens[1])  # corpse: no-op
-        assert all(snap.position <= len(tokens) for snap in seen)
-        assert state.failed
+        document = IncrementalDocument(
+            pl0_grammar(), tokens, checkpoint_every=1, engine=engine
+        )
+        document.append(tokens[0])  # kills the parse of a complete program
+        document.append(tokens[1])  # corpse: no-op
+        assert document.failed
+        assert document.structural_failure_position == len(tokens)
+        assert all(p <= len(tokens) for p in document.checkpoints())
+        assert document.checkpoints() == list(range(len(tokens) + 1))
 
-    def test_snapshot_every_validation(self):
-        parser = DerivativeParser(pl0_grammar().to_language())
-        with pytest.raises(ValueError):
-            parser.start(snapshot_every=0)
-        with pytest.raises(ValueError):
-            CompiledParser(pl0_grammar()).start(snapshot_every=-1)
+    def test_checkpoint_every_validation(self, engine):
+        for every in (0, -1):
+            with pytest.raises(ValueError):
+                IncrementalDocument(pl0_grammar(), checkpoint_every=every, engine=engine)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
