@@ -247,6 +247,9 @@ class GrammarTable:
         adversarial inputs whose state space never recurs.
     metrics:
         Optional shared :class:`~repro.core.metrics.Metrics`.
+    fingerprint:
+        The grammar's :func:`~repro.core.languages.structural_fingerprint`,
+        when the caller has it already (the serve cache's key).
     """
 
     def __init__(
@@ -254,6 +257,7 @@ class GrammarTable:
         grammar: Any,
         max_states: Optional[int] = None,
         metrics: Optional[Metrics] = None,
+        fingerprint: Optional[str] = None,
     ) -> None:
         root = own_grammar(grammar)
         #: :func:`~repro.core.languages.structural_fingerprint` of the
@@ -261,7 +265,7 @@ class GrammarTable:
         #: optimization or cut): the key every cache, store and shard of
         #: the serve layer computes for the grammar, and the stamp a saved
         #: table is verified against when it is loaded.
-        self.fingerprint = structural_fingerprint(root)
+        self.fingerprint = fingerprint or structural_fingerprint(root)
         #: Guards every mutation of the table and of its private graph
         #: (transition derivation, state interning, witness
         #: materialization, metrics).  Warm walks read the

@@ -16,7 +16,9 @@ Section 4.3 of the paper improves the *compaction* process of Might et al.
    separate pass between derivatives (Section 4.3.3).  When the structure of
    a child is not yet known — the child is a partially-constructed node that
    is part of a cycle — the smart constructor simply punts and builds the
-   uncompacted form.
+   uncompacted form.  Rules test a child's exact class; only the deriver's
+   ``∪``/``◦``/``↪→``/reference placeholders are ever ``under_construction``,
+   so only the rules that look inside a ``◦`` or ``↪→`` child test the flag.
 
 The :class:`Compactor` exposes one ``make_*`` method per grammar form;
 :class:`CompactionConfig` switches off the rules this paper adds, or every
@@ -149,36 +151,28 @@ class CompactionConfig:
         return cls()
 
 
-def _structure_known(node: Optional[Language]) -> bool:
-    """True when a node's children may safely be inspected by a rule.
-
-    Partially-constructed placeholder nodes (built by ``derive`` when a
-    cycle looks up a node whose derivative is still in progress) advertise
-    ``under_construction``; inspecting them "would result in a cycle" in the
-    paper's words, so rules punt.
-    """
-    return node is not None and not node.under_construction
-
-
 def _settle(node: Language, log: list) -> Language:
     """Give a node the smart constructors just built its final ``state``,
     wherever it follows from its children's (the rules are in the module
     docstring), and log it when it or a child is still undecided."""
-    if isinstance(node, (Alt, Cat)):
-        # ∪ is max and ◦ is min, so one side at the top (∪) or at the
-        # bottom (◦) of the chain decides the node on its own.
-        pick, decisive = (max, NULLABLE) if isinstance(node, Alt) else (min, DEAD)
+    cls = node.__class__
+    if cls is Alt or cls is Cat:
         left, right = node.left.state, node.right.state
         if left is None or right is None:
-            state = decisive if decisive in (left, right) else None
+            # ∪ is max and ◦ is min, so one side at the top (∪) or at the
+            # bottom (◦) of the chain decides the node on its own.
+            decisive = NULLABLE if cls is Alt else DEAD
+            state = decisive if left == decisive or right == decisive else None
             log.append(node)
+        elif cls is Alt:
+            state = left if left > right else right
         else:
-            state = pick(left, right)
+            state = left if left < right else right
     else:
         state = node.lang.state
         if state is None:
             log.append(node)
-        elif node.__class__ is Delta and state != NULLABLE:
+        elif cls is Delta and state != NULLABLE:
             state = DEAD
     node.state = state
     return node
@@ -203,16 +197,13 @@ class Compactor:
         self.undecided: list = []
 
     # ----------------------------------------------------------- primitives
-    def _count_node(self) -> None:
-        self.metrics.nodes_created += 1
-
     def _count_rewrite(self) -> None:
         self.metrics.compaction_rewrites += 1
 
     # -------------------------------------------------------------- epsilon
     def make_epsilon(self, trees: Iterable[Any]) -> Epsilon:
         """Construct an ``ε`` node carrying ``trees``."""
-        self._count_node()
+        self.metrics.nodes_created += 1
         return Epsilon(tuple(trees))
 
     # ------------------------------------------------------------------ alt
@@ -226,17 +217,11 @@ class Compactor:
             if right.state == DEAD:
                 self._count_rewrite()
                 return left
-            if (
-                cfg.new_rules
-                and isinstance(left, Epsilon)
-                and isinstance(right, Epsilon)
-                and _structure_known(left)
-                and _structure_known(right)
-            ):
+            if cfg.new_rules and left.__class__ is Epsilon and right.__class__ is Epsilon:
                 # ε_s1 ∪ ε_s2 ⇒ ε_{s1 ∪ s2} (one of the paper's added rules)
                 self._count_rewrite()
                 return self.make_epsilon(_merge_trees(left.trees, right.trees))
-        self._count_node()
+        self.metrics.nodes_created += 1
         return _settle(Alt(left, right), self.undecided)
 
     # ------------------------------------------------------------------ cat
@@ -253,32 +238,24 @@ class Compactor:
                 # ∅ ◦ p ⇒ ∅
                 self._count_rewrite()
                 return EMPTY
-            if isinstance(left, Epsilon) and _structure_known(left):
+            cls = left.__class__
+            if cls is Epsilon and len(left.trees) == 1:
                 # ε_s ◦ p ⇒ p ↪→ λu.(s, u)
-                if len(left.trees) == 1:
+                self._count_rewrite()
+                return self.make_reduce(right, PairLeft(left.trees[0]))
+            if cfg.new_rules and not left.under_construction:
+                if cls is Reduce and left.lang is not None:
+                    # (p1 ↪→ f) ◦ p2 ⇒ (p1 ◦ p2) ↪→ λ(t1,t2).(f(t1), t2)
                     self._count_rewrite()
-                    return self.make_reduce(right, PairLeft(left.trees[0]))
-            if (
-                cfg.new_rules
-                and isinstance(left, Reduce)
-                and _structure_known(left)
-                and left.lang is not None
-            ):
-                # (p1 ↪→ f) ◦ p2 ⇒ (p1 ◦ p2) ↪→ λ(t1,t2).(f(t1), t2)
-                self._count_rewrite()
-                return self.make_reduce(self.make_cat(left.lang, right), MapFirst(left.fn))
-            if (
-                cfg.new_rules
-                and isinstance(left, Cat)
-                and _structure_known(left)
-                and left.left is not None
-                and left.right is not None
-            ):
-                # (p1 ◦ p2) ◦ p3 ⇒ (p1 ◦ (p2 ◦ p3)) ↪→ reassociate
-                self._count_rewrite()
-                inner = self.make_cat(left.right, right)
-                return self.make_reduce(self.make_cat(left.left, inner), ReassocToLeft())
-        self._count_node()
+                    return self.make_reduce(
+                        self.make_cat(left.lang, right), MapFirst(left.fn)
+                    )
+                if cls is Cat and left.left is not None and left.right is not None:
+                    # (p1 ◦ p2) ◦ p3 ⇒ (p1 ◦ (p2 ◦ p3)) ↪→ reassociate
+                    self._count_rewrite()
+                    inner = self.make_cat(left.right, right)
+                    return self.make_reduce(self.make_cat(left.left, inner), ReassocToLeft())
+        self.metrics.nodes_created += 1
         return _settle(Cat(left, right), self.undecided)
 
     # --------------------------------------------------------------- reduce
@@ -290,21 +267,18 @@ class Compactor:
                 # ∅ ↪→ f ⇒ ∅ (one of the paper's added rules)
                 self._count_rewrite()
                 return EMPTY
-            if isinstance(lang, Epsilon) and _structure_known(lang):
+            cls = lang.__class__
+            if cls is Epsilon:
                 # ε_s ↪→ f ⇒ ε_{f(s)}
                 self._count_rewrite()
                 return self.make_epsilon(tuple(fn(tree) for tree in lang.trees))
-            if (
-                isinstance(lang, Reduce)
-                and _structure_known(lang)
-                and lang.lang is not None
-            ):
+            if cls is Reduce and not lang.under_construction and lang.lang is not None:
                 # (p ↪→ f) ↪→ g ⇒ p ↪→ (g ∘ f)
                 self._count_rewrite()
                 return self.make_reduce(lang.lang, compose(fn, lang.fn))
-            if isinstance(fn, Identity):
+            if fn.__class__ is Identity:
                 return lang
-        self._count_node()
+        self.metrics.nodes_created += 1
         return _settle(Reduce(lang, fn), self.undecided)
 
     # ---------------------------------------------------------------- delta
@@ -317,16 +291,13 @@ class Compactor:
         """
         cfg = self.config
         if cfg.enabled:
-            if isinstance(lang, Epsilon) and _structure_known(lang):
-                self._count_rewrite()
-                return lang
-            if isinstance(lang, Delta) and _structure_known(lang):
+            if lang.__class__ is Epsilon or lang.__class__ is Delta:
                 self._count_rewrite()
                 return lang
             if lang.state == DEAD:
                 self._count_rewrite()
                 return EMPTY
-        self._count_node()
+        self.metrics.nodes_created += 1
         return _settle(Delta(lang), self.undecided)
 
     # ---------------------------------------------------------- raw builders
@@ -348,7 +319,7 @@ class Compactor:
 
     def _placeholder(self, node: Language) -> Any:
         """Count a placeholder and log it: it is undecided until settled."""
-        self._count_node()
+        self.metrics.nodes_created += 1
         self.metrics.placeholders_created += 1
         self.undecided.append(node)
         return node

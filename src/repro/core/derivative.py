@@ -34,18 +34,18 @@ when the outermost ``derive`` finishes, :meth:`Deriver._settle_step` runs
 one solve of :mod:`repro.core.nullability` over that log.  With compaction
 on it then cuts each logged node's dead children to ``∅``, so a branch that
 died in this step ("zombie" in :mod:`repro.core.prune`) is never derived
-again, and every later ``nullable()`` query reads a final value.  A step
-whose result is dead returns ``∅`` itself, even when it built nothing (a
-memo hit on a derivative an earlier parse already settled dead), so a
-stream fails at exactly the token that killed it.  A step that builds only
-nodes final at birth logs nothing and solves nothing.
+again, and the ``◦`` rule reads its left child's nullability straight from
+the final ``state`` field.  A step whose result is dead returns ``∅``
+itself, even when it built nothing (a memo hit on a derivative an earlier
+parse already settled dead), so a stream fails at exactly the token that
+killed it.  A step that builds only nodes final at birth solves nothing.
 
 The traversal itself is **iterative**: grammar graphs derived from long
 inputs can be as deep as the input (hundreds of thousands of nodes on a
 right-recursive chain), so ``derive`` runs a small virtual machine over an
 explicit stack of pending nodes and suspended continuations instead of
-recursing on the interpreter stack.  No ``sys.setrecursionlimit`` escape
-hatch is needed at any input length.
+recursing on the interpreter stack, dispatching on each node's exact class,
+most frequent first.  No ``sys.setrecursionlimit`` escape hatch is needed.
 
 Memoization is pluggable (:mod:`repro.core.memo`); the default single-entry
 strategy is the improvement of Section 4.4.
@@ -65,6 +65,7 @@ from .errors import GrammarError
 from .languages import (
     DEAD,
     EMPTY,
+    NULLABLE,
     Alt,
     Cat,
     Delta,
@@ -143,176 +144,194 @@ class Deriver:
         matching the order (and therefore the memoization, naming and
         metrics behaviour) of the recursive formulation.
         """
-        memo = self.memo
-        metrics = self.metrics
+        memo_get, memo_put = self.memo.get, self.memo.put
+        compactor, naming = self.compactor, self.naming
+        calls = hits = uncached = 0
         root_slot: List[Optional[Language]] = [None]
         # Each stack entry is (opcode, node, out, slot) for _DERIVE or
         # (opcode, node, frame, out, slot) for _FINISH_*.  A frame is
         # [placeholder-or-None, opcode, left result, right result].
         stack: List[Tuple] = [(_DERIVE, node, root_slot, 0)]
 
-        while stack:
-            entry = stack.pop()
-            op = entry[0]
+        try:
+            while stack:
+                entry = stack.pop()
+                op = entry[0]
 
-            if op == _DERIVE:
-                _, current, out, slot = entry
-                metrics.derive_calls += 1
-                if current is EMPTY:
-                    # Dc(∅) = ∅.  ∅ is the one node every graph shares, so
-                    # no memo ever writes to it.
-                    out[slot] = EMPTY
-                    continue
-                cached = memo.get(current, token)
-                if cached is not MISS:
-                    metrics.derive_cache_hits += 1
-                    if cached.__class__ is list:
-                        # A lookup that finds an in-progress frame is exactly
-                        # the cycle case of Section 2.5.2.
-                        frame = cached
-                        cached = frame[0]
-                        if cached is None:
-                            cached = self._cycle_placeholder(current, frame)
-                    out[slot] = cached
-                    continue
-                metrics.derive_uncached += 1
-
-                if isinstance(current, (Empty, Epsilon, Delta)):
-                    # Dc(ε) = Dc(δ(L)) = ∅ (and Dc(∅) of a private ∅ node).
-                    memo.put(current, token, EMPTY)
-                    out[slot] = EMPTY
-                    continue
-
-                if isinstance(current, Token):
-                    if current.matches(token):
-                        result: Language = self.compactor.make_epsilon((token_value(token),))
-                        self._name(current, result, position, with_bullet=False)
-                    else:
-                        result = EMPTY
-                    memo.put(current, token, result)
-                    out[slot] = result
-                    continue
-
-                if isinstance(current, Alt):
-                    if current.left is None or current.right is None:
-                        raise GrammarError(
-                            "derivative of an incomplete ∪ node: {!r}".format(current)
-                        )
-                    frame = [None, _FINISH_ALT, None, None]
-                    memo.put(current, token, frame)
-                    stack.append((_FINISH_ALT, current, frame, out, slot))
-                    stack.append((_DERIVE, current.right, frame, 3))
-                    stack.append((_DERIVE, current.left, frame, 2))
-                    continue
-
-                if isinstance(current, Cat):
-                    if current.left is None or current.right is None:
-                        raise GrammarError(
-                            "derivative of an incomplete ◦ node: {!r}".format(current)
-                        )
-                    if not self.nullability.nullable(current.left):
-                        # Dc(L1 ◦ L2) = Dc(L1) ◦ L2
-                        frame = [None, _FINISH_CAT, None]
-                        memo.put(current, token, frame)
-                        stack.append((_FINISH_CAT, current, frame, out, slot))
-                        stack.append((_DERIVE, current.left, frame, 2))
+                if op == _DERIVE:
+                    _, current, out, slot = entry
+                    calls += 1
+                    if current is EMPTY:
+                        # Dc(∅) = ∅.  ∅ is the one node every graph shares,
+                        # so no memo ever writes to it.
+                        out[slot] = EMPTY
                         continue
-                    # Dc(L1 ◦ L2) = (Dc(L1) ◦ L2) ∪ (δ(L1) ◦ Dc(L2)) — the
-                    # duplication case tracked by the naming argument (Rule
-                    # 5b) with the • symbol.  The δ(L1) factor keeps L1's
-                    # null-parse trees; Figure 2 presents the recognizer form,
-                    # which drops it.
-                    frame = [None, _FINISH_CAT_NULLABLE, None, None]
-                    memo.put(current, token, frame)
-                    stack.append((_FINISH_CAT_NULLABLE, current, frame, out, slot))
-                    stack.append((_DERIVE, current.right, frame, 3))
-                    stack.append((_DERIVE, current.left, frame, 2))
-                    continue
+                    cached = memo_get(current, token)
+                    if cached is not MISS:
+                        hits += 1
+                        if cached.__class__ is list:
+                            # A lookup that finds an in-progress frame is
+                            # exactly the cycle case of Section 2.5.2.
+                            frame = cached
+                            cached = frame[0]
+                            if cached is None:
+                                cached = self._cycle_placeholder(current, frame)
+                        out[slot] = cached
+                        continue
+                    uncached += 1
+                    cls = current.__class__
 
-                if isinstance(current, Reduce):
-                    if current.lang is None:
-                        raise GrammarError(
-                            "derivative of an incomplete ↪→ node: {!r}".format(current)
-                        )
-                    frame = [None, _FINISH_REDUCE, None]
-                    memo.put(current, token, frame)
-                    stack.append((_FINISH_REDUCE, current, frame, out, slot))
-                    stack.append((_DERIVE, current.lang, frame, 2))
-                    continue
-
-                if isinstance(current, Ref):
-                    if current.target is None:
-                        raise GrammarError(
-                            "non-terminal <{}> was never resolved (Ref.set was not called)".format(
-                                current.ref_name
+                    if cls is Ref:
+                        target = current.target
+                        if target is None:
+                            raise GrammarError(
+                                "non-terminal <{}> was never resolved "
+                                "(Ref.set was not called)".format(current.ref_name)
                             )
+                        frame = [None, _FINISH_REF, None]
+                        memo_put(current, token, frame)
+                        stack.append((_FINISH_REF, current, frame, out, slot))
+                        stack.append((_DERIVE, target, frame, 2))
+
+                    elif cls is Cat:
+                        left, right = current.left, current.right
+                        if left is None or right is None:
+                            raise GrammarError(
+                                "derivative of an incomplete ◦ node: {!r}".format(current)
+                            )
+                        # Final unless nothing has settled the grammar yet.
+                        state = left.state
+                        if state is None:
+                            state = self.nullability.state(left)
+                        if state != NULLABLE:
+                            # Dc(L1 ◦ L2) = Dc(L1) ◦ L2
+                            frame = [None, _FINISH_CAT, None]
+                            memo_put(current, token, frame)
+                            stack.append((_FINISH_CAT, current, frame, out, slot))
+                            stack.append((_DERIVE, left, frame, 2))
+                        else:
+                            # Dc(L1 ◦ L2) = (Dc(L1) ◦ L2) ∪ (δ(L1) ◦ Dc(L2)) —
+                            # the duplication case tracked by the naming
+                            # argument (Rule 5b) with the • symbol.  The δ(L1)
+                            # factor keeps L1's null-parse trees; Figure 2
+                            # presents the recognizer form, which drops it.
+                            frame = [None, _FINISH_CAT_NULLABLE, None, None]
+                            memo_put(current, token, frame)
+                            stack.append((_FINISH_CAT_NULLABLE, current, frame, out, slot))
+                            stack.append((_DERIVE, right, frame, 3))
+                            stack.append((_DERIVE, left, frame, 2))
+
+                    elif cls is Alt:
+                        left, right = current.left, current.right
+                        if left is None or right is None:
+                            raise GrammarError(
+                                "derivative of an incomplete ∪ node: {!r}".format(current)
+                            )
+                        frame = [None, _FINISH_ALT, None, None]
+                        memo_put(current, token, frame)
+                        stack.append((_FINISH_ALT, current, frame, out, slot))
+                        stack.append((_DERIVE, right, frame, 3))
+                        stack.append((_DERIVE, left, frame, 2))
+
+                    elif cls is Reduce:
+                        if current.lang is None:
+                            raise GrammarError(
+                                "derivative of an incomplete ↪→ node: {!r}".format(current)
+                            )
+                        frame = [None, _FINISH_REDUCE, None]
+                        memo_put(current, token, frame)
+                        stack.append((_FINISH_REDUCE, current, frame, out, slot))
+                        stack.append((_DERIVE, current.lang, frame, 2))
+
+                    elif cls is Token:
+                        if current.matches(token):
+                            result: Language = compactor.make_epsilon((token_value(token),))
+                            if naming is not None:
+                                naming.name_derivative(current, result, position, False)
+                        else:
+                            result = EMPTY
+                        memo_put(current, token, result)
+                        out[slot] = result
+
+                    elif cls is Epsilon or cls is Delta or cls is Empty:
+                        # Dc(ε) = Dc(δ(L)) = ∅ (and Dc(∅) of a private ∅ node).
+                        memo_put(current, token, EMPTY)
+                        out[slot] = EMPTY
+
+                    else:
+                        raise GrammarError(
+                            "cannot derive unknown node type: {!r}".format(current)
                         )
-                    frame = [None, _FINISH_REF, None]
-                    memo.put(current, token, frame)
-                    stack.append((_FINISH_REF, current, frame, out, slot))
-                    stack.append((_DERIVE, current.target, frame, 2))
                     continue
 
-                raise GrammarError("cannot derive unknown node type: {!r}".format(current))
+                # ------------------------------------------------ _FINISH_*
+                # A frame that a cycle looked up holds its placeholder, which
+                # is filled in place (no compaction: the "punt on cycle" rule
+                # of Section 4.3.3); otherwise the smart constructors build
+                # the result.  Either way the result replaces the frame in
+                # the memo.
+                _, current, frame, out, slot = entry
+                placeholder = frame[0]
 
-            # ---------------------------------------------------- _FINISH_*
-            # A frame that a cycle looked up holds its placeholder, which is
-            # filled in place (no compaction: the "punt on cycle" rule of
-            # Section 4.3.3); otherwise the smart constructors build the
-            # result.  Either way the result replaces the frame in the memo.
-            _, current, frame, out, slot = entry
-            placeholder = frame[0]
+                if op == _FINISH_REF:
+                    if placeholder is None:
+                        # No cycle went through the reference itself: drop
+                        # the wrapper and memoize the target's derivative.
+                        result = frame[2]
+                    else:
+                        placeholder.target = frame[2]
+                        placeholder.under_construction = False
+                        result = placeholder
 
-            if op == _FINISH_ALT:
-                if placeholder is None:
-                    result = self.compactor.make_alt(frame[2], frame[3])
-                else:
-                    placeholder.left = frame[2]
-                    placeholder.right = frame[3]
-                    placeholder.under_construction = False
-                    result = placeholder
+                elif op == _FINISH_CAT:
+                    if placeholder is None:
+                        result = compactor.make_cat(frame[2], current.right)
+                    else:
+                        placeholder.left = frame[2]
+                        placeholder.under_construction = False
+                        result = placeholder
 
-            elif op == _FINISH_CAT:
-                if placeholder is None:
-                    result = self.compactor.make_cat(frame[2], current.right)
-                else:
-                    placeholder.left = frame[2]
-                    placeholder.under_construction = False
-                    result = placeholder
+                elif op == _FINISH_ALT:
+                    if placeholder is None:
+                        result = compactor.make_alt(frame[2], frame[3])
+                    else:
+                        placeholder.left = frame[2]
+                        placeholder.right = frame[3]
+                        placeholder.under_construction = False
+                        result = placeholder
 
-            elif op == _FINISH_CAT_NULLABLE:
-                cat_node = self.compactor.make_cat(frame[2], current.right)
-                self._name(current, cat_node, position, with_bullet=False)
-                null_branch = self._null_branch(current.left, frame[3])
-                if placeholder is None:
-                    result = self.compactor.make_alt(cat_node, null_branch)
-                else:
-                    placeholder.left = cat_node
-                    placeholder.right = null_branch
-                    placeholder.under_construction = False
-                    result = placeholder
+                elif op == _FINISH_REDUCE:
+                    if placeholder is None:
+                        result = compactor.make_reduce(frame[2], current.fn)
+                    else:
+                        placeholder.lang = frame[2]
+                        placeholder.under_construction = False
+                        result = placeholder
 
-            elif op == _FINISH_REDUCE:
-                if placeholder is None:
-                    result = self.compactor.make_reduce(frame[2], current.fn)
-                else:
-                    placeholder.lang = frame[2]
-                    placeholder.under_construction = False
-                    result = placeholder
+                else:  # _FINISH_CAT_NULLABLE
+                    cat_node = compactor.make_cat(frame[2], current.right)
+                    if naming is not None:
+                        naming.name_derivative(current, cat_node, position, False)
+                    null_branch = self._null_branch(current.left, frame[3])
+                    if placeholder is None:
+                        result = compactor.make_alt(cat_node, null_branch)
+                    else:
+                        placeholder.left = cat_node
+                        placeholder.right = null_branch
+                        placeholder.under_construction = False
+                        result = placeholder
 
-            else:  # _FINISH_REF
-                if placeholder is None:
-                    # No cycle went through the reference itself: drop the
-                    # wrapper and memoize the target's derivative directly.
-                    result = frame[2]
-                else:
-                    placeholder.target = frame[2]
-                    placeholder.under_construction = False
-                    result = placeholder
-
-            self._name(current, result, position, with_bullet=op == _FINISH_CAT_NULLABLE)
-            memo.put(current, token, result)
-            out[slot] = result
+                if naming is not None:
+                    naming.name_derivative(
+                        current, result, position, op == _FINISH_CAT_NULLABLE
+                    )
+                memo_put(current, token, result)
+                out[slot] = result
+        finally:
+            metrics = self.metrics
+            metrics.derive_calls += calls
+            metrics.derive_cache_hits += hits
+            metrics.derive_uncached += uncached
 
         return self._settle_step(root_slot[0])
 
@@ -453,8 +472,3 @@ class Deriver:
             if children is not None:
                 memo[id(member)] = (member, None)
         return None
-
-    # ----------------------------------------------------------------- naming
-    def _name(self, parent: Language, child: Language, position: int, with_bullet: bool) -> None:
-        if self.naming is not None:
-            self.naming.name_derivative(parent, child, position, with_bullet)

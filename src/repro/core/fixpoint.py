@@ -7,11 +7,16 @@ tentative while the fixed point is running and promoted to final when it
 completes*.  Before this module existed the repository implemented that
 algorithm four separate times (nullability, productivity, the classical
 nullable/FIRST/FOLLOW computations, and the regex recognizer's nullability);
-now each of those is a :class:`FixpointAnalysis` declaration — a lattice
-bottom, a dependency function and a transfer function, typically ~30 lines —
-executed by the one :class:`FixpointSolver` below, and the grammar's
-nullability and productivity share one declaration over one chain
+now each of those is a :class:`FixpointAnalysis` declaration solved by the
+one :class:`FixpointSolver` below, and the grammar's nullability and
+productivity share one declaration over one chain
 (:mod:`repro.core.nullability`).
+
+Both loops run inside :meth:`FixpointSolver.solve`.  The CFG and regex
+analyses declare a bottom, dependencies and a transfer function (~30 lines)
+for the generic loop.  The grammar's emptiness chain, solved at the end of
+every derive step, supplies its own :attr:`FixpointAnalysis.loop`: the same
+worklist specialised to :class:`~repro.core.languages.Language` nodes.
 
 The solver's contract, in the paper's vocabulary:
 
@@ -62,15 +67,14 @@ Subclass :class:`FixpointAnalysis` and declare the lattice::
 the lattice order) and values must support ``!=``; under those two conditions
 the worklist terminates at the unique least fixed point.  Override
 :meth:`FixpointAnalysis.final`/:meth:`~FixpointAnalysis.finalize` to persist
-results, :meth:`~FixpointAnalysis.key` when nodes are not cheaply hashable
-(e.g. structurally-hashed regex nodes key by ``id``), and
-:meth:`~FixpointAnalysis.on_evaluate` to feed instrumentation counters.
+results, and :meth:`~FixpointAnalysis.key` when nodes are not cheaply
+hashable (e.g. structurally-hashed regex nodes key by ``id``).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from .metrics import Metrics
 
@@ -151,8 +155,10 @@ class FixpointAnalysis:
         """
         return node
 
-    def on_evaluate(self, node: Any) -> None:
-        """Called once per transfer-function evaluation (metrics hook)."""
+    #: ``loop(roots, metrics)``: a worklist specialised to the analysis'
+    #: nodes, run by :meth:`FixpointSolver.solve` in place of the generic
+    #: one and of every hook above.  It counts into ``metrics``.
+    loop: Optional[Callable[[Iterable[Any], Metrics], Dict[Any, Any]]] = None
 
 
 class FixpointSolver:
@@ -189,6 +195,8 @@ class FixpointSolver:
         final.  The table is a fresh dictionary owned by the caller.
         """
         analysis = self.analysis
+        if analysis.loop is not None:
+            return analysis.loop(roots, self.metrics)
         final_of = analysis.final
         dependencies = analysis.dependencies
         # The default key is the node itself: skip the call, not the meaning.
@@ -252,7 +260,6 @@ class FixpointSolver:
         # before its children, so children are evaluated first and most
         # parents see their children's grown values on their first visit.
         transfer = analysis.transfer
-        on_evaluate = analysis.on_evaluate
         worklist = deque(reversed(pending))
         in_worklist = set(discovered)
         evaluations = 0
@@ -261,7 +268,6 @@ class FixpointSolver:
             node_key = node if key_of is None else key_of(node)
             in_worklist.discard(node_key)
             evaluations += 1
-            on_evaluate(node)
             new_value = transfer(node, get)
             if new_value != values[node_key]:
                 values[node_key] = new_value

@@ -129,7 +129,6 @@ class Metrics:
     derive_uncached: int = 0
     memo_evictions: int = 0
     nullable_calls: int = 0
-    nullable_cache_hits: int = 0
     nullable_fixed_points: int = 0
     fixpoint_node_evaluations: int = 0
     fixpoint_solves: int = 0

@@ -25,13 +25,13 @@ number of nodes (Section 4.2).  The paper's improved algorithm tracks
 dependencies between nodes Kildall-style, so only the nodes affected by a
 change are revisited, and promotes tentative values to final once a fixed
 point completes, so later queries from later ``derive`` calls reuse them.
-That mechanism is the unified kernel of :mod:`repro.core.fixpoint`, so this
-module is a declaration: :class:`NullabilityAnalysis` states the chain
-(bottom DEAD), the dependencies (a node's children) and the equations above.
-:class:`NullabilityAnalyzer` wraps a solver over it.  Every evaluation is
-counted in ``Metrics.nullable_calls``, the quantity Figure 7 compares with
-the original implementation; it includes the emptiness half, which the 2011
-parser never computed.
+That mechanism is the kernel of :mod:`repro.core.fixpoint`.  A solve ends
+every derive step that leaves a node undecided, so :class:`NullabilityAnalysis`
+hands the kernel a worklist specialised to grammar nodes, with the equations
+above written in (bottom DEAD); :class:`NullabilityAnalyzer` wraps a solver
+over it.  Every evaluation is counted in ``Metrics.nullable_calls``, the
+quantity Figure 7 compares with the original implementation; it includes the
+emptiness half, which the 2011 parser never computed.
 
 Most nodes never reach the solver.  Leaves are born final, and the smart
 constructors of :mod:`repro.core.compaction` settle every node they build
@@ -52,9 +52,10 @@ which is DEAD too.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from collections import defaultdict, deque
+from typing import Dict, Iterable, Optional
 
-from .fixpoint import NOT_FINAL, FixpointAnalysis, FixpointSolver
+from .fixpoint import FixpointAnalysis, FixpointSolver
 from .languages import (
     DEAD,
     LIVE,
@@ -62,12 +63,9 @@ from .languages import (
     Alt,
     Cat,
     Delta,
-    Empty,
-    Epsilon,
     Language,
     Reduce,
     Ref,
-    Token,
 )
 from .metrics import Metrics
 
@@ -83,65 +81,88 @@ __all__ = [
 class NullabilityAnalysis(FixpointAnalysis):
     """The ``DEAD < LIVE < NULLABLE`` chain as a kernel declaration.
 
-    Final values live in the ``state`` field of the nodes themselves (the
-    Section 4.2 promotion, expressed as the kernel's ``finalize`` hook).
+    It supplies the kernel's worklist as :meth:`loop`, specialised to
+    :class:`Language` nodes, and promotes into their ``state`` fields.
     """
 
-    def __init__(self, metrics: Metrics) -> None:
-        self.metrics = metrics
+    def loop(self, roots: Iterable[Language], metrics: Metrics) -> Dict[Language, int]:
+        """Decide every undecided node reachable from ``roots`` in one fixed point.
 
-    # ------------------------------------------------------------- the lattice
-    def bottom(self, node: Language) -> int:
-        """Start every node at the bottom of the chain: DEAD."""
-        return DEAD
+        The generic loop's discovery order, worklist order and evaluation
+        count, with the module docstring's equations written in: it
+        dispatches on the node's class, reads children from the node
+        fields, and keeps the tentative states in ``values``, whose keys are
+        the discovered set.  Leaves are born final, so only composites
+        enter it.  Returns ``values``, the states it promoted.
+        """
+        values: Dict[Language, int] = {}
+        dependents: Dict[Language, list] = defaultdict(list)
+        stack = [root for root in roots if root.state is None]
+        while stack:
+            node = stack.pop()
+            if node in values:
+                continue
+            values[node] = DEAD
+            cls = node.__class__
+            if cls is Reduce or cls is Delta:
+                children: tuple = (node.lang,)
+            elif cls is Cat or cls is Alt:
+                children = (node.left, node.right)
+            elif cls is Ref:
+                children = (node.target,)
+            else:
+                raise TypeError("unknown language node type: {!r}".format(node))
+            for child in children:
+                if child is None:
+                    raise ValueError("nullability of a node with an unset child: {!r}".format(node))
+                # A final child never changes, so it needs no dependents.
+                if child.state is None:
+                    dependents[child].append(node)
+                    if child not in values:
+                        stack.append(child)
+        if not values:
+            return values
 
-    def dependencies(self, node: Language) -> tuple:
-        """The children whose state the node's own state depends on."""
-        return node.children()
+        # Seeded in reverse discovery order, so children are evaluated first.
+        worklist = deque(reversed(values))
+        pop, push = worklist.popleft, worklist.append
+        in_worklist = set(values)
+        evaluations = len(values)  # plus one per re-queued node below
+        while worklist:
+            node = pop()
+            in_worklist.discard(node)
+            cls = node.__class__
+            if cls is Cat or cls is Alt:
+                left, right = node.left, node.right
+                state, other = left.state, right.state
+                if state is None:
+                    state = values[left]
+                if other is None:
+                    other = values[right]
+                if (other > state) is (cls is Alt):  # ∪ is the max, ◦ the min
+                    state = other
+            else:
+                child = node.target if cls is Ref else node.lang
+                state = child.state
+                if state is None:
+                    state = values[child]
+                if cls is Delta and state != NULLABLE:
+                    state = DEAD
+            if state != values[node]:
+                values[node] = state
+                for parent in dependents.get(node, ()):
+                    if parent not in in_worklist:
+                        push(parent)
+                        in_worklist.add(parent)
+                        evaluations += 1
 
-    def transfer(self, node: Language, get) -> int:
-        """Evaluate the module docstring's equations with current values."""
-        if isinstance(node, Alt):
-            return max(self._child(node.left, get), self._child(node.right, get))
-        if isinstance(node, Cat):
-            return min(self._child(node.left, get), self._child(node.right, get))
-        if isinstance(node, Reduce):
-            return self._child(node.lang, get)
-        if isinstance(node, Ref):
-            return self._child(node.target, get)
-        if isinstance(node, Delta):
-            return NULLABLE if self._child(node.lang, get) == NULLABLE else DEAD
-        if isinstance(node, Epsilon):
-            return NULLABLE
-        if isinstance(node, Token):
-            return LIVE
-        if isinstance(node, Empty):
-            return DEAD
-        raise TypeError("unknown language node type: {!r}".format(node))
-
-    @staticmethod
-    def _child(child: Optional[Language], get) -> int:
-        if child is None:
-            raise ValueError(
-                "nullability queried on a node with an unset child; "
-                "the grammar (or a derivative placeholder) is incomplete"
-            )
-        return get(child)
-
-    # --------------------------------------------------------- final promotion
-    def final(self, node: Language):
-        """Read a previously promoted state, if any."""
-        state = node.state
-        return NOT_FINAL if state is None else state
-
-    def finalize(self, node: Language, value: int) -> None:
-        """Promote a fixed-point value into the node's ``state`` field."""
-        node.state = value
-
-    # ------------------------------------------------------------------ hooks
-    def on_evaluate(self, node: Language) -> None:
-        """Count one transfer evaluation toward the Figure 7 metric."""
-        self.metrics.nullable_calls += 1
+        # The worklist drained: every tentative state is exact.
+        for node, state in values.items():
+            node.state = state
+        metrics.fixpoint_node_evaluations += evaluations
+        metrics.nullable_calls += evaluations
+        metrics.fixpoint_solves += 1
+        return values
 
 
 class NullabilityAnalyzer:
@@ -149,7 +170,7 @@ class NullabilityAnalyzer:
 
     def __init__(self, metrics: Optional[Metrics] = None) -> None:
         self.metrics = metrics if metrics is not None else Metrics()
-        self._solver = FixpointSolver(NullabilityAnalysis(self.metrics), self.metrics)
+        self._solver = FixpointSolver(NullabilityAnalysis(), self.metrics)
 
     # ------------------------------------------------------------------ API
     def state(self, node: Language) -> int:
@@ -157,8 +178,8 @@ class NullabilityAnalyzer:
         state = node.state
         if state is None:
             self.metrics.nullable_fixed_points += 1
-            return self._solver.value(node)
-        self.metrics.nullable_cache_hits += 1
+            self._solver.solve((node,))
+            state = node.state
         return state
 
     def nullable(self, node: Language) -> bool:

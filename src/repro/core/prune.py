@@ -95,7 +95,8 @@ def cut_dead_children(nodes: Iterable[Language]) -> int:
 
     rewrites = 0
     for node in nodes:
-        if isinstance(node, (Alt, Cat)):
+        cls = node.__class__
+        if cls is Alt or cls is Cat:
             child = node.left
             if child.state == DEAD and child.__class__ is not Empty:
                 node.left = EMPTY
@@ -104,12 +105,12 @@ def cut_dead_children(nodes: Iterable[Language]) -> int:
             if child.state == DEAD and child.__class__ is not Empty:
                 node.right = EMPTY
                 rewrites += 1
-        elif isinstance(node, Reduce):
+        elif cls is Reduce:
             child = node.lang
             if child.state == DEAD and child.__class__ is not Empty:
                 node.lang = EMPTY
                 rewrites += 1
-        elif isinstance(node, Ref):
+        elif cls is Ref:
             child = node.target
             if child.state == DEAD and child.__class__ is not Empty:
                 node.target = EMPTY

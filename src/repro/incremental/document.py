@@ -297,10 +297,15 @@ class IncrementalDocument:
         return True
 
     def _feed_all(self, tokens: Iterable[Any]) -> None:
-        """Feed tokens until the parse dies (see :meth:`_feed`)."""
+        """Feed tokens until the parse dies, recording as :meth:`_feed` does."""
+        state, every, record = self._state, self.checkpoint_every, self._trail.record
+        feed = state.feed
         for token in tokens:
-            if not self._feed(token):
+            feed(token)
+            if state.failure_position is not None:
                 return
+            if state.position % every == 0:
+                record(state.snapshot())
 
     def append(self, token: Any) -> "IncrementalDocument":
         """Append one token to the end of the buffer (no rewind needed)."""
@@ -309,10 +314,10 @@ class IncrementalDocument:
         return self
 
     def extend(self, tokens: Iterable[Any]) -> "IncrementalDocument":
-        """Append every token from an iterable."""
-        for token in tokens:
-            self._feed(token)
-            self._tokens.append(token)
+        """Append every token from an iterable (a dead parse feeds no more)."""
+        tokens = list(tokens)
+        self._feed_all(tokens)
+        self._tokens.extend(tokens)
         return self
 
     # --------------------------------------------------------------- edits

@@ -69,12 +69,15 @@ class FingerprintMemo:
             if hit is not None and hit[0] is root:
                 self._entries.move_to_end(key)
                 return hit[1], root
-        fingerprint = structural_fingerprint(root)
+        return self.remember(root, structural_fingerprint(root)), root
+
+    def remember(self, root: Language, fingerprint: str) -> str:
+        """Memoize a fingerprint already computed for ``root``; returns it."""
         with self._lock:
-            self._entries[key] = (root, fingerprint)
+            self._entries[id(root)] = (root, fingerprint)
             while len(self._entries) > 64:
                 self._entries.popitem(last=False)
-        return fingerprint, root
+        return fingerprint
 
 
 class CacheEntry:
@@ -255,7 +258,7 @@ class TableCache:
         """Build a service-private table for ``root``."""
         started = time.perf_counter()
         engine_metrics = Metrics()
-        table = GrammarTable(root, metrics=engine_metrics)
+        table = GrammarTable(root, metrics=engine_metrics, fingerprint=fingerprint)
         self.logger.log(
             "table_compiled",
             fingerprint=fingerprint,

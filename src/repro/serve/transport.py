@@ -227,6 +227,8 @@ def _handle(
         if os.path.exists(table_path):
             warm_loaded = service.warm_start([table_path], lambda _fp: root) > 0
         grammars[fingerprint] = root
+        # The dispatcher fingerprinted this grammar already.
+        service._fingerprints.remember(root, fingerprint)
         entry = service.table_for(root)
         return {"pure": entry.table.pure, "warm_loaded": warm_loaded}
     if tag == "per":

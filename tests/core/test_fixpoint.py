@@ -182,21 +182,27 @@ def test_final_promotion_marks_every_covered_node(spec):
     assert analyzer.metrics.nullable_fixed_points == fixed_points_before
 
 
-@settings(max_examples=120, deadline=None)
-@given(grammar_spec(), st.lists(st.sampled_from(["a", "b"]), max_size=4))
-def test_settled_states_equal_the_naive_fixed_point(spec, word):
-    # Derived nodes are settled by the smart constructors (or promoted by
-    # the kernel); either way a final state must be the least fixed point.
-    state = DerivativeParser(build_grammar(spec)).start()
-    for tok in word:
-        state.feed(tok)
-    root = state.language
+def assert_settled_at_the_naive_fixed_point(root):
     expected_nullable = naive_nullable(root)
     expected_productive = naive_productive(root, expected_nullable)
     for node in reachable_nodes(root):
-        if node.state is not None:
-            assert (node.state == NULLABLE) is expected_nullable[id(node)], node
-            assert (node.state != DEAD) is expected_productive[id(node)], node
+        assert node.state in (DEAD, LIVE, NULLABLE), node
+        assert (node.state == NULLABLE) is expected_nullable[id(node)], node
+        assert (node.state != DEAD) is expected_productive[id(node)], node
+
+
+@settings(max_examples=120, deadline=None)
+@given(grammar_spec(), st.lists(st.sampled_from(["a", "b"]), max_size=4))
+def test_settled_states_equal_the_naive_fixed_point(spec, word):
+    # Construction settles the grammar, and each derive step settles what
+    # it built (at birth or in its step-end solve), so after either every
+    # reachable node holds a final state, and that state is the least
+    # fixed point.
+    state = DerivativeParser(build_grammar(spec)).start()
+    assert_settled_at_the_naive_fixed_point(state.language)
+    for tok in word:
+        state.feed(tok)
+        assert_settled_at_the_naive_fixed_point(state.language)
 
 
 def test_prune_empty_decides_nodes_below_a_settled_one():

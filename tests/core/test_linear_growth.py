@@ -3,23 +3,26 @@
 Parsing a long unambiguous stream with bounded nesting must do a flat
 amount of derivation work per token, and the live grammar must stay
 bounded.  Both are deterministic counts (no wall time): uncached derive
-calls per token, and the number of live grammar nodes.  Without the
-``δ(L) ⇒ ε_t`` fold every completed PL/0 statement leaves a δ-history
-that each later token derives again — uncached derives per token climb
-from ~100 to ~700 over 2k tokens, and the live grammar from ~280 to ~840
-nodes.
+calls per token, and the number of live grammar nodes.  Over the 2,000
+tokens below the live grammar holds 121–146 nodes on PL/0 and 73 on JSON.
+Without the ``δ(L) ⇒ ε_t`` fold every completed PL/0 statement left a
+δ-history that each later token derived again: uncached derives per token
+climbed from ~100 to ~700 over 2k tokens, and the live grammar from ~280
+to ~840 nodes.
 
 The fixed-point work per token is gated too: nodes built over final
 children are settled at construction, so the nullability/emptiness
-kernel only runs on cyclic regions (~22 evaluations per token on PL/0,
-none on JSON; re-solving every derived node cost ~77 and ~30).
+kernel only runs on cyclic regions (22.3 evaluations per token on PL/0
+in the last window, none on JSON; re-solving every derived node cost ~77
+and ~30).
 
 So is allocation: ``derive`` builds a placeholder node only where a cycle
 looks up a derive in progress, and each step cuts the dead branches it
-built, so PL/0 builds ~21 nodes per token and JSON ~16, with ~23 and ~18
-uncached derives.  Keeping the dead branches until a scheduled prune pass
-cost ~50 and ~19 nodes and ~60 and ~28 derives per token; building a
-placeholder before every composite node cost ~101 and ~44 nodes on top.
+built, so in the last window PL/0 builds 20.9 nodes per token (1.5 of
+them placeholders) and JSON 15.8, with 22.5 and 18.3 uncached derives.
+Keeping the dead branches until a scheduled prune pass cost ~50 and ~19
+nodes and ~60 and ~28 derives per token; building a placeholder before
+every composite node cost ~101 and ~44 nodes on top.
 """
 
 import pytest

@@ -2,14 +2,21 @@
 
 import asyncio
 import json
+import pickle
+from collections import OrderedDict
 
 import pytest
 
+import repro.compile.automaton
+import repro.serve.cache
+from repro.compile import as_root
 from repro.core import DerivativeParser
+from repro.core.languages import clone_graph, structural_fingerprint
 from repro.grammars import arithmetic_grammar, balanced_parens_grammar, pl0_grammar
 from repro.lexer.tokens import Tok
-from repro.serve import ParseService, ServiceClosed, TableCache
+from repro.serve import ParseService, ServiceClosed, TableCache, TableStore
 from repro.serve.cli import main as cli_main
+from repro.serve.transport import _handle
 from repro.workloads import pl0_source, pl0_tokens
 
 
@@ -17,6 +24,19 @@ from repro.workloads import pl0_source, pl0_tokens
 def service():
     with ParseService(workers=4) as svc:
         yield svc
+
+
+def count_fingerprint_walks(monkeypatch):
+    """Count every structural fingerprint the cache or a table computes."""
+    walks = []
+
+    def counting(root):
+        walks.append(root)
+        return structural_fingerprint(root)
+
+    monkeypatch.setattr(repro.serve.cache, "structural_fingerprint", counting)
+    monkeypatch.setattr(repro.compile.automaton, "structural_fingerprint", counting)
+    return walks
 
 
 def corrupt(stream, at=10):
@@ -109,6 +129,33 @@ class TestTableCache:
             # The oldest (pl0) was evicted: asking again recompiles.
             svc.table_for(pl0_grammar())
             assert svc.metrics.get("table_misses") == 4
+
+    def test_a_grammar_is_fingerprinted_once(self, service, monkeypatch):
+        walks = count_fingerprint_walks(monkeypatch)
+        grammar = pl0_grammar()
+        entry = service.table_for(grammar)
+        assert len(walks) == 1  # the cold lookup's key, handed to the table
+        assert entry.table.fingerprint == structural_fingerprint(as_root(grammar))
+        service.table_for(grammar)
+        service.recognize_many(grammar, [pl0_tokens(30)])
+        assert len(walks) == 1  # warm lookups walk nothing
+
+    def test_a_worker_registration_reuses_the_dispatchers_fingerprint(
+        self, tmp_path, service, monkeypatch
+    ):
+        root = as_root(pl0_grammar())
+        fingerprint = structural_fingerprint(root)
+        store = TableStore(str(tmp_path / "tables"))
+        blob = pickle.dumps(clone_graph(root))  # what the dispatcher sends
+        message = ("reg", 0, fingerprint, blob, store.path_for(fingerprint))
+        walks = count_fingerprint_walks(monkeypatch)
+        grammars = {}
+        reply = _handle(message, service, store, grammars, OrderedDict())
+        assert reply == {"pure": True, "warm_loaded": False}
+        assert walks == []
+        entry = service.table_for(grammars[fingerprint])
+        assert entry.table.fingerprint == fingerprint
+        assert walks == []
 
     def test_eviction_does_not_invalidate_held_entry(self):
         cache = TableCache(capacity=1)
