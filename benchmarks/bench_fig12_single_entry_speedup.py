@@ -1,11 +1,20 @@
 """E5 — Figure 12: wall-clock speedup of single-entry memo over full hash tables.
 
 The paper measures an average 2.04× speedup from storing the ``derive`` memo
-in two node fields instead of hash tables.  Python dictionaries are far
-cheaper relative to attribute access than Racket hash tables were relative to
-field access, so the reproduction expects a smaller factor — the check below
-only requires the single-entry strategy not to be slower by more than a small
-margin, and the printed table records the measured factor for EXPERIMENTS.md.
+in two node fields instead of hash tables.  What each memo holds here:
+
+* single-entry (``memo="single"``): one ``(token, result)`` field on each
+  derived node, and a per-token ``{token: result}`` table on each of the
+  grammar's own nodes (the multi-entry nodes of Figure 10);
+* dict (``memo="dict"``): one plain ``{token: result}`` table per node.
+
+So the two differ only on derived nodes, and Python dictionaries are far
+cheaper relative to attribute access than Racket hash tables were relative
+to field access.  Measured with the median of five runs per cell, the
+average over the four sizes read 0.90–1.09 across 31 runs (CPython 3.11,
+shared 2-vCPU Xeon): in CPython the single-entry memo roughly ties a plain
+per-node dict.  The check below only requires it not to be slower by more
+than a small margin, and the printed table records the measured factor.
 """
 
 from repro.bench import emit_json, fig12_single_entry_speedup, format_table, python_workload
@@ -14,7 +23,7 @@ from repro.grammars import python_grammar
 
 
 def test_fig12_single_entry_speedup(run_once):
-    rows = fig12_single_entry_speedup()
+    rows = fig12_single_entry_speedup(repeats=5)
     print()
     print(
         format_table(

@@ -693,7 +693,7 @@ def compile_grammar(grammar: Any, max_states: Optional[int] = None) -> GrammarTa
     warm transition cache for as long as the grammar lives.  The table
     derives on its own copy of the grammar, so nothing it builds refers
     back to the anchoring root: dropping the grammar frees the table, and
-    its memo's finalizer sweeps the cached derivatives.
+    with it the copy whose nodes hold the cached derivatives.
 
     Callers that pass ``max_states`` always get a **private**, unanchored
     table built to spec: the shared default cache is never reconfigured or

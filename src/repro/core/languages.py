@@ -106,9 +106,8 @@ class Language:
         # the grammar's own nodes keep every token's derivative
         # (repro.core.memo.SingleEntryMemo); None on derived nodes
         "memo_tokens",
-        # per-node dict memo (the "full hash table" strategy of Section 4.4);
-        # holds an owner→table dict so memo instances sharing the graph keep
-        # disjoint entries and never evict each other
+        # per-node dict memo (the "full hash table" strategy of Section 4.4):
+        # one {token: result} dict, written by the one memo deriving this graph
         "memo_table",
         # final emptiness and nullability (Section 4.2)
         "state",

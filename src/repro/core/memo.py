@@ -25,8 +25,10 @@ Two interchangeable strategies are provided so the benchmarks can compare
 them directly:
 
 * :class:`SingleEntryMemo` — the paper's improved strategy (node fields).
-* :class:`PerNodeDictMemo` — a full hash table stored per node (the "inner
-  hash table in a node field" variant discussed in Section 4.4).
+* :class:`PerNodeDictMemo` — one plain ``{token: result}`` hash table
+  stored per node (the "inner hash table in a node field" variant
+  discussed in Section 4.4).  :class:`PersistentDictMemo`, the compiled
+  table's transition cache, is the same memo with a no-op ``clear``.
 
 The original strategy, a global table of tables, lives with the 2011
 baseline parser (:class:`repro.baseline.OriginalParser`).
@@ -37,10 +39,10 @@ single-entry memo) and :meth:`entry_distribution` used by the Figure 10
 benchmark.
 
 **Concurrency contract.**  Memo entries live in fields *on the grammar
-nodes*, and the tagging does not make interleaved writes from concurrent
-threads safe: a single-entry put is three separate field assignments, and
-a dict-memo put may race on the owner-table creation.  So all derivation
-over one graph must be confined to one thread or serialized by one lock.
+nodes*, and nothing makes interleaved writes from concurrent threads safe:
+a single-entry put is three separate field assignments, and two dict-memo
+puts may race on creating a node's table.  So all derivation over one
+graph must be confined to one thread or serialized by one lock.
 Each engine owns its graph (:func:`~repro.core.parse.own_grammar` copies
 the caller's), so an interpreted parser is thread-confined with its copy
 and a table serializes its :class:`PersistentDictMemo` under the table
@@ -50,7 +52,6 @@ lock.  ``∅``, the one node all graphs share, never gets an entry.
 from __future__ import annotations
 
 import itertools
-import weakref
 from typing import Any, Dict, List, Optional
 
 from .languages import EMPTY, Language, reachable_nodes
@@ -233,104 +234,48 @@ class PerNodeDictMemo(DeriveMemo):
 
     This is the strategy the paper compares the single-entry memo against in
     Figures 11 and 12: it never recomputes a derivative but pays a dictionary
-    lookup and insertion per call.
-
-    The per-node storage is **owner-keyed**: ``memo_table`` holds a small
-    mapping from an owner token — unique to each memo instance since its
-    last ``clear`` — to that owner's private token→result table, so a
-    node's entries are only ever read by the memo that wrote them.
-
-    Isolation between parsers does not need that layer: every engine
-    derives on its own copy of the grammar
-    (:func:`~repro.core.parse.own_grammar`), so two parsers never share a
-    node.  It stays for the comparison Figures 11 and 12 report.  The
-    owner indirection is one small-dict lookup per get/put, and the dict
-    baseline's cost, which the single-entry memo's speedup is measured
-    against, includes it; collapsing the layer makes the baseline cheaper
-    and shifts the Figure 12 speedups, so it is a change to the
-    benchmark's baseline, not a cleanup.  (Moving the tables into the memo
-    keyed by node instead is the original 2011 "global table of tables"
-    layout and would erase the node-field-vs-global distinction Section
-    4.4 compares.)
-
-    Leak safety comes from a ``weakref.finalize`` registered per owner
-    generation: grammar nodes outlive a parse, so a parser dropped without
-    calling ``clear`` must not pin its derivative tables — and through
-    them its entire derived grammar — on the nodes for as long as they
-    live.
-    When the memo dies, the finalizer sweeps its entries off every node it
-    touched.
+    lookup and insertion per call.  ``memo_table`` is one plain
+    ``{token: result}`` dict, written only by the memo that derives the
+    node's graph: every engine derives on its own copy of the grammar
+    (:func:`~repro.core.parse.own_grammar`), so no two memos share a node.
+    (Moving the tables into the memo keyed by node instead is the original
+    2011 "global table of tables" layout and would erase the
+    node-field-vs-global distinction Section 4.4 compares.)
     """
 
     name = "dict"
 
     def __init__(self, metrics: Optional[Metrics] = None) -> None:
         super().__init__(metrics)
-        self._owner: object = object()
+        #: The nodes whose ``memo_table`` this memo set.
         self._touched: List[Language] = []
-        self._finalizer = weakref.finalize(
-            self, PerNodeDictMemo._sweep, self._owner, self._touched
-        )
-
-    @staticmethod
-    def _sweep(owner: object, touched: List[Language]) -> None:
-        """Remove one owner generation's tables from every touched node."""
-        for node in touched:
-            tables = node.memo_table
-            if tables is not None:
-                tables.pop(owner, None)
-                if not tables:
-                    node.memo_table = None
-        touched.clear()
 
     def get(self, node: Language, token: Any) -> Any:
-        """Return this owner's entry for ``(node, token)``, or MISS."""
-        tables = node.memo_table
-        if tables is None:
-            return MISS
-        table = tables.get(self._owner)
+        """Return the entry for ``(node, token)``, or MISS."""
+        table = node.memo_table
         if table is None:
             return MISS
         return table.get(token, MISS)
 
     def put(self, node: Language, token: Any, result: Language) -> None:
-        """Record ``result`` in this owner's private table on ``node``."""
-        tables = node.memo_table
-        if tables is None:
-            tables = {}
-            node.memo_table = tables
-        table = tables.get(self._owner)
+        """Record ``result`` in ``node``'s table, creating it on first write."""
+        table = node.memo_table
         if table is None:
-            # First write to this node since construction/clear: one
-            # _touched entry per (node, owner generation), no duplicates.
-            table = {}
-            tables[self._owner] = table
+            table = node.memo_table = {}
             self._touched.append(node)
         table[token] = result
 
     def clear(self) -> None:
-        """Drop only this memo's tables; co-owners of a node are untouched."""
-        # Drop only this memo's tables; co-owners of a node are untouched.
-        self._finalizer.detach()
-        PerNodeDictMemo._sweep(self._owner, self._touched)
+        """Drop the table of every node this memo wrote."""
+        for node in self._touched:
+            node.memo_table = None
         self._touched = []
-        # A fresh owner token guarantees any table that escaped the sweep can
-        # never be read (or silently extended) by this memo again; its
-        # finalizer releases them when this memo (or the next clear) retires.
-        self._owner = object()
-        self._finalizer = weakref.finalize(
-            self, PerNodeDictMemo._sweep, self._owner, self._touched
-        )
 
     def entry_distribution(self) -> Dict[int, int]:
-        """Entries-per-node histogram for this owner's tables (Figure 10)."""
+        """Entries-per-node histogram over the nodes this memo wrote (Figure 10)."""
         distribution: Dict[int, int] = {}
         for node in self._touched:
-            tables = node.memo_table
-            table = tables.get(self._owner) if tables is not None else None
-            if not table:
-                continue
-            size = len(table)
+            size = len(node.memo_table)
             distribution[size] = distribution.get(size, 0) + 1
         return distribution
 
@@ -344,40 +289,26 @@ class PersistentDictMemo(PerNodeDictMemo):
     opposite contract — its derivative memo **is** the transition cache, and
     must survive every parse, every ``reset`` and every parser instance that
     shares the grammar.  This subclass therefore turns :meth:`clear` into a
-    no-op; dropping the entries means dropping the memo (with its table).
-
-    Ownership isolation and leak safety are inherited unchanged: the
-    ``weakref.finalize`` sweep releases every entry once the memo is
-    collected.  No node it holds refers back to the memo's table (the
-    table derives on its own copy of the grammar, not on the root that
-    anchors it), so a dropped table is collected.
+    no-op.  The entries live on the table's own copy of the grammar, so
+    they are freed with that copy when the table is dropped.
     """
-
-    name = "persistent"
 
     def clear(self) -> None:
         """No-op: persistent memos survive per-parse cache clears."""
 
     def entry_count(self) -> int:
         """Total number of memoized derivatives currently held."""
-        total = 0
-        for node in self._touched:
-            tables = node.memo_table
-            table = tables.get(self._owner) if tables is not None else None
-            if table:
-                total += len(table)
-        return total
+        return sum(len(node.memo_table) for node in self._touched)
 
 
 MEMO_STRATEGIES: Dict[str, type] = {
     SingleEntryMemo.name: SingleEntryMemo,
     PerNodeDictMemo.name: PerNodeDictMemo,
-    PersistentDictMemo.name: PersistentDictMemo,
 }
 
 
 def make_memo(strategy: str, metrics: Optional[Metrics] = None) -> DeriveMemo:
-    """Construct a memo strategy by name (``single``, ``dict`` or ``persistent``)."""
+    """Construct a memo strategy by name (``single`` or ``dict``)."""
     try:
         cls = MEMO_STRATEGIES[strategy]
     except KeyError:

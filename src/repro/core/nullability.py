@@ -94,10 +94,15 @@ class NullabilityAnalysis(FixpointAnalysis):
         fields, and keeps the tentative states in ``values``, whose keys are
         the discovered set.  Leaves are born final, so only composites
         enter it.  Returns ``values``, the states it promoted.
+
+        Precondition: every root is undecided (``state`` None).  Both
+        callers, :meth:`NullabilityAnalyzer.state` and
+        :meth:`NullabilityAnalyzer.settle`, pass only such roots, so the
+        roots are taken as given.
         """
         values: Dict[Language, int] = {}
         dependents: Dict[Language, list] = defaultdict(list)
-        stack = [root for root in roots if root.state is None]
+        stack = list(roots)
         while stack:
             node = stack.pop()
             if node in values:

@@ -5,16 +5,23 @@ fields *on the grammar nodes*.  Before the class-level-epoch fix, every
 :class:`SingleEntryMemo` started at epoch 0, so a second parser built over
 the same ``Language`` graph could read derivatives memoized by the first —
 results that embed the first parser's compaction decisions and metrics
-wiring.  The same pattern applied to ``null_parse_epoch`` and to the
-per-node dict memo's untagged ``memo_table``.  Parsers now copy the
-grammar they are given, so the memo tests drive memo instances directly
-on one shared graph, and the parser tests check that parsers built over
-one caller's grammar behave fully independently and correctly.
+wiring.  The same pattern applied to ``null_parse_epoch``.  Parsers now
+copy the grammar they are given, so the single-entry memo tests drive memo
+instances directly on one shared graph, and the parser tests check that
+parsers built over one caller's grammar behave fully independently and
+correctly.  The per-node dict memo keeps one plain table per node and no
+owner key: only the memo deriving a graph writes it, so two dict memos are
+never put on one graph (``test_ownership.py`` pins that no engine writes
+the caller's).
 """
 
+import gc
+import weakref
+
 from repro.core import DerivativeParser, Metrics, Ref, count_trees, epsilon, token
+from repro.core.languages import reachable_nodes
 from repro.core.languages import token as make_token
-from repro.core.memo import MISS, PerNodeDictMemo, SingleEntryMemo
+from repro.core.memo import MISS, SingleEntryMemo
 
 
 def shared_arith():
@@ -83,82 +90,7 @@ class TestSingleEntryMemoEpochs:
 
 
 class TestPerNodeDictMemoOwnership:
-    def test_second_memo_does_not_read_foreign_table(self):
-        node = make_token("a")
-        first = PerNodeDictMemo(Metrics())
-        first.put(node, "x", make_token("1"))
-        second = PerNodeDictMemo(Metrics())
-        assert second.get(node, "x") is MISS
-
-    def test_clearing_one_memo_leaves_the_other_consistent(self):
-        node = make_token("a")
-        first = PerNodeDictMemo(Metrics())
-        second = PerNodeDictMemo(Metrics())
-        first.put(node, "x", make_token("1"))
-        second.put(node, "x", make_token("2"))
-        first.clear()
-        # Each memo owns its own table on the node: `second`'s entry
-        # survives `first.clear()` and `first` serves nothing stale.
-        result = second.get(node, "x")
-        assert result is not MISS
-        assert first.get(node, "x") is MISS
-
-    def test_interleaved_puts_do_not_evict_or_leak(self):
-        # Regression: the first owner-tagging design stored one (owner, table)
-        # pair per node, so alternating puts from two memos evicted each
-        # other's whole table and appended the node to _touched every swap.
-        node = make_token("a")
-        first = PerNodeDictMemo(Metrics())
-        second = PerNodeDictMemo(Metrics())
-        one, two = make_token("1"), make_token("2")
-        for _ in range(100):
-            first.put(node, "x", one)
-            second.put(node, "x", two)
-        assert first.get(node, "x") is one
-        assert second.get(node, "x") is two
-        assert len(first._touched) == 1
-        assert len(second._touched) == 1
-
-    def test_clear_drops_only_owned_tables(self):
-        mine, shared = make_token("a"), make_token("b")
-        first = PerNodeDictMemo(Metrics())
-        second = PerNodeDictMemo(Metrics())
-        first.put(mine, "x", make_token("1"))
-        first.put(shared, "x", make_token("2"))
-        second.put(shared, "x", make_token("3"))
-        first.clear()
-        assert shared.memo_table is not None  # second's table untouched
-        assert mine.memo_table is None
-        assert second.get(shared, "x") is not MISS
-
-    def test_dead_memos_do_not_pin_entries_on_shared_nodes(self):
-        # Regression: a memo dropped without clear() must not leave its
-        # derivative tables (and thus its whole derived grammar) attached to
-        # long-lived shared nodes — its finalizer sweeps them off.
-        import gc
-        import weakref
-
-        from repro.core.languages import reachable_nodes
-
-        nodes = reachable_nodes(shared_arith())
-        dropped = PerNodeDictMemo(Metrics())
-        survivor = PerNodeDictMemo(Metrics())
-        dropped_owner = dropped._owner
-        class Result:
-            pass
-
-        kept = make_token("2")
-        result = Result()  # a stand-in derivative a weak reference can watch
-        released = weakref.ref(result)
-        for node in nodes:
-            dropped.put(node, "x", result)
-            survivor.put(node, "x", kept)
-        del dropped, result
-        gc.collect()
-        assert released() is None
-        for node in nodes:
-            assert dropped_owner not in node.memo_table
-            assert survivor.get(node, "x") is kept
+    """Each dict-memo parser derives on its own copy of the grammar."""
 
     def test_two_dict_parsers_one_grammar(self):
         grammar = shared_arith()
@@ -169,6 +101,53 @@ class TestPerNodeDictMemoOwnership:
         first.reset()
         assert second.recognize(list("n+n")) is True
         assert first.recognize(list("n*n")) is True
+
+    def test_second_memo_does_not_read_foreign_table(self):
+        grammar = shared_arith()
+        first = DerivativeParser(grammar, memo="dict")
+        assert first.recognize(list("n+n*n")) is True
+        assert first.memo.entry_distribution()
+        # The second parser copies the caller's pristine grammar, not the
+        # first's derived copy: its memo starts with no table anywhere.
+        second = DerivativeParser(grammar, memo="dict")
+        assert second.memo.entry_distribution() == {}
+        assert all(node.memo_table is None for node in reachable_nodes(second.root))
+        assert second.recognize(list("n+")) is False
+
+    def test_clear_drops_only_owned_tables(self):
+        grammar = shared_arith()
+        first = DerivativeParser(grammar, memo="dict")
+        second = DerivativeParser(grammar, memo="dict")
+        assert first.recognize(list("n+n")) is True
+        assert second.recognize(list("(n)*n")) is True
+        kept = second.memo.entry_distribution()
+        touched = list(second.memo._touched)
+        first.reset()
+        assert first.memo.entry_distribution() == {}
+        assert second.memo.entry_distribution() == kept
+        assert all(node.memo_table is not None for node in touched)
+
+    def test_dead_memos_do_not_pin_entries_on_shared_nodes(self):
+        # A dict-memo parser dropped without reset() must not leave its
+        # tables (and thus its derived grammar) on the caller's long-lived
+        # nodes: they live on the parser's own copy and die with it.
+        grammar = shared_arith()
+        shared = reachable_nodes(grammar)
+        parser = DerivativeParser(grammar, memo="dict")
+        assert parser.recognize(list("n+n*(n)")) is True
+
+        class Result:
+            pass
+
+        result = Result()  # a stand-in derivative a weak reference can watch
+        released = weakref.ref(result)
+        parser.memo.put(parser.root, "sentinel", result)
+        dropped = weakref.ref(parser.memo)
+        del parser, result
+        gc.collect()
+        assert released() is None
+        assert dropped() is None
+        assert all(node.memo_table is None for node in shared)
 
 
 class TestNullParseEpochs:

@@ -6,6 +6,7 @@ from repro.core.languages import token
 from repro.core.memo import (
     MISS,
     PerNodeDictMemo,
+    PersistentDictMemo,
     SingleEntryMemo,
     make_memo,
     single_entry_fraction,
@@ -86,6 +87,25 @@ class TestDictStrategies:
         assert memo.get(node, "x") is not MISS
         assert memo.get(node, "y") is not MISS
 
+    def test_clear_drops_every_written_table(self):
+        memo = PerNodeDictMemo(Metrics())
+        nodes = [token(kind) for kind in "abc"]
+        for node in nodes:
+            memo.put(node, "x", token("1"))
+            memo.put(node, "y", token("2"))
+        memo.clear()
+        assert all(node.memo_table is None for node in nodes)
+        assert memo.entry_distribution() == {}
+
+    def test_persistent_memo_survives_clear(self):
+        memo = PersistentDictMemo(Metrics())
+        node, result = token("a"), token("b")
+        memo.put(node, "x", result)
+        memo.put(node, "y", result)
+        memo.clear()
+        assert memo.get(node, "x") is result
+        assert memo.entry_count() == 2
+
     def test_entry_distribution(self):
         memo = PerNodeDictMemo(Metrics())
         one_entry, two_entries = token("a"), token("b")
@@ -108,3 +128,7 @@ class TestFactory:
     def test_make_memo_unknown_name(self):
         with pytest.raises(ValueError):
             make_memo("magic")
+        # The compiled table builds its never-cleared memo directly: by name
+        # it would make a parser whose reset() clears nothing.
+        with pytest.raises(ValueError):
+            make_memo("persistent")
